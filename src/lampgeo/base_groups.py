@@ -193,7 +193,13 @@ def lamp_du(p: LampConfig, q: LampConfig) -> Fraction:
 
 @dataclass(frozen=True)
 class BSNumber:
-    """Element r * n^k of Z[1/n] with n ∤ r (r = 0 forces k = 0)."""
+    """Element r * n^k of Z[1/n] with n ∤ r (r = 0 forces k = 0).
+
+    Arithmetic stays on the integer pair (r, k): a sum aligns both terms at
+    the smaller exponent and strips factors of n with ``bs_normalize``.
+    ``Fraction`` appears only at the boundaries, in ``value`` and
+    ``from_fraction``.
+    """
 
     r: int
     k: int
@@ -227,7 +233,9 @@ class BSNumber:
         return bs_normalize(num, k, n)
 
     def value(self) -> Fraction:
-        return Fraction(self.r) * Fraction(self.n) ** self.k
+        if self.k >= 0:
+            return Fraction(self.r * self.n ** self.k)
+        return Fraction(self.r, self.n ** -self.k)
 
     def is_zero(self) -> bool:
         return self.r == 0
@@ -238,11 +246,11 @@ class BSNumber:
 
     def __add__(self, other: "BSNumber") -> "BSNumber":
         self._same_base(other)
-        return BSNumber.from_fraction(self.value() + other.value(), self.n)
+        return _bs_sum(self, other.r, other.k)
 
     def __sub__(self, other: "BSNumber") -> "BSNumber":
         self._same_base(other)
-        return BSNumber.from_fraction(self.value() - other.value(), self.n)
+        return _bs_sum(self, -other.r, other.k)
 
     def __neg__(self) -> "BSNumber":
         if self.r == 0:
@@ -250,22 +258,35 @@ class BSNumber:
         return BSNumber(-self.r, self.k, self.n)
 
 
+def nadic_split(x: int, n: int) -> tuple[int, int]:
+    """(r, v) with x = r * n^v and n ∤ r; (0, 0) for x = 0."""
+    if x == 0:
+        return 0, 0
+    v = 0
+    while x % n == 0:
+        x //= n
+        v += 1
+    return x, v
+
+
 def bs_normalize(numerator: int, exponent: int, n: int) -> BSNumber:
     """Canonical r * n^k with n ∤ r; zero normalizes to (0, 0)."""
     if n < 2:
         raise DomainError(f"base must be >= 2, got {n}")
-    if numerator == 0:
-        return BSNumber(0, 0, n)
-    r, k = numerator, exponent
-    while r % n == 0:
-        r //= n
-        k += 1
-    return BSNumber(r, k, n)
+    r, v = nadic_split(numerator, n)
+    return BSNumber(r, exponent + v if r else 0, n)
+
+
+def _bs_sum(p: BSNumber, r: int, k: int) -> BSNumber:
+    # p + r * n^k, with both terms written as integers at the smaller exponent
+    n = p.n
+    if p.k <= k:
+        return bs_normalize(p.r + r * n ** (k - p.k), p.k, n)
+    return bs_normalize(p.r * n ** (p.k - k) + r, k, n)
 
 
 def bs_delta(p: BSNumber, q: BSNumber) -> int:
     """delta(p,q) = |r| where p - q = r * n^k normalized; 0 iff p == q."""
-    p._same_base(q)
     return abs((p - q).r)
 
 

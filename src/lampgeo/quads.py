@@ -22,8 +22,10 @@ from .base_groups import (
     LampConfig,
     SolContext,
     SolVector,
+    bs_delta,
     bs_normalize,
     lamp_delta,
+    nadic_split,
     sol_delta,
 )
 from .errors import DecompositionError, DomainError, InternalError
@@ -88,7 +90,7 @@ class BSFamily:
         return BSNumber(0, 0, self.n)
 
     def delta(self, p: BSNumber, q: BSNumber) -> int:
-        return abs((p - q).r)
+        return bs_delta(p, q)
 
     def add(self, p, q):
         return p + q
@@ -107,13 +109,17 @@ class BSFamily:
         return format_bs(p)
 
     def fits(self, v: BSNumber, residual: BSNumber) -> bool:
-        if v.is_zero() or residual.is_zero():
+        if v.is_zero() or residual.is_zero() or (v.r > 0) != (residual.r > 0):
             return False
-        vv, rv = v.value(), residual.value()
-        return (vv > 0) == (rv > 0) and abs(vv) <= abs(rv)
+        # |v| <= |residual|, both sides scaled to integers at the smaller exponent
+        dk = residual.k - v.k
+        if dk >= 0:
+            return abs(v.r) <= abs(residual.r) * self.n ** dk
+        return abs(v.r) * self.n ** -dk <= abs(residual.r)
 
     def magnitude_key(self, v: BSNumber):
-        return (self.delta(self.zero, v), abs(v.value()))
+        # (delta from zero, |v|): among equal |r| > 0, |v| = |r| * n^k grows with k
+        return (abs(v.r), v.k)
 
 
 @dataclass(frozen=True)
@@ -400,7 +406,7 @@ def verify_lamp_claim(
         gap_of = _mask_gap
         to_config = _mask_to_config
         zero_pt = 0
-        all_points = list(range(1, 1 << window_width))
+        points = range(1, 1 << window_width)
     else:
         sides = _tuples_gap_le(n, window_width, S - 1)
         sub = lambda x, y: tuple((a - b) % n for a, b in zip(x, y))
@@ -408,7 +414,7 @@ def verify_lamp_claim(
         gap_of = _tuple_gap
         to_config = lambda t: _tuple_to_config(n, t)
         zero_pt = (0,) * window_width
-        all_points = [t for t in itertools.product(range(n), repeat=window_width) if any(t)]
+        points = (t for t in itertools.product(range(n), repeat=window_width) if any(t))
 
     violations = []
     checked = 0
@@ -440,7 +446,8 @@ def verify_lamp_claim(
                         if d != add(b, c):  # corner relation a + d = b + c
                             violations.append((b, c, d))
     else:
-        large = [p for p in all_points if gap_of(p) >= min_diag]
+        # only relaxed mode reads the nonzero points, so only it lists them
+        large = [p for p in points if gap_of(p) >= min_diag]
         for sl in slices:
             for bi in sl:
                 b = sides[bi]
@@ -482,25 +489,6 @@ def verify_lamp_claim(
 # Baumslag-Solitar verifier
 # ---------------------------------------------------------------------------
 
-def _nadic(value: Fraction, n: int) -> tuple[int, int]:
-    # normalized (r, k) with value = r * n^k and n not dividing r; (0, 0) for zero
-    num, den = value.numerator, value.denominator
-    k = 0
-    while den != 1:
-        g = math.gcd(den, n)
-        if g == 1:
-            raise DomainError(f"{value} is not an element of Z[1/{n}]")
-        num *= n // g
-        den //= g
-        k -= 1
-    if num == 0:
-        return 0, 0
-    while num % n == 0:
-        num //= n
-        k += 1
-    return num, k
-
-
 def verify_taback(
     n: int,
     eps: int,
@@ -526,72 +514,69 @@ def verify_taback(
         raise DomainError("empty exponent range")
     start = time.perf_counter()
 
-    nf = Fraction(n)
-
-    def in_space(value: Fraction) -> bool:
-        r, k = _nadic(value, n)
-        return r != 0 and abs(r) <= numerator_bound and kmin <= k <= kmax
-
+    # Every candidate has exponent >= kmin, so each point is held as the
+    # integer x standing for x * n^kmin: sums, differences, equality and
+    # order are exact integer operations, and nadic_split(x) = (r, k - kmin).
+    span = kmax - kmin
     small_rs = [r for r in range(-min(eps, numerator_bound), min(eps, numerator_bound) + 1)
                 if r and r % n]
-    d_eps = sorted(r * nf ** k for r in small_rs for k in range(kmin, kmax + 1))
+    d_eps = sorted(r * n ** k for r in small_rs for k in range(span + 1))
     # p3 - p2 ranges over s * n^j; j is bounded because p3 must lie in the space
     jmax = kmax + max(1, math.ceil(math.log(numerator_bound + eps, n)))
-    steps = sorted(s * nf ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
-                   for j in range(kmin, jmax + 1))
+    steps = sorted(s * n ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
+                   for j in range(jmax - kmin + 1))
 
     violations = []
     side_relation_failures = []
     samples = []
     checked = 0
-    zero = Fraction(0)
 
     slices = _chunk_slices(len(d_eps), chunks)
     for sl in slices:
         for i2 in sl:
             p2 = d_eps[i2]
             for u in steps:
-                p3 = p2 + u
-                if p3 == zero or p3 == p2 or not in_space(p3):
+                p3 = p2 + u  # u != 0, so p3 != p2
+                r3, v3 = nadic_split(p3, n)
+                if r3 == 0 or abs(r3) > numerator_bound or v3 > span:  # p3 outside the space
                     continue
-                r3, _ = _nadic(p3, n)
                 if abs(r3) < M:  # diagonal (p1, p3)
                     continue
                 for p4 in d_eps:
                     if p4 == p2 or p4 == p3:
                         continue
-                    rs, _ = _nadic(p3 - p4, n)
-                    if abs(rs) > eps:  # side (p3, p4)
+                    if abs(nadic_split(p3 - p4, n)[0]) > eps:  # side (p3, p4)
                         continue
-                    rd, _ = _nadic(p2 - p4, n)
-                    if abs(rd) < M:  # diagonal (p2, p4)
+                    if abs(nadic_split(p2 - p4, n)[0]) < M:  # diagonal (p2, p4)
                         continue
                     checked += 1
-                    sides = [_nadic(p2, n), _nadic(p3 - p2, n),
-                             _nadic(p4 - p3, n), _nadic(-p4, n)]
+                    sides = [nadic_split(p2, n), nadic_split(p3 - p2, n),
+                             nadic_split(p4 - p3, n), nadic_split(-p4, n)]
                     if len(samples) < 5:
-                        samples.append({"points": ["0", str(p2), str(p3), str(p4)],
-                                        "sides_rk": sides})
-                    (r1, k1), (r2, k2), (r3s, k3s), (r4, k4) = sides
-                    if not (k1 == k3s and k2 == k4 and r1 == -r3s and r2 == -r4):
-                        side_relation_failures.append((zero, p2, p3, p4))
+                        samples.append(((0, p2, p3, p4), sides))
+                    (r1, v1), (r2, v2), (r3s, v3s), (r4, v4) = sides
+                    if not (v1 == v3s and v2 == v4 and r1 == -r3s and r2 == -r4):
+                        side_relation_failures.append((0, p2, p3, p4))
                     if p3 != p2 + p4:  # corner relation
-                        violations.append((zero, p2, p3, p4))
+                        violations.append((0, p2, p3, p4))
 
     fam = BSFamily(n)
-    to_bs = lambda x: BSNumber.from_fraction(x, n)
-    viol = sorted(violations)
+    to_bs = lambda x: bs_normalize(x, kmin, n)
+    to_str = lambda x: str(to_bs(x).value())
     return VerifyReport(
         params={"n": n, "epsilon": eps, "M": M},
         search_space={"numerator_bound": numerator_bound, "exp_range": list(exp_range),
                       "side_candidates": len(d_eps), "step_candidates": len(steps)},
         count_checked=checked,
-        violations=[tuple(to_bs(x) for x in quad) for quad in viol],
+        violations=[tuple(map(to_bs, quad)) for quad in sorted(violations)],
         vacuous=checked == 0,
         elapsed_ms=int((time.perf_counter() - start) * 1000),
         family=fam.name,
-        extras={"sample_decompositions": samples,
-                "side_relation_failures": [[str(x) for x in quad]
+        extras={"sample_decompositions": [
+                    {"points": [to_str(x) for x in quad],
+                     "sides_rk": [(r, v + kmin) for r, v in sides]}
+                    for quad, sides in samples],
+                "side_relation_failures": [[to_str(x) for x in quad]
                                            for quad in sorted(side_relation_failures)]},
         point_fmt=fam.fmt,
     )
@@ -607,27 +592,44 @@ def _sol_scan(ctx: SolContext, eps: int, box: int, chunks: int = 1):
     Yields (p2, p3, p4, min_diagonal_delta, is_parallelogram); the chunked
     partition of the outer loop changes nothing observable.
     """
-    pts = [(x, y) for x in range(-box, box + 1) for y in range(-box, box + 1)]
-    d_eps = sorted(p for p in pts if p != (0, 0) and 0 < abs(ctx.f(p)) <= eps)
-    fvals = {p: abs(ctx.f(p)) for p in pts}
+    a, b, c = ctx.form  # |f(x, y)| = |a x^2 + b x y + c y^2| is the delta from 0
+    d_eps = sorted((x, y) for x in range(-box, box + 1) for y in range(-box, box + 1)
+                   if 0 < abs(a * x * x + b * x * y + c * y * y) <= eps)
     outer = (d_eps[sl.start:sl.stop] for sl in _chunk_slices(len(d_eps), chunks))
     for p2 in itertools.chain.from_iterable(outer):
-        for u in d_eps:
-            p3 = (p2[0] + u[0], p2[1] + u[1])
-            if p3 == (0, 0) or p3 == p2:
-                continue
-            if not (-box <= p3[0] <= box and -box <= p3[1] <= box):
-                continue
-            diag1 = fvals[p3]
+        x2, y2 = p2
+        for ux, uy in d_eps:
+            x3, y3 = x2 + ux, y2 + uy
+            if (x3 == 0 and y3 == 0) or not (-box <= x3 <= box and -box <= y3 <= box):
+                continue  # u != 0, so p3 != p2
+            p3 = (x3, y3)
+            diag1 = abs(a * x3 * x3 + b * x3 * y3 + c * y3 * y3)
             for p4 in d_eps:
                 if p4 == p2 or p4 == p3:
                     continue
-                side = abs(ctx.f((p3[0] - p4[0], p3[1] - p4[1])))
-                if side > eps:
+                x4, y4 = p4
+                sx, sy = x3 - x4, y3 - y4
+                if abs(a * sx * sx + b * sx * sy + c * sy * sy) > eps:
                     continue
-                diag2 = abs(ctx.f((p2[0] - p4[0], p2[1] - p4[1])))
-                is_par = p3 == (p2[0] + p4[0], p2[1] + p4[1])
-                yield p2, p3, p4, min(diag1, diag2), is_par
+                dx, dy = x2 - x4, y2 - y4
+                diag2 = abs(a * dx * dx + b * dx * dy + c * dy * dy)
+                yield p2, p3, p4, min(diag1, diag2), x3 == x2 + x4 and y3 == y2 + y4
+
+
+def _schwartz_report(ctx: SolContext, eps: int, M: int, box_halfwidth: int,
+                     checked: int, violations: list, start: float) -> VerifyReport:
+    fam = SolFamily(ctx)
+    return VerifyReport(
+        params={"matrix": [list(r) for r in ctx.a], "form": list(ctx.form),
+                "epsilon": eps, "M": M},
+        search_space={"box_halfwidth": box_halfwidth},
+        count_checked=checked,
+        violations=sorted(violations),
+        vacuous=checked == 0,
+        elapsed_ms=int((time.perf_counter() - start) * 1000),
+        family=fam.name,
+        point_fmt=fam.fmt,
+    )
 
 
 def verify_schwartz(ctx: SolContext, eps: int, M: int, box_halfwidth: int,
@@ -649,18 +651,7 @@ def verify_schwartz(ctx: SolContext, eps: int, M: int, box_halfwidth: int,
         checked += 1
         if not is_par:
             violations.append(((0, 0), p2, p3, p4))
-    fam = SolFamily(ctx)
-    return VerifyReport(
-        params={"matrix": [list(r) for r in ctx.a], "form": list(ctx.form),
-                "epsilon": eps, "M": M},
-        search_space={"box_halfwidth": box_halfwidth},
-        count_checked=checked,
-        violations=sorted(violations),
-        vacuous=checked == 0,
-        elapsed_ms=int((time.perf_counter() - start) * 1000),
-        family=fam.name,
-        point_fmt=fam.fmt,
-    )
+    return _schwartz_report(ctx, eps, M, box_halfwidth, checked, violations, start)
 
 
 def calibrate_schwartz(ctx: SolContext, eps: int, box_halfwidth: int) -> VerifyReport:
@@ -669,25 +660,28 @@ def calibrate_schwartz(ctx: SolContext, eps: int, box_halfwidth: int) -> VerifyR
 
     M* = 1 + the largest min-diagonal delta over side-satisfying
     non-parallelograms; the returned report is the verification at M*,
-    with M* recorded in extras.
+    with M* recorded in extras.  No non-parallelogram reaches M*, so the
+    report has no violations and counts the parallelograms whose
+    min-diagonal delta is at least M*.
     """
+    if box_halfwidth < 1:
+        raise DomainError("box_halfwidth must be >= 1")
     start = time.perf_counter()
     worst_nonpar = 0
-    best_par = 0
-    checked_at_mstar = 0
+    par_diags = []
     for _, _, _, min_diag, is_par in _sol_scan(ctx, eps, box_halfwidth):
         if is_par:
-            best_par = max(best_par, min_diag)
+            par_diags.append(min_diag)
         else:
             worst_nonpar = max(worst_nonpar, min_diag)
     m_star = worst_nonpar + 1
-    report = verify_schwartz(ctx, eps, m_star, box_halfwidth)
+    checked = sum(1 for d in par_diags if d >= m_star)
+    report = _schwartz_report(ctx, eps, m_star, box_halfwidth, checked, [], start)
     report.extras = {
         "M_star": m_star,
         "max_nonparallelogram_min_diagonal": worst_nonpar,
-        "max_parallelogram_min_diagonal": best_par,
+        "max_parallelogram_min_diagonal": max(par_diags, default=0),
     }
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
     return report
 
 
@@ -756,22 +750,21 @@ def telescoping_identity_holds(q: Quad, chain: Sequence[Quad]) -> bool:
 
     Each P_j contributes p1+p3 on the left and p2+p4 on the right; after
     cancelling matching terms the remainder must be exactly
-    {q.p1, q.p3} = {q.p2, q.p4}.
+    {q.p1, q.p3} = {q.p2, q.p4}.  Points of every family are canonical
+    values, so they serve as their own multiset keys.
     """
     from collections import Counter
-    key = q.family.sort_key
     left: Counter = Counter()
     right: Counter = Counter()
     for p in chain:
-        left[key(p.p1)] += 1
-        left[key(p.p3)] += 1
-        right[key(p.p2)] += 1
-        right[key(p.p4)] += 1
+        left[p.p1] += 1
+        left[p.p3] += 1
+        right[p.p2] += 1
+        right[p.p4] += 1
     common = left & right
     left -= common
     right -= common
-    return (left == Counter([key(q.p1), key(q.p3)])
-            and right == Counter([key(q.p2), key(q.p4)]))
+    return left == Counter([q.p1, q.p3]) and right == Counter([q.p2, q.p4])
 
 
 # ---------------------------------------------------------------------------

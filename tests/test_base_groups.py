@@ -181,6 +181,60 @@ def test_bs_delta_invariances(a, ka, b, kb, j):
     assert (d == 0) == (p == q)
 
 
+BS_BASES = (2, 3, 4, 6, 10)
+
+
+@st.composite
+def bs_pairs(draw):
+    """Two elements of Z[1/n]; q is sometimes p itself, -p, or chosen so
+    that p + q or p - q carries more factors of n than either operand."""
+    n = draw(st.sampled_from(BS_BASES))
+    p = bs_normalize(draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(-8, 8)), n)
+    kind = draw(st.sampled_from(("free", "same", "negated", "sum_deep", "difference_deep")))
+    if kind == "same":
+        return p, p
+    if kind == "negated":
+        return p, -p
+    if kind == "free":
+        return p, bs_normalize(draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(-8, 8)), n)
+    # target t = c * n^j with j past both operands' exponents, then q = +-(t - p)
+    t = Fraction(draw(st.integers(-50, 50))) * Fraction(n) ** draw(st.integers(9, 14))
+    q = BSNumber.from_fraction(t - p.value(), n)
+    return p, (q if kind == "sum_deep" else -q)
+
+
+@given(bs_pairs())
+@settings(max_examples=400)
+def test_bs_integer_arithmetic_matches_fraction_oracle(pair):
+    p, q = pair
+    n = p.n
+    pv, qv = p.value(), q.value()
+    total = BSNumber.from_fraction(pv + qv, n)
+    diff = BSNumber.from_fraction(pv - qv, n)
+    assert p + q == total
+    assert p - q == diff
+    assert lg.bs_delta(p, q) == abs(diff.r)
+    assert lg.bs_delta(p, p) == 0 and (p - p) == BSNumber(0, 0, n)
+    fam = lg.BSFamily(n)
+    for v, residual in ((p, q), (q, p), (p, total), (diff, p)):
+        vv, rv = v.value(), residual.value()
+        expected = vv != 0 and rv != 0 and (vv > 0) == (rv > 0) and abs(vv) <= abs(rv)
+        assert fam.fits(v, residual) == expected
+
+
+def test_bs_arithmetic_examples():
+    # 3/4 + 5/4 = 2 carries more factors of 2 than either operand
+    assert bs_normalize(3, -2, 2) + bs_normalize(5, -2, 2) == BSNumber(1, 1, 2)
+    assert bs_normalize(7, 3, 6) - bs_normalize(7, 3, 6) == BSNumber(0, 0, 6)
+    assert bs_normalize(1, -3, 10) + bs_normalize(-1, 5, 10) == BSNumber.from_fraction(
+        Fraction(1, 1000) - 100000, 10)
+    # n = 4: 2 * 4^-1 = 1/2 and 1/2 + 1/2 = 1
+    half = BSNumber.from_fraction(Fraction(1, 2), 4)
+    assert half == BSNumber(2, -1, 4) and half + half == BSNumber(1, 0, 4)
+    with pytest.raises(DomainError):
+        bs_normalize(1, 0, 2) + bs_normalize(1, 0, 3)
+
+
 # ---------------------------------------------------------------------------
 # SOL contexts
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -187,6 +189,30 @@ def test_schwartz_calibration():
     if m_star > 1:
         below = lg.verify_schwartz(ctx, 1, m_star - 1, 25)
         assert below.violations  # M* is sharp
+
+
+@pytest.mark.parametrize("mat", [((2, 1), (1, 1)), ((1, 1), (1, 2)), ((5, 2), (2, 1))])
+def test_schwartz_calibration_matches_verification_at_m_star(mat):
+    # the single calibration pass must report what a separate run at M* finds
+    ctx = lg.sol_invariant_form(mat)
+    cal = lg.calibrate_schwartz(ctx, 1, 25)
+    check = lg.verify_schwartz(ctx, 1, cal.extras["M_star"], 25)
+    for attr in ("params", "search_space", "count_checked", "violations", "vacuous"):
+        assert getattr(cal, attr) == getattr(check, attr)
+
+
+def test_lamp_claim_full_mode_lists_no_points():
+    # full mode never reads the set of all nonzero window points, so its
+    # peak memory stays far below a list of that size
+    for n, width in ((2, 18), (3, 10)):
+        tracemalloc.start()
+        try:
+            rep = lg.verify_lamp_claim(1, width, n=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.count_checked > 0
+        assert peak < sys.getsizeof([None] * n ** width) // 16
 
 
 def test_report_jsonable_shape():

@@ -1,0 +1,116 @@
+"""verify_taback against an independent Fraction-arithmetic reference.
+
+The reference enumerates the same search space with every point held as a
+``Fraction`` and every valuation computed by its own n-adic normalizer, so
+it shares no arithmetic with the integer-only verifier.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+import lampgeo as lg
+from lampgeo import BSFamily, BSNumber, DomainError
+from lampgeo.quads import VerifyReport
+
+
+def _nadic(value: Fraction, n: int) -> tuple[int, int]:
+    # normalized (r, k) with value = r * n^k and n not dividing r; (0, 0) for zero
+    num, den = value.numerator, value.denominator
+    k = 0
+    while den != 1:
+        g = math.gcd(den, n)
+        if g == 1:
+            raise DomainError(f"{value} is not an element of Z[1/{n}]")
+        num *= n // g
+        den //= g
+        k -= 1
+    if num == 0:
+        return 0, 0
+    while num % n == 0:
+        num //= n
+        k += 1
+    return num, k
+
+
+def reference_taback(n, eps, M, numerator_bound, exp_range):
+    kmin, kmax = exp_range
+    nf = Fraction(n)
+
+    def in_space(value: Fraction) -> bool:
+        r, k = _nadic(value, n)
+        return r != 0 and abs(r) <= numerator_bound and kmin <= k <= kmax
+
+    small_rs = [r for r in range(-min(eps, numerator_bound), min(eps, numerator_bound) + 1)
+                if r and r % n]
+    d_eps = sorted(r * nf ** k for r in small_rs for k in range(kmin, kmax + 1))
+    jmax = kmax + max(1, math.ceil(math.log(numerator_bound + eps, n)))
+    steps = sorted(s * nf ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
+                   for j in range(kmin, jmax + 1))
+
+    violations = []
+    side_relation_failures = []
+    samples = []
+    checked = 0
+    zero = Fraction(0)
+    for p2 in d_eps:
+        for u in steps:
+            p3 = p2 + u
+            if p3 == zero or p3 == p2 or not in_space(p3):
+                continue
+            r3, _ = _nadic(p3, n)
+            if abs(r3) < M:
+                continue
+            for p4 in d_eps:
+                if p4 == p2 or p4 == p3:
+                    continue
+                rs, _ = _nadic(p3 - p4, n)
+                if abs(rs) > eps:
+                    continue
+                rd, _ = _nadic(p2 - p4, n)
+                if abs(rd) < M:
+                    continue
+                checked += 1
+                sides = [_nadic(p2, n), _nadic(p3 - p2, n), _nadic(p4 - p3, n), _nadic(-p4, n)]
+                if len(samples) < 5:
+                    samples.append({"points": ["0", str(p2), str(p3), str(p4)],
+                                    "sides_rk": sides})
+                (r1, k1), (r2, k2), (r3s, k3s), (r4, k4) = sides
+                if not (k1 == k3s and k2 == k4 and r1 == -r3s and r2 == -r4):
+                    side_relation_failures.append((zero, p2, p3, p4))
+                if p3 != p2 + p4:
+                    violations.append((zero, p2, p3, p4))
+
+    fam = BSFamily(n)
+    return VerifyReport(
+        params={"n": n, "epsilon": eps, "M": M},
+        search_space={"numerator_bound": numerator_bound, "exp_range": list(exp_range),
+                      "side_candidates": len(d_eps), "step_candidates": len(steps)},
+        count_checked=checked,
+        violations=[tuple(BSNumber.from_fraction(x, n) for x in quad)
+                    for quad in sorted(violations)],
+        vacuous=checked == 0,
+        elapsed_ms=0,
+        family=fam.name,
+        extras={"sample_decompositions": samples,
+                "side_relation_failures": [[str(x) for x in quad]
+                                           for quad in sorted(side_relation_failures)]},
+        point_fmt=fam.fmt,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("exp_range", [(-3, 3), (1, 3), (-4, -1)])
+@pytest.mark.parametrize("eps, M, bound", [(1, 2, 16), (2, 5, 40), (3, 10, 64)])
+def test_taback_matches_fraction_reference(n, exp_range, eps, M, bound):
+    got = lg.verify_taback(n, eps, M, bound, exp_range)
+    want = reference_taback(n, eps, M, bound, exp_range)
+    assert got.to_jsonable() == want.to_jsonable()
+
+
+def test_taback_reference_grid_is_not_vacuous():
+    # the comparison above means something only if quadrilaterals are found
+    for n in (2, 3, 4):
+        for exp_range in ((-3, 3), (1, 3), (-4, -1)):
+            assert reference_taback(n, 1, 2, 16, exp_range).count_checked > 0
