@@ -50,7 +50,6 @@ from .quads import (
     SolFamily,
     calibrate_schwartz,
     classify,
-    jsonable,
     lamp_sigma_obstruction,
     sigma_admissible,
     telescope_decompose,
@@ -215,16 +214,14 @@ def cmd_quad_classify(args, out):
 
 def cmd_verify_lamp_claim(args, out):
     report = verify_lamp_claim(args.S, args.window_width, n=args.n,
-                               hypotheses="relaxed" if args.relaxed else "full",
-                               chunks=args.chunks)
+                               hypotheses="relaxed" if args.relaxed else "full")
     payload, code = _report_out(args, report)
     emit_report(payload, args.format, out)
     return code
 
 
 def cmd_verify_taback(args, out):
-    report = verify_taback(args.n, args.eps, args.M, args.bound,
-                           (args.kmin, args.kmax), chunks=args.chunks)
+    report = verify_taback(args.n, args.eps, args.M, args.bound, (args.kmin, args.kmax))
     payload, code = _report_out(args, report)
     emit_report(payload, args.format, out)
     return code
@@ -237,7 +234,7 @@ def cmd_verify_schwartz(args, out):
     else:
         if args.M is None:
             raise DomainError("verify schwartz needs --M unless --calibrate is given")
-        report = verify_schwartz(ctx, args.eps, args.M, args.box, chunks=args.chunks)
+        report = verify_schwartz(ctx, args.eps, args.M, args.box)
     payload, code = _report_out(args, report)
     emit_report(payload, args.format, out)
     return code
@@ -302,7 +299,7 @@ def cmd_map_bilip(args, out):
     m = formats.parse_map(args.map, args.n)
     if not isinstance(m, BlockPerm):
         raise DomainError("bilip constants are measured for blockperm maps")
-    rep = bilip_constants(m, args.padding)
+    rep = bilip_constants(m, m.m if args.padding is None else args.padding)
     emit_report({"K_lower": str(rep.K_lower), "K_upper": str(rep.K_upper),
                  "exhaustive": rep.exhaustive, "window": list(rep.window)},
                 args.format, out)
@@ -389,13 +386,10 @@ def cmd_isometry_search(args, out):
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(p, family=False, matrix=False):
+def _add_common(p, family=False, matrix=False, report=True):
     p.add_argument("--n", type=int, default=2, help="modulus / base (default 2)")
-    p.add_argument("--format", choices=["json", "csv", "dot", "text"], default="json")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for interface stability; every enumeration here is exhaustive")
-    p.add_argument("--chunks", type=int, default=1,
-                   help="partition enumeration into this many deterministic chunks")
+    if report:
+        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--timing", action="store_true", help="include elapsed_ms in reports")
     p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
     if family:
@@ -432,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("export-dot", help="DOT graph of a metric ball")
-    _add_common(p)
+    _add_common(p, report=False)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--center", default=None)
     p.add_argument("--coset-colors", action="store_true")
@@ -545,11 +539,7 @@ def run(argv=None, stdout=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    defaulted_padding = getattr(args, "padding", None)
     try:
-        if hasattr(args, "padding") and defaulted_padding is None:
-            m = formats.parse_map(args.map, args.n)
-            args.padding = m.m if isinstance(m, BlockPerm) else 0
         if args.out:
             with open(args.out, "w") as fh:
                 return args.func(args, fh)

@@ -99,48 +99,10 @@ def neighbors(v: DLVertex) -> set[DLVertex]:
     return out
 
 
-def ball(center: DLVertex, radius: int) -> set[DLVertex]:
-    """All vertices at graph distance <= radius from center, by BFS."""
-    if radius < 0:
-        raise DomainError("radius must be >= 0")
-    seen = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
-def bfs_distance(u: DLVertex, v: DLVertex, radius_cap: int) -> int | None:
-    """Exact graph distance if <= radius_cap, else None; pure BFS over neighbors."""
-    if radius_cap < 0:
-        raise DomainError("radius_cap must be >= 0")
-    if u.n != v.n:
-        raise DomainError(f"modulus mismatch: {u.n} != {v.n}")
-    if u == v:
-        return 0
-    seen = {u}
-    frontier = [u]
-    for dist in range(1, radius_cap + 1):
-        nxt = []
-        for w in frontier:
-            for x in neighbors(w):
-                if x == v:
-                    return dist
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return None
-
-
 def distances_from(source: DLVertex, radius_cap: int) -> dict[DLVertex, int]:
     """BFS distance table for every vertex within radius_cap of source."""
+    if radius_cap < 0:
+        raise DomainError("radius must be >= 0")
     table = {source: 0}
     frontier = [source]
     for dist in range(1, radius_cap + 1):
@@ -152,6 +114,28 @@ def distances_from(source: DLVertex, radius_cap: int) -> dict[DLVertex, int]:
                     nxt.append(x)
         frontier = nxt
     return table
+
+
+def ball(center: DLVertex, radius: int) -> set[DLVertex]:
+    """All vertices at graph distance <= radius from center, by BFS."""
+    return set(distances_from(center, radius))
+
+
+def bfs_distance(u: DLVertex, v: DLVertex, radius_cap: int) -> int | None:
+    """Exact graph distance if <= radius_cap, else None; BFS meeting in the middle.
+
+    BFS tables of radii ceil(cap/2) from u and floor(cap/2) from v share a
+    vertex exactly when some path of length <= cap joins u and v (the graph
+    is undirected, so such a path passes through a vertex in both tables),
+    and the minimum of a[w] + b[w] over the shared vertices is the distance.
+    """
+    if radius_cap < 0:
+        raise DomainError("radius_cap must be >= 0")
+    if u.n != v.n:
+        raise DomainError(f"modulus mismatch: {u.n} != {v.n}")
+    a = distances_from(u, (radius_cap + 1) // 2)
+    b = distances_from(v, radius_cap // 2)
+    return min((a[w] + b[w] for w in a.keys() & b.keys()), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .base_groups import LampConfig, lamp_delta, lamp_dl, lamp_du
-from .dl_graph import DLVertex, ball, coset_of, dl_distance, distances_from, identity_vertex, neighbors
+from .dl_graph import DLVertex, ball, distances_from, identity_vertex, neighbors
 from .errors import DomainError, InternalError
 
 Window = tuple[int, int]
@@ -479,30 +479,31 @@ def induced_vertex_map(m: BaseMap) -> VertexMap:
     return VertexMap(m)
 
 
-def _mask_encoder(configs: set[LampConfig]):
+def _mask_encoder(configs: set[LampConfig], n: int):
+    """Pack configurations into ints: index i gets a field of 2**shift bits
+    holding its digit, wide enough for n - 1, so two configurations differ
+    exactly at the fields where their XOR is nonzero."""
+    shift = ((n - 1).bit_length() - 1).bit_length()
     indices = [i for cfg in configs for i in cfg.support()]
     off = -min(indices, default=0)
 
     def enc(cfg: LampConfig) -> int:
         mask = 0
-        for i, _ in cfg.entries:
-            mask |= 1 << (i + off)
+        for i, x in cfg.entries:
+            mask |= x << ((i + off) << shift)
         return mask
 
-    return enc, off
+    return enc, off, shift
 
 
-def _mask_distance(mu: int, ku: int, mv: int, kv: int, off: int) -> int:
+def _mask_distance(mu: int, ku: int, mv: int, kv: int, off: int, shift: int) -> int:
+    """dl_distance on packed configurations: 2 * (c' - c) - |k_u - k_v|."""
     d = mu ^ mv
-    if d:
-        lo = (d & -d).bit_length() - 1 - off
-        hi = d.bit_length() - 1 - off
-        c = min(ku, kv, lo)
-        cp = max(ku, kv, hi + 1)
-    else:
-        c = min(ku, kv)
-        cp = max(ku, kv)
-    return (ku - c) + (kv - c) + (cp - ku) + (cp - kv) - abs(ku - kv)
+    if not d:
+        return abs(ku - kv)
+    lo = (((d & -d).bit_length() - 1) >> shift) - off
+    hi = ((d.bit_length() - 1) >> shift) - off
+    return 2 * (max(ku, kv, hi + 1) - min(ku, kv, lo)) - abs(ku - kv)
 
 
 def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
@@ -514,28 +515,20 @@ def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
     verts = sorted(ball(identity_vertex(n), radius),
                    key=lambda v: (v.cursor, v.config.entries))
     imgs = [vm(v) for v in verts]
-    if n == 2:
-        all_cfgs = {v.config for v in verts} | {v.config for v in imgs}
-        enc, off = _mask_encoder(all_cfgs)
-        src = [(enc(v.config), v.cursor) for v in verts]
-        dst = [(enc(v.config), v.cursor) for v in imgs]
-        worst = 0
-        for a in range(len(verts)):
-            mu, ku = src[a]
-            nu, lu = dst[a]
-            for b in range(a + 1, len(verts)):
-                mv, kv = src[b]
-                nv, lv = dst[b]
-                dev = abs(_mask_distance(nu, lu, nv, lv, off)
-                          - _mask_distance(mu, ku, mv, kv, off))
-                if dev > worst:
-                    worst = dev
-        return worst
+    enc, off, shift = _mask_encoder({v.config for v in verts} | {v.config for v in imgs}, n)
+    src = [(enc(v.config), v.cursor) for v in verts]
+    dst = [(enc(v.config), v.cursor) for v in imgs]
     worst = 0
     for a in range(len(verts)):
+        mu, ku = src[a]
+        nu, lu = dst[a]
         for b in range(a + 1, len(verts)):
-            dev = abs(dl_distance(imgs[a], imgs[b]) - dl_distance(verts[a], verts[b]))
-            worst = max(worst, dev)
+            mv, kv = src[b]
+            nv, lv = dst[b]
+            dev = abs(_mask_distance(nu, lu, nv, lv, off, shift)
+                      - _mask_distance(mu, ku, mv, kv, off, shift))
+            if dev > worst:
+                worst = dev
     return worst
 
 

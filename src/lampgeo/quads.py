@@ -311,12 +311,6 @@ class VerifyReport:
         return out
 
 
-def _chunk_slices(count: int, chunks: int) -> list[range]:
-    chunks = max(1, min(chunks, count)) if count else 1
-    bounds = [round(i * count / chunks) for i in range(chunks + 1)]
-    return [range(bounds[i], bounds[i + 1]) for i in range(chunks)]
-
-
 # ---------------------------------------------------------------------------
 # lamplighter large-quadrilateral verifier
 # ---------------------------------------------------------------------------
@@ -380,7 +374,6 @@ def verify_lamp_claim(
     window_width: int,
     n: int = 2,
     hypotheses: str = "full",
-    chunks: int = 1,
 ) -> VerifyReport:
     """Check that every large lamplighter quadrilateral is a parallelogram.
 
@@ -421,49 +414,44 @@ def verify_lamp_claim(
     enumerated = 0
     min_diag = 2 * S + 1  # strict: |supp| > 2S
 
-    slices = _chunk_slices(len(sides), chunks)
     if hypotheses == "full":
-        for sl in slices:
-            for bi in sl:
-                b = sides[bi]
-                for u in sides:
-                    d = add(b, u)
-                    if d == zero_pt:
+        for b in sides:
+            for u in sides:
+                d = add(b, u)
+                if d == zero_pt:
+                    continue
+                if gap_of(d) < min_diag:  # diagonal (a, d)
+                    continue
+                for c in sides:
+                    enumerated += 1
+                    if c == b or c == d:
                         continue
-                    if gap_of(d) < min_diag:  # diagonal (a, d)
+                    bc = sub(b, c)
+                    if gap_of(bc) < min_diag:  # diagonal (b, c)
                         continue
-                    for c in sides:
-                        enumerated += 1
-                        if c == b or c == d:
-                            continue
-                        bc = sub(b, c)
-                        if gap_of(bc) < min_diag:  # diagonal (b, c)
-                            continue
-                        dc = sub(d, c)
-                        if gap_of(dc) >= S:  # side (d, c), strict
-                            continue
-                        checked += 1
-                        if d != add(b, c):  # corner relation a + d = b + c
-                            violations.append((b, c, d))
+                    dc = sub(d, c)
+                    if gap_of(dc) >= S:  # side (d, c), strict
+                        continue
+                    checked += 1
+                    if d != add(b, c):  # corner relation a + d = b + c
+                        violations.append((b, c, d))
     else:
         # only relaxed mode reads the nonzero points, so only it lists them
         large = [p for p in points if gap_of(p) >= min_diag]
-        for sl in slices:
-            for bi in sl:
-                b = sides[bi]
-                for c in sides:
-                    if c == b:
+        for b in sides:
+            for c in sides:
+                if c == b:
+                    continue
+                bc = sub(b, c)
+                if gap_of(bc) < min_diag:
+                    continue
+                for d in large:
+                    if d == b or d == c:
                         continue
-                    bc = sub(b, c)
-                    if gap_of(bc) < min_diag:
-                        continue
-                    for d in large:
-                        if d == b or d == c:
-                            continue
-                        enumerated += 1
-                        checked += 1
-                        if d != add(b, c):
-                            violations.append((b, c, d))
+                    enumerated += 1
+                    checked += 1
+                    if d != add(b, c):
+                        violations.append((b, c, d))
 
     zero = LampConfig.zero(n)
     viol_quads = sorted(
@@ -495,7 +483,6 @@ def verify_taback(
     M: int,
     numerator_bound: int,
     exp_range: tuple[int, int],
-    chunks: int = 1,
 ) -> VerifyReport:
     """Check that every (eps, M)-quadrilateral in Z[1/n] within bounds is a parallelogram.
 
@@ -531,34 +518,31 @@ def verify_taback(
     samples = []
     checked = 0
 
-    slices = _chunk_slices(len(d_eps), chunks)
-    for sl in slices:
-        for i2 in sl:
-            p2 = d_eps[i2]
-            for u in steps:
-                p3 = p2 + u  # u != 0, so p3 != p2
-                r3, v3 = nadic_split(p3, n)
-                if r3 == 0 or abs(r3) > numerator_bound or v3 > span:  # p3 outside the space
+    for p2 in d_eps:
+        for u in steps:
+            p3 = p2 + u  # u != 0, so p3 != p2
+            r3, v3 = nadic_split(p3, n)
+            if r3 == 0 or abs(r3) > numerator_bound or v3 > span:  # p3 outside the space
+                continue
+            if abs(r3) < M:  # diagonal (p1, p3)
+                continue
+            for p4 in d_eps:
+                if p4 == p2 or p4 == p3:
                     continue
-                if abs(r3) < M:  # diagonal (p1, p3)
+                if abs(nadic_split(p3 - p4, n)[0]) > eps:  # side (p3, p4)
                     continue
-                for p4 in d_eps:
-                    if p4 == p2 or p4 == p3:
-                        continue
-                    if abs(nadic_split(p3 - p4, n)[0]) > eps:  # side (p3, p4)
-                        continue
-                    if abs(nadic_split(p2 - p4, n)[0]) < M:  # diagonal (p2, p4)
-                        continue
-                    checked += 1
-                    sides = [nadic_split(p2, n), nadic_split(p3 - p2, n),
-                             nadic_split(p4 - p3, n), nadic_split(-p4, n)]
-                    if len(samples) < 5:
-                        samples.append(((0, p2, p3, p4), sides))
-                    (r1, v1), (r2, v2), (r3s, v3s), (r4, v4) = sides
-                    if not (v1 == v3s and v2 == v4 and r1 == -r3s and r2 == -r4):
-                        side_relation_failures.append((0, p2, p3, p4))
-                    if p3 != p2 + p4:  # corner relation
-                        violations.append((0, p2, p3, p4))
+                if abs(nadic_split(p2 - p4, n)[0]) < M:  # diagonal (p2, p4)
+                    continue
+                checked += 1
+                sides = [nadic_split(p2, n), nadic_split(p3 - p2, n),
+                         nadic_split(p4 - p3, n), nadic_split(-p4, n)]
+                if len(samples) < 5:
+                    samples.append(((0, p2, p3, p4), sides))
+                (r1, v1), (r2, v2), (r3s, v3s), (r4, v4) = sides
+                if not (v1 == v3s and v2 == v4 and r1 == -r3s and r2 == -r4):
+                    side_relation_failures.append((0, p2, p3, p4))
+                if p3 != p2 + p4:  # corner relation
+                    violations.append((0, p2, p3, p4))
 
     fam = BSFamily(n)
     to_bs = lambda x: bs_normalize(x, kmin, n)
@@ -586,17 +570,15 @@ def verify_taback(
 # SOL verifier and calibration
 # ---------------------------------------------------------------------------
 
-def _sol_scan(ctx: SolContext, eps: int, box: int, chunks: int = 1):
+def _sol_scan(ctx: SolContext, eps: int, box: int):
     """Enumerate side-satisfying quadruples (p1=0, p2, p3, p4) in the box.
 
-    Yields (p2, p3, p4, min_diagonal_delta, is_parallelogram); the chunked
-    partition of the outer loop changes nothing observable.
+    Yields (p2, p3, p4, min_diagonal_delta, is_parallelogram).
     """
     a, b, c = ctx.form  # |f(x, y)| = |a x^2 + b x y + c y^2| is the delta from 0
     d_eps = sorted((x, y) for x in range(-box, box + 1) for y in range(-box, box + 1)
                    if 0 < abs(a * x * x + b * x * y + c * y * y) <= eps)
-    outer = (d_eps[sl.start:sl.stop] for sl in _chunk_slices(len(d_eps), chunks))
-    for p2 in itertools.chain.from_iterable(outer):
+    for p2 in d_eps:
         x2, y2 = p2
         for ux, uy in d_eps:
             x3, y3 = x2 + ux, y2 + uy
@@ -632,8 +614,7 @@ def _schwartz_report(ctx: SolContext, eps: int, M: int, box_halfwidth: int,
     )
 
 
-def verify_schwartz(ctx: SolContext, eps: int, M: int, box_halfwidth: int,
-                    chunks: int = 1) -> VerifyReport:
+def verify_schwartz(ctx: SolContext, eps: int, M: int, box_halfwidth: int) -> VerifyReport:
     """Check that every (eps, M)-quadrilateral of the SOL lattice in the box is a parallelogram.
 
     Sub-threshold M is allowed; the resulting report is informational and
@@ -645,7 +626,7 @@ def verify_schwartz(ctx: SolContext, eps: int, M: int, box_halfwidth: int,
     start = time.perf_counter()
     checked = 0
     violations = []
-    for p2, p3, p4, min_diag, is_par in _sol_scan(ctx, eps, box_halfwidth, chunks):
+    for p2, p3, p4, min_diag, is_par in _sol_scan(ctx, eps, box_halfwidth):
         if min_diag < M:
             continue
         checked += 1

@@ -178,9 +178,6 @@ def test_exit_code_contract_fuzz(text):
 def test_byte_identical_reruns():
     argv = ("verify", "lamp-claim", "--S", "2", "--window", "10")
     assert invoke(*argv) == invoke(*argv)
-    a = invoke("verify", "lamp-claim", "--S", "2", "--window", "10", "--chunks", "3")
-    b = invoke("verify", "lamp-claim", "--S", "2", "--window", "10", "--chunks", "1")
-    assert a[1] == b[1]  # chunked enumeration canonicalizes to the same report
 
 
 def test_out_file(tmp_path):

@@ -58,6 +58,31 @@ def test_closed_form_matches_bfs_small(n, radius):
         assert lg.dl_distance(u, v) == table[lg.dl_mul(lg.dl_inv(u), v)]
 
 
+@pytest.mark.parametrize("n,radius", [(2, 3), (3, 2)])
+def test_bfs_distance_matches_distance_table(n, radius):
+    verts = lg.ball(lg.identity_vertex(n), radius)
+    for u in verts:
+        tables = [lg.distances_from(u, cap) for cap in range(7)]
+        for v in verts:
+            for cap, table in enumerate(tables):
+                assert lg.bfs_distance(u, v, cap) == table.get(v)
+
+
+def test_ball_is_distance_table_keys():
+    for n, radius in ((2, 4), (3, 3)):
+        e = lg.identity_vertex(n)
+        assert lg.ball(e, radius) == set(lg.distances_from(e, radius))
+
+
+def test_negative_radius_rejected():
+    with pytest.raises(DomainError):
+        lg.distances_from(E2, -1)
+    with pytest.raises(DomainError):
+        lg.ball(E2, -1)
+    with pytest.raises(DomainError):
+        lg.bfs_distance(E2, E2, -1)
+
+
 def test_bfs_is_left_invariant_spot_checks():
     rng = random.Random(11)
     verts = sorted(lg.ball(E2, 3), key=lambda v: (v.cursor, v.config.entries))

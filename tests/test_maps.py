@@ -243,16 +243,42 @@ def test_qi_distortion_values():
     assert values[-1] == values[-2]  # stabilized by m + 2
 
 
+def _qi_distortion_pair_loop(vm, radius, n):
+    verts = lg.ball(lg.identity_vertex(n), radius)
+    pairs = itertools.combinations([(v, vm(v)) for v in verts], 2)
+    return max((abs(lg.dl_distance(fu, fv) - lg.dl_distance(u, v))
+                for (u, fu), (v, fv) in pairs), default=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_qi_distortion_matches_dl_distance_pair_loop(n):
+    maps = [Shift(1), Shift(-2), Inversion(), Translate(L(n, {0: 1, 2: n - 1})),
+            Compose((Shift(1), Translate(L(n, {-1: 1})))),
+            BlockPerm.from_pairs(2, [("10", "01"), ("01", "10")], n=n),
+            BlockPerm.from_pairs(1, [(str(i), str((i + 1) % n)) for i in range(n)], n=n),
+            BlockPerm.from_pairs(3, [("100", f"1{n - 1}1"), (f"1{n - 1}1", "100")], n=n)]
+    for m in maps:
+        vm = lg.induced_vertex_map(m)
+        for r in range(4):
+            assert lg.qi_distortion(vm, r, n=n) == _qi_distortion_pair_loop(vm, r, n)
+
+
+def test_qi_distortion_pi0_matches_pair_loop():
+    vm = lg.induced_vertex_map(PI0)
+    assert lg.qi_distortion(vm, 4) == _qi_distortion_pair_loop(vm, 4, 2)
+
+
 def test_mask_distance_agrees_with_closed_form():
     rng = random.Random(23)
-    verts = sorted(lg.ball(lg.identity_vertex(2), 4),
-                   key=lambda v: (v.cursor, v.config.entries))
     from lampgeo.maps import _mask_distance, _mask_encoder
-    enc, off = _mask_encoder({v.config for v in verts})
-    for _ in range(300):
-        u, v = rng.choice(verts), rng.choice(verts)
-        fast = _mask_distance(enc(u.config), u.cursor, enc(v.config), v.cursor, off)
-        assert fast == lg.dl_distance(u, v)
+    for n, radius in ((2, 4), (3, 3)):
+        verts = sorted(lg.ball(lg.identity_vertex(n), radius),
+                       key=lambda v: (v.cursor, v.config.entries))
+        enc, off, shift = _mask_encoder({v.config for v in verts}, n)
+        for _ in range(300):
+            u, v = rng.choice(verts), rng.choice(verts)
+            fast = _mask_distance(enc(u.config), u.cursor, enc(v.config), v.cursor, off, shift)
+            assert fast == lg.dl_distance(u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -129,14 +129,6 @@ def test_lamp_claim_n3():
     assert rep.violations == [] and not rep.vacuous
 
 
-def test_lamp_claim_chunks_deterministic():
-    a = lg.verify_lamp_claim(2, 10, chunks=1)
-    b = lg.verify_lamp_claim(2, 10, chunks=3)
-    assert a.count_checked == b.count_checked
-    assert a.violations == b.violations
-    assert a.to_jsonable() == b.to_jsonable()
-
-
 def test_lamp_claim_rejects_bad_modes():
     with pytest.raises(DomainError):
         lg.verify_lamp_claim(0, 6)
