@@ -187,6 +187,12 @@ def lamp_du(p: LampConfig, q: LampConfig) -> Fraction:
     return Fraction(p.n) ** sg.l_minus
 
 
+def digit_shift(n: int) -> int:
+    """log2 of the bit width of a packed Z_n digit field: the smallest power
+    of two of bits that holds n - 1 (0 for n = 2, so a field is one bit)."""
+    return ((n - 1).bit_length() - 1).bit_length()
+
+
 # ---------------------------------------------------------------------------
 # Z[1/n] in normalized form
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every metric, verifier, and map operation is reachable as a subcommand
 with machine-readable output.  Exit codes: 0 = success with no violations,
 1 = a verification found violations (or a witness), 2 = usage or domain
-errors.  Identical invocations produce byte-identical output; timing is
-only emitted when --timing is passed.
+errors.  Identical invocations produce byte-identical output; the three
+verify commands take --timing, and only then add elapsed_ms to their
+reports.
 """
 
 from __future__ import annotations
@@ -386,15 +387,16 @@ def cmd_isometry_search(args, out):
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(p, family=False, matrix=False, report=True):
-    p.add_argument("--n", type=int, default=2, help="modulus / base (default 2)")
+def _add_common(p, family=False, report=True, modulus=True, timing=False):
+    if modulus:
+        p.add_argument("--n", type=int, default=2, help="modulus / base (default 2)")
     if report:
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--timing", action="store_true", help="include elapsed_ms in reports")
+    if timing:
+        p.add_argument("--timing", action="store_true", help="include elapsed_ms in reports")
     p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
     if family:
         p.add_argument("--family", choices=["lamp", "bs", "sol"], default="lamp")
-    if matrix or family:
         p.add_argument("--matrix", default=None, help="SL(2,Z) matrix 'a,b,c,d' (sol family)")
 
 
@@ -444,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive desk-scale verifiers")
     ver_sub = p.add_subparsers(dest="verify_command", required=True)
     pv = ver_sub.add_parser("lamp-claim", help="large lamplighter quadrilaterals are parallelograms")
-    _add_common(pv)
+    _add_common(pv, timing=True)
     pv.add_argument("--S", type=int, required=True)
     pv.add_argument("--window", dest="window_width", type=int, required=True)
     pv.add_argument("--relaxed", action="store_true",
                     help="only the two printed side hypotheses (admits witnesses)")
     pv.set_defaults(func=cmd_verify_lamp_claim)
     pv = ver_sub.add_parser("taback", help="Z[1/n] quadrilaterals are parallelograms")
-    _add_common(pv)
+    _add_common(pv, timing=True)
     pv.add_argument("--eps", type=int, required=True)
     pv.add_argument("--M", type=int, required=True)
     pv.add_argument("--bound", type=int, required=True, help="numerator bound")
@@ -459,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--kmax", type=int, required=True)
     pv.set_defaults(func=cmd_verify_taback)
     pv = ver_sub.add_parser("schwartz", help="SOL lattice quadrilaterals are parallelograms")
-    _add_common(pv)
+    _add_common(pv, modulus=False, timing=True)
     pv.add_argument("--matrix", required=True)
     pv.add_argument("--eps", type=int, required=True)
     pv.add_argument("--M", type=int, default=None)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base_groups import LampConfig, lamp_delta, lamp_dl, lamp_du
+from .base_groups import LampConfig, digit_shift, lamp_delta, lamp_dl, lamp_du
 from .dl_graph import DLVertex, ball, distances_from, identity_vertex, neighbors
 from .errors import DomainError, InternalError
 
@@ -232,9 +232,6 @@ class BilipReport:
 
 
 _bit_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_pair_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-_PAIR_CACHE_MAX_WIDTH = 12
 
 
 def _fd_ld_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,50 +246,29 @@ def _fd_ld_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
     return _bit_tables[width]
 
 
-def _pair_arrays(width: int):
-    # distinct unordered pairs plus the source-side disagreement indices,
-    # shared by every map of the same window shape
-    if width not in _pair_cache:
-        fd, ld = _fd_ld_tables(width)
-        size = 1 << width
-        sx, sy = np.triu_indices(size, k=1)
-        sx = sx.astype(np.uint32)
-        sy = sy.astype(np.uint32)
-        d = sx ^ sy
-        _pair_cache[width] = (sx, sy, fd[d], ld[d])
-    return _pair_cache[width]
-
-
 def _mod2_deviations(img: np.ndarray, width: int) -> tuple[int, int]:
     """Max |first-disagreement| and |last-disagreement| index deviations over
-    all distinct config pairs of a width-bit window, given the image table."""
+    all distinct config pairs of a width-bit window, given the image table.
+
+    Each unordered pair {x, x ^ d} is visited once, grouped by the top bit t
+    of d: x runs over the configs with bit t clear and d over [2^t, 2^(t+1)),
+    so the source disagreement indices are fd[d] (one per row) and t.
+    """
     fd, ld = _fd_ld_tables(width)
-    if width <= _PAIR_CACHE_MAX_WIDTH:
-        sx, sy, fd_src, ld_src = _pair_arrays(width)
-        di = img[sx] ^ img[sy]
-        if not di.all():
-            raise DomainError("map is not injective on the window; biLipschitz constants undefined")
-        max_fd = int(np.abs(fd_src - fd[di]).max(initial=0))
-        max_ld = int(np.abs(ld[di] - ld_src).max(initial=0))
-        return max_fd, max_ld
-    size = 1 << width
-    x = np.arange(size, dtype=np.uint32)
-    max_fd = 0
-    max_ld = 0
-    block = max(1, (1 << 22) // size)
-    for start in range(0, size, block):
-        rows = slice(start, min(start + block, size))
-        d = x[rows, None] ^ x[None, :]
-        di = img[rows, None] ^ img[None, :]
-        nz = d != 0
-        if not np.all((di != 0) == nz):
-            raise DomainError("map is not injective on the window; biLipschitz constants undefined")
-        fd_dev = np.abs(fd[d] - fd[di])
-        ld_dev = np.abs(ld[di] - ld[d])
-        fd_dev[~nz] = 0
-        ld_dev[~nz] = 0
-        max_fd = max(max_fd, int(fd_dev.max(initial=0)))
-        max_ld = max(max_ld, int(ld_dev.max(initial=0)))
+    configs = np.arange(1 << width, dtype=np.uint32)
+    max_fd = max_ld = 0
+    for t in range(width):
+        x = configs[(configs >> t) & 1 == 0]
+        ix = img[x]
+        rows = max(1, (1 << 22) // len(x))
+        for start in range(1 << t, 2 << t, rows):
+            d = configs[start:min(start + rows, 2 << t)]
+            di = img[x[None, :] ^ d[:, None]]
+            di ^= ix
+            if not di.all():
+                raise DomainError("map is not injective on the window; biLipschitz constants undefined")
+            max_fd = max(max_fd, int(np.abs(fd[d][:, None] - fd[di]).max()))
+            max_ld = max(max_ld, int(np.abs(ld[di] - t).max()))
     return max_fd, max_ld
 
 
@@ -483,7 +459,7 @@ def _mask_encoder(configs: set[LampConfig], n: int):
     """Pack configurations into ints: index i gets a field of 2**shift bits
     holding its digit, wide enough for n - 1, so two configurations differ
     exactly at the fields where their XOR is nonzero."""
-    shift = ((n - 1).bit_length() - 1).bit_length()
+    shift = digit_shift(n)
     indices = [i for cfg in configs for i in cfg.support()]
     off = -min(indices, default=0)
 

@@ -9,8 +9,10 @@ quadruple that fails the corner relation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,6 +26,7 @@ from .base_groups import (
     SolVector,
     bs_delta,
     bs_normalize,
+    digit_shift,
     lamp_delta,
     nadic_split,
     sol_delta,
@@ -315,58 +318,20 @@ class VerifyReport:
 # lamplighter large-quadrilateral verifier
 # ---------------------------------------------------------------------------
 
-def _mask_gap(d: int) -> int:
-    # d != 0; width of the disagreement interval of a bitmask difference
-    return d.bit_length() - 1 - ((d & -d).bit_length() - 1)
-
-
-def _masks_gap_le(width: int, s: int) -> list[int]:
-    out = []
-    for lo in range(width):
-        for g in range(min(s, width - 1 - lo) + 1):
-            if g == 0:
-                out.append(1 << lo)
-            else:
-                base = (1 << lo) | (1 << (lo + g))
-                for pat in range(1 << (g - 1)):
-                    out.append(base | (pat << (lo + 1)))
-    return sorted(out)
-
-
-def _mask_to_config(mask: int) -> LampConfig:
-    return LampConfig(2, tuple((i, 1) for i in range(mask.bit_length()) if mask >> i & 1))
-
-
-def _tuples_gap_le(n: int, width: int, s: int) -> list[tuple[int, ...]]:
-    out = []
-    vals = range(1, n)
-    for lo in range(width):
-        for g in range(min(s, width - 1 - lo) + 1):
-            if g == 0:
-                for v in vals:
-                    t = [0] * width
-                    t[lo] = v
-                    out.append(tuple(t))
-            else:
-                for a in vals:
-                    for b in vals:
-                        for interior in itertools.product(range(n), repeat=g - 1):
-                            t = [0] * width
-                            t[lo] = a
-                            t[lo + g] = b
-                            t[lo + 1:lo + g] = interior
-                            out.append(tuple(t))
-    return sorted(out)
-
-
-def _tuple_gap(d: tuple[int, ...]) -> int:
-    lo = next(i for i, v in enumerate(d) if v)
-    hi = next(i for i in range(len(d) - 1, -1, -1) if d[i])
-    return hi - lo
-
-
-def _tuple_to_config(n: int, t: tuple[int, ...]) -> LampConfig:
-    return LampConfig(n, tuple((i, v) for i, v in enumerate(t) if v))
+def _packed_with_gap(n: int, width: int, shift: int, gmin: int, gmax: int):
+    """Packed points of a width-digit window, index i's digit at bit i << shift,
+    whose support spans a gap (last minus first nonzero index) in gmin..gmax."""
+    interiors = [0]  # every packed string of max(g - 1, 0) digits
+    for g in range(min(gmax, width - 1) + 1):
+        if g >= gmin:
+            ends = (range(1, n) if g == 0 else
+                    [a | b << (g << shift) for a in range(1, n) for b in range(1, n)])
+            for lo in range(width - g):
+                for e in ends:
+                    for x in interiors:
+                        yield (e | x << (1 << shift)) << (lo << shift)
+        if g:
+            interiors = [x | v << ((g - 1) << shift) for v in range(n) for x in interiors]
 
 
 def verify_lamp_claim(
@@ -392,66 +357,57 @@ def verify_lamp_claim(
     if hypotheses not in ("full", "relaxed"):
         raise DomainError(f"unknown hypotheses mode {hypotheses!r}")
     start = time.perf_counter()
-    if n == 2:
-        sides = _masks_gap_le(window_width, S - 1)
-        sub = lambda x, y: x ^ y
-        add = sub
-        gap_of = _mask_gap
-        to_config = _mask_to_config
-        zero_pt = 0
-        points = range(1, 1 << window_width)
-    else:
-        sides = _tuples_gap_le(n, window_width, S - 1)
-        sub = lambda x, y: tuple((a - b) % n for a, b in zip(x, y))
-        add = lambda x, y: tuple((a + b) % n for a, b in zip(x, y))
-        gap_of = _tuple_gap
-        to_config = lambda t: _tuple_to_config(n, t)
-        zero_pt = (0,) * window_width
-        points = (t for t in itertools.product(range(n), repeat=window_width) if any(t))
+    # Points are packed ints, index i's digit at bit i << shift: two points
+    # differ exactly at the fields where their XOR is nonzero.
+    shift = digit_shift(n)
+    fmask = (1 << (1 << shift)) - 1
+    fields = range(0, window_width << shift, 1 << shift)
 
+    def gap(d: int) -> int:
+        # d != 0; width of the disagreement interval of a packed difference
+        return ((d.bit_length() - 1) >> shift) - (((d & -d).bit_length() - 1) >> shift)
+
+    def add_digits(x: int, y: int) -> int:
+        out = 0
+        for s in fields:
+            out |= (((x >> s & fmask) + (y >> s & fmask)) % n) << s
+        return out
+
+    add = operator.xor if n == 2 else add_digits
+
+    @functools.cache  # relaxed witnesses repeat few distinct points
+    def to_config(p: int) -> LampConfig:
+        return LampConfig(n, tuple((i, v) for i, s in enumerate(fields) if (v := p >> s & fmask)))
+
+    sides = list(_packed_with_gap(n, window_width, shift, 0, S - 1))
+    min_diag = 2 * S + 1  # strict: |supp| > 2S
+    # only relaxed mode reads the large points, so only it lists them
+    large = (list(_packed_with_gap(n, window_width, shift, min_diag, window_width - 1))
+             if hypotheses == "relaxed" else [])
     violations = []
     checked = 0
     enumerated = 0
-    min_diag = 2 * S + 1  # strict: |supp| > 2S
 
-    if hypotheses == "full":
-        for b in sides:
+    for b in sides:
+        far = [c for c in sides if c != b and gap(b ^ c) >= min_diag]  # diagonal (b, c)
+        if hypotheses == "full":
             for u in sides:
                 d = add(b, u)
-                if d == zero_pt:
+                if not d or gap(d) < min_diag:  # diagonal (a, d); so d is no side
                     continue
-                if gap_of(d) < min_diag:  # diagonal (a, d)
-                    continue
-                for c in sides:
-                    enumerated += 1
-                    if c == b or c == d:
-                        continue
-                    bc = sub(b, c)
-                    if gap_of(bc) < min_diag:  # diagonal (b, c)
-                        continue
-                    dc = sub(d, c)
-                    if gap_of(dc) >= S:  # side (d, c), strict
+                enumerated += len(sides)
+                for c in far:
+                    if gap(d ^ c) >= S:  # side (d, c), strict
                         continue
                     checked += 1
                     if d != add(b, c):  # corner relation a + d = b + c
                         violations.append((b, c, d))
-    else:
-        # only relaxed mode reads the nonzero points, so only it lists them
-        large = [p for p in points if gap_of(p) >= min_diag]
-        for b in sides:
-            for c in sides:
-                if c == b:
-                    continue
-                bc = sub(b, c)
-                if gap_of(bc) < min_diag:
-                    continue
-                for d in large:
-                    if d == b or d == c:
-                        continue
-                    enumerated += 1
-                    checked += 1
-                    if d != add(b, c):
-                        violations.append((b, c, d))
+        else:
+            for c in far:
+                bc = add(b, c)
+                enumerated += len(large)
+                checked += len(large)
+                violations.extend((b, c, d) for d in large if d != bc)
 
     zero = LampConfig.zero(n)
     viol_quads = sorted(

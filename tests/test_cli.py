@@ -193,3 +193,29 @@ def test_timing_flag_controls_elapsed_ms():
     assert "elapsed_ms" not in json.loads(out)
     _, out = invoke("verify", "lamp-claim", "--S", "1", "--window", "6", "--timing")
     assert "elapsed_ms" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "taback", "--eps", "1", "--M", "2", "--bound", "8", "--kmin", "0", "--kmax", "1"),
+    ("verify", "schwartz", "--matrix", "2,1,1,1", "--eps", "1", "--box", "10", "--calibrate"),
+])
+def test_timing_flag_on_every_verify_command(argv):
+    _, out = invoke(*argv)
+    assert "elapsed_ms" not in json.loads(out)
+    _, out = invoke(*argv, "--timing")
+    assert "elapsed_ms" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ball", "--radius", "1", "--timing"),
+    ("export-dot", "--radius", "1", "--timing"),
+    ("verify", "schwartz", "--matrix", "2,1,1,1", "--eps", "1", "--box", "10",
+     "--calibrate", "--n", "3"),
+], ids=" ".join)
+def test_options_a_command_never_reads_are_usage_errors(argv, capsys):
+    # --timing exists only where a report carries elapsed_ms, and the SOL
+    # verifier has no modulus
+    code, out = invoke(*argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage: lampgeo") and "Traceback" not in err

@@ -1,7 +1,9 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import lampgeo as lg
@@ -13,6 +15,7 @@ from lampgeo.maps import (
     Shift,
     Translate,
     _bilip_pair_scan,
+    _mod2_deviations,
     apply,
     is_identity_ball_map,
     map_is_bijective,
@@ -143,6 +146,63 @@ def test_bilip_m4_sampled():
         bp = BlockPerm.from_pairs(4, [(strings[i], strings[p]) for i, p in enumerate(perm)])
         rep = lg.bilip_constants(bp, 4)
         assert rep.K_lower <= 16 and rep.K_upper <= 16
+
+
+def _pair_loop_deviations(img, width):
+    # every distinct pair, one at a time: max |first-disagreement| and
+    # |last-disagreement| index deviations between sources and images
+    max_fd = max_ld = 0
+    for x, y in itertools.combinations(range(1 << width), 2):
+        d, di = x ^ y, int(img[x]) ^ int(img[y])
+        assert di, "image table is not injective"
+        max_fd = max(max_fd, abs(((d & -d).bit_length() - 1) - ((di & -di).bit_length() - 1)))
+        max_ld = max(max_ld, abs(d.bit_length() - di.bit_length()))
+    return max_fd, max_ld
+
+
+@pytest.mark.parametrize("width", range(2, 11))
+def test_mod2_deviations_matches_pair_loop(width):
+    # an arbitrary bijection of all 2^width configs, not only block permutations
+    img = np.random.default_rng(width).permutation(1 << width).astype(np.uint32)
+    assert _mod2_deviations(img, width) == _pair_loop_deviations(img, width)
+
+
+@pytest.mark.parametrize("width, x, y", [(2, 0, 1), (3, 1, 6), (6, 5, 63), (9, 0, 511)])
+def test_mod2_deviations_rejects_non_injective_table(width, x, y):
+    img = np.arange(1 << width, dtype=np.uint32)
+    img[y] = img[x]
+    with pytest.raises(DomainError, match="not injective"):
+        _mod2_deviations(img, width)
+
+
+def test_bilip_row_chunks_match_unchunked_window():
+    # padding 5 gives width 13, where the top-bit groups split into row
+    # chunks; padding m = 3 already realizes the constants
+    rng = random.Random(29)
+    strings = [format(i, "03b") for i in range(8)]
+    for _ in range(4):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        bp = BlockPerm.from_pairs(3, [(strings[i], strings[p]) for i, p in enumerate(perm)])
+        wide, narrow = lg.bilip_constants(bp, 5), lg.bilip_constants(bp, 3)
+        assert (wide.K_lower, wide.K_upper) == (narrow.K_lower, narrow.K_upper)
+
+
+def test_bilip_scan_keeps_no_pair_arrays():
+    rng = random.Random(31)
+    strings = [format(i, "04b") for i in range(16)]
+    perm = list(range(16))
+    rng.shuffle(perm)
+    bp = BlockPerm.from_pairs(4, [(strings[i], strings[p]) for i, p in enumerate(perm)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lg.bilip_constants(bp, 4)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1 << 20
+    assert peak < 64 << 20
 
 
 def test_bilip_rejects_non_bijection():
