@@ -3,9 +3,9 @@
 Every metric, verifier, and map operation is reachable as a subcommand
 with machine-readable output.  Exit codes: 0 = success with no violations,
 1 = a verification found violations (or a witness), 2 = usage or domain
-errors.  Identical invocations produce byte-identical output; the three
-verify commands take --timing, and only then add elapsed_ms to their
-reports.
+errors, 3 = an internal error, reported in one line with no traceback.
+Identical invocations produce byte-identical output; the three verify
+commands take --timing, and only then add elapsed_ms to their reports.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .quads import (
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _family(args):
@@ -551,7 +552,10 @@ def run(argv=None, stdout=None) -> int:
         return EXIT_USAGE
     except InternalError as exc:
         print(f"internal error (library bug): {exc}", file=sys.stderr)
-        return EXIT_VIOLATIONS
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

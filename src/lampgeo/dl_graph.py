@@ -9,6 +9,7 @@ breadth-first-search oracle over `neighbors`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .base_groups import LampConfig, lamp_neg
@@ -90,13 +91,24 @@ def neighbors(v: DLVertex) -> set[DLVertex]:
     """
     n = v.n
     k = v.cursor
+    cfg = v.config
     out: set[DLVertex] = set()
     for s in range(n):
-        up = v.config if s == 0 else v.config + LampConfig(n, ((k, s),))
-        down = v.config if s == 0 else v.config + LampConfig(n, ((k - 1, s),))
+        up = cfg if s == 0 else LampConfig(n, _write_digit(cfg, k, s))
+        down = cfg if s == 0 else LampConfig(n, _write_digit(cfg, k - 1, s))
         out.add(DLVertex(up, k + 1))
         out.add(DLVertex(down, k - 1))
     return out
+
+
+def _write_digit(cfg: LampConfig, index: int, s: int) -> tuple[tuple[int, int], ...]:
+    """The entries of cfg with s added to the digit at index."""
+    entries = cfg.entries
+    pos = bisect_left(entries, (index, 0))  # values are >= 1, so (index, 0) sorts first
+    if pos < len(entries) and entries[pos][0] == index:
+        v = (entries[pos][1] + s) % cfg.n
+        return entries[:pos] + (((index, v),) if v else ()) + entries[pos + 1:]
+    return entries[:pos] + ((index, s),) + entries[pos:]
 
 
 def distances_from(source: DLVertex, radius_cap: int) -> dict[DLVertex, int]:

@@ -484,25 +484,45 @@ def _mask_distance(mu: int, ku: int, mv: int, kv: int, off: int, shift: int) -> 
 
 def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
     """Max additive distance distortion |d(vm u, vm v) - d(u, v)| over all
-    pairs in the radius ball around the identity vertex."""
+    pairs in the radius ball around the identity vertex.
+
+    The scan runs over coset fibres (a configuration and the cursors where
+    the ball meets its coset), because a vertex map keeps the cursor and
+    maps fibres to fibres.  Two vertices of one fibre have distance
+    |k_u - k_v| before and after, so they contribute 0.  For two fibres,
+    `_mask_distance` reads the configurations only through the first and
+    last disagreement, the lowest and highest set bits of the XOR d of the
+    source masks (e for the images).  When the map keeps both bits, every
+    cursor pair of the two fibres has deviation 0 and the pair is skipped;
+    otherwise the maximum over the cursor pairs depends only on those bits
+    and the two cursor tuples, and is computed once per such key.
+    """
     if radius < 0:
         raise DomainError("radius must be >= 0")
     n = n or vm.base.modulus() or 2
-    verts = sorted(ball(identity_vertex(n), radius),
-                   key=lambda v: (v.cursor, v.config.entries))
-    imgs = [vm(v) for v in verts]
-    enc, off, shift = _mask_encoder({v.config for v in verts} | {v.config for v in imgs}, n)
-    src = [(enc(v.config), v.cursor) for v in verts]
-    dst = [(enc(v.config), v.cursor) for v in imgs]
+    fibres: dict[LampConfig, list[int]] = {}
+    for v in ball(identity_vertex(n), radius):
+        fibres.setdefault(v.config, []).append(v.cursor)
+    images = {cfg: vm(DLVertex(cfg, ks[0])).config for cfg, ks in fibres.items()}
+    enc, off, shift = _mask_encoder(set(fibres) | set(images.values()), n)
+    packed = [(enc(cfg), enc(images[cfg]), tuple(sorted(ks))) for cfg, ks in fibres.items()]
+    memo: dict[tuple, int] = {}
     worst = 0
-    for a in range(len(verts)):
-        mu, ku = src[a]
-        nu, lu = dst[a]
-        for b in range(a + 1, len(verts)):
-            mv, kv = src[b]
-            nv, lv = dst[b]
-            dev = abs(_mask_distance(nu, lu, nv, lv, off, shift)
-                      - _mask_distance(mu, ku, mv, kv, off, shift))
+    for a, (ma, na, ka) in enumerate(packed):
+        for mb, nb, kb in packed[a + 1:]:
+            d = ma ^ mb
+            e = na ^ nb
+            dlo, dhi, elo, ehi = d & -d, d.bit_length(), e & -e, e.bit_length()
+            if dlo == elo and dhi == ehi:
+                continue
+            key = (dlo, dhi, elo, ehi, ka, kb)
+            dev = memo.get(key)
+            if dev is None:
+                # _mask_distance reads its two masks only through their XOR
+                dev = memo[key] = max(
+                    abs(_mask_distance(e, ku, 0, kv, off, shift)
+                        - _mask_distance(d, ku, 0, kv, off, shift))
+                    for ku in ka for kv in kb)
             if dev > worst:
                 worst = dev
     return worst
@@ -533,6 +553,8 @@ def isometry_search(
     """
     if radius < 2:
         raise DomainError("radius must be >= 2")
+    if max_results is not None and max_results < 1:
+        return []
     center = identity_vertex(n)
     dist = distances_from(center, radius)
     verts = sorted(dist, key=lambda v: (dist[v], v.cursor, v.config.entries))
@@ -665,39 +687,34 @@ def isometry_search(
                 cls_img_used[cls_img[c]] = False
                 cls_img[c] = None
 
-    def complete_boundary(pos: int) -> bool:
+    # backtracking over an explicit stack: stack[pos] iterates the untried
+    # candidates of order[pos]; on return to a frame its current candidate,
+    # if any, is unassigned before the next one is tried
+    stack = [iter(candidates(order[0]))]
+    while stack:
+        pos = len(stack) - 1
+        i = order[pos]
+        if img[i] is not None:
+            unassign(i, img[i])
+        w = next(stack[pos], None)
+        if w is None:
+            stack.pop()
+            continue
+        assign(i, w)
+        if pos + 1 < nverts:
+            stack.append(iter(candidates(order[pos + 1])))
+            continue
+        key = tuple(img[i] for i in inner_set)
+        if key not in results:
+            results[key] = {verts[i]: verts[img[i]] for i in inner_set}
+            if max_results is not None and len(results) >= max_results:
+                break
         # one witness completion over the boundary sphere is enough: the
         # returned restriction does not depend on it
-        if pos == nverts:
-            return True
-        i = order[pos]
-        for w in candidates(i):
-            assign(i, w)
-            ok = complete_boundary(pos + 1)
-            unassign(i, w)
-            if ok:
-                return True
-        return False
-
-    def dfs(pos: int) -> bool:
-        if max_results is not None and len(results) >= max_results:
-            return True
-        if pos == n_inner:
-            if complete_boundary(pos):
-                key = tuple(img[i] for i in inner_set)
-                if key not in results:
-                    results[key] = {verts[i]: verts[img[i]] for i in inner_set}
-            return max_results is not None and len(results) >= max_results
-        i = order[pos]
-        for w in candidates(i):
-            assign(i, w)
-            stop = dfs(pos + 1)
-            unassign(i, w)
-            if stop:
-                return True
-        return False
-
-    dfs(0)
+        while len(stack) > n_inner:
+            i = order[len(stack) - 1]
+            unassign(i, img[i])
+            stack.pop()
     return [results[k] for k in sorted(results)]
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lampgeo.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, run
+from lampgeo import InternalError, cli
+from lampgeo.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, run
 
 
 def invoke(*argv):
@@ -138,6 +139,28 @@ def test_isometry_search_cli():
     code, out = invoke("isometry-search", "--radius", "2")
     data = json.loads(out)
     assert code == EXIT_OK and data["maps_found"] == 1 and data["all_identity"]
+
+
+def test_isometry_search_cli_radius_8(capsys):
+    # the 2016-vertex ball is deeper than the interpreter's recursion limit
+    code, out = invoke("isometry-search", "--radius", "8")
+    data = json.loads(out)
+    assert code == EXIT_OK and data["maps_found"] == 1 and data["all_identity"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("exc", [InternalError("bound escaped"), RuntimeError("boom")],
+                         ids=lambda e: type(e).__name__)
+def test_internal_errors_exit_3_in_one_line(exc, monkeypatch, capsys):
+    def fail(args, out):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_ball", fail)
+    code, out = invoke("ball", "--radius", "1")
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL and EXIT_INTERNAL not in (EXIT_OK, EXIT_VIOLATIONS, EXIT_USAGE)
+    assert out == "" and err.startswith("internal error") and str(exc) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_usage_errors_exit_2():

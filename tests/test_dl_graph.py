@@ -26,6 +26,27 @@ def test_neighbors_write_at_cursor_and_below():
     assert got == expect
 
 
+def _neighbors_by_lamp_add(v):
+    # reference: each written successor as v.config + a one-entry config
+    n, k = v.n, v.cursor
+    out = []
+    for s in range(n):
+        up = v.config if s == 0 else v.config + LampConfig(n, ((k, s),))
+        down = v.config if s == 0 else v.config + LampConfig(n, ((k - 1, s),))
+        out += [DLVertex(up, k + 1), DLVertex(down, k - 1)]
+    return out
+
+
+@pytest.mark.parametrize("n,radius", [(2, 4), (3, 3), (5, 2)])
+def test_neighbors_match_lamp_add_construction(n, radius):
+    table = lg.distances_from(lg.identity_vertex(n), radius)
+    for v in table:
+        ref = set(_neighbors_by_lamp_add(v))
+        got = lg.neighbors(v)
+        # same insertion order, so the same iteration order and BFS key order
+        assert got == ref and list(got) == list(ref)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_degree_is_2n(n):
     for v in lg.ball(lg.identity_vertex(n), 3):

@@ -325,7 +325,35 @@ def test_qi_distortion_matches_dl_distance_pair_loop(n):
 
 def test_qi_distortion_pi0_matches_pair_loop():
     vm = lg.induced_vertex_map(PI0)
-    assert lg.qi_distortion(vm, 4) == _qi_distortion_pair_loop(vm, 4, 2)
+    for r in (4, 6):
+        assert lg.qi_distortion(vm, r) == _qi_distortion_pair_loop(vm, r, 2)
+
+
+def _random_block_perm(rng, m, n):
+    strings = ["".join(map(str, t)) for t in itertools.product(range(n), repeat=m)]
+    images = rng.sample(strings, len(strings))
+    return BlockPerm.from_pairs(m, zip(strings, images), n=n)
+
+
+@pytest.mark.parametrize("m,n,radius,count,seed", [(3, 2, 5, 6, 61), (2, 3, 3, 4, 62)])
+def test_qi_distortion_random_block_perms_match_pair_loop(m, n, radius, count, seed):
+    # the fibre scan skips fibre pairs and memoizes per disagreement key;
+    # the plain dl_distance loop over every vertex pair does neither
+    rng = random.Random(seed)
+    for _ in range(count):
+        vm = lg.induced_vertex_map(_random_block_perm(rng, m, n))
+        assert lg.qi_distortion(vm, radius, n=n) == _qi_distortion_pair_loop(vm, radius, n)
+
+
+@pytest.mark.parametrize("j,radius", [(2, 3), (3, 3), (3, 4), (4, 4)])
+def test_qi_distortion_edge_transposition_matches_pair_loop(j, radius):
+    # moves only configurations whose window [-j, 6-j) holds {1-j} or
+    # {-j, 1-j}, near the edge of the ball: fibre pairs with the same
+    # disagreement extremes then meet the ball in different cursor ranges
+    # and have different deviations
+    bp = BlockPerm.from_pairs(6, [("110000", "010000"), ("010000", "110000")])
+    vm = lg.induced_vertex_map(Compose((Shift(j), bp, Shift(-j))))
+    assert lg.qi_distortion(vm, radius) == _qi_distortion_pair_loop(vm, radius, 2)
 
 
 def test_mask_distance_agrees_with_closed_form():
@@ -346,7 +374,8 @@ def test_mask_distance_agrees_with_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_isometry_search_small_radii_identity():
-    for radius in (2, 3):
+    # radius 8 (2016 vertices) is deeper than the interpreter's recursion limit
+    for radius in range(2, 9):
         res = lg.isometry_search(radius)
         assert len(res) == 1 and is_identity_ball_map(res[0])
 
@@ -368,6 +397,10 @@ def test_isometry_search_without_pattern_finds_more():
 def test_isometry_search_max_results():
     res = lg.isometry_search(3, pattern_preserving=False, max_results=2)
     assert len(res) == 2
+    full = lg.isometry_search(3, pattern_preserving=False)
+    assert all(m in full for m in res)
+    assert lg.isometry_search(3, pattern_preserving=False, max_results=len(full) + 1) == full
+    assert lg.isometry_search(3, pattern_preserving=False, max_results=0) == []
 
 
 def test_isometry_search_radius_validation():
