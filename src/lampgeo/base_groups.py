@@ -152,14 +152,35 @@ class SuppGap:
         return self.gap + 1
 
 
+def disagreement(ap: tuple[tuple[int, int], ...],
+                 aq: tuple[tuple[int, int], ...]) -> tuple[int, int] | None:
+    """First and last index where two canonical entry tuples differ, or None.
+
+    Equal entries are skipped from the front, then from the back; where each
+    scan stops, the outer of the two current indices is held by one side
+    only or with two values, so the configurations differ there.
+    """
+    i, la, lb = 0, len(ap), len(aq)
+    while i < la and i < lb and ap[i] == aq[i]:
+        i += 1
+    if i == la == lb:
+        return None
+    first = min(ap[i][0] if i < la else aq[i][0], aq[i][0] if i < lb else ap[i][0])
+    i, j = la - 1, lb - 1
+    while i >= 0 and j >= 0 and ap[i] == aq[j]:
+        i -= 1
+        j -= 1
+    last = max(ap[i][0] if i >= 0 else aq[j][0], aq[j][0] if j >= 0 else ap[i][0])
+    return first, last
+
+
 def supp_gap(p: LampConfig, q: LampConfig) -> SuppGap | None:
     """Disagreement interval of p and q, or None when p == q."""
     _check_same_modulus(p, q)
-    diff = lamp_add(p, lamp_neg(q))
-    if diff.is_zero():
+    span = disagreement(p.entries, q.entries)
+    if span is None:
         return None
-    lo = diff.entries[0][0]
-    hi = diff.entries[-1][0]
+    lo, hi = span
     return SuppGap(lo, hi, hi - lo)
 
 
@@ -324,59 +345,18 @@ class SolContext:
         x, y = v
         return (a * x + b * y, c * x + d * y)
 
-    @property
-    def discriminant(self) -> int:
-        alpha, beta, gamma = self.form
-        return beta * beta - 4 * alpha * gamma
-
-
-def _solve_invariant_form(a: Matrix2) -> tuple[int, int, int]:
-    # f(Av) = f(v) as a linear system in (alpha, beta, gamma):
-    # rows are the x^2, xy, y^2 coefficient identities.
-    (pa, pb), (pc, pd) = a
-    rows = [
-        [pa * pa - 1, pa * pc, pc * pc],
-        [2 * pa * pb, pa * pd + pb * pc - 1, 2 * pc * pd],
-        [pb * pb, pb * pd, pd * pd - 1],
-    ]
-    m = [[Fraction(x) for x in row] for row in rows]
-    # Gaussian elimination; the kernel must be one-dimensional.
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(3):
-        piv = next((r for r in range(row, 3) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(3):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        pivots.append((row, col))
-        row += 1
-    if row != 2:
-        raise DomainError("invariant-form system is not of rank 2; matrix not hyperbolic?")
-    free_col = next(c for c in range(3) if c not in {c for _, c in pivots})
-    sol = [Fraction(0)] * 3
-    sol[free_col] = Fraction(1)
-    for prow, pcol in pivots:
-        sol[pcol] = -m[prow][free_col]
-    denom = math.lcm(*(x.denominator for x in sol))
-    ints = [int(x * denom) for x in sol]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    if ints[0] < 0:
-        ints = [-x for x in ints]
-    return ints[0], ints[1], ints[2]
-
 
 def sol_invariant_form(a: Matrix2 | Iterable[Iterable[int]]) -> SolContext:
     """Context for a hyperbolic A in SL(2,Z): invariant form plus eigen diagnostics.
 
-    Rejects matrices with det != 1 or |trace| <= 2, and (defensively) forms
-    with square discriminant, which would break the delta = 0 iff p = q law.
+    Rejects matrices with det != 1 or |trace| <= 2.  The form is
+    omega(v, Av) = c x^2 + (d - a) xy - b y^2, with omega(u, w) = u_x w_y -
+    u_y w_x, divided by g = gcd(c, d - a, b) and signed so that alpha > 0:
+
+    * it is A-invariant, because omega(Au, Aw) = det A * omega(u, w);
+    * c != 0 for every hyperbolic A (c = 0 forces a = d = +-1), and so is b;
+    * its discriminant (tr^2 - 4) / g^2 is never a square when |tr| > 2,
+      so f(v) = 0 only at v = 0, and sol_delta(p, q) = 0 iff p = q.
     """
     a = tuple(tuple(int(x) for x in row) for row in a)
     if len(a) != 2 or any(len(row) != 2 for row in a):
@@ -388,11 +368,8 @@ def sol_invariant_form(a: Matrix2 | Iterable[Iterable[int]]) -> SolContext:
     tr = pa + pd
     if abs(tr) <= 2:
         raise DomainError(f"matrix must be hyperbolic (|trace| > 2), got trace {tr}")
-    form = _solve_invariant_form(a)
-    alpha, beta, gamma = form
-    disc = beta * beta - 4 * alpha * gamma
-    if disc >= 0 and math.isqrt(disc) ** 2 == disc:
-        raise DomainError(f"invariant form has square discriminant {disc}; delta would be degenerate")
+    g = math.gcd(pc, pd - pa, pb) * (1 if pc > 0 else -1)
+    form = (pc // g, (pd - pa) // g, -pb // g)
 
     sq = math.sqrt(tr * tr - 4)
     lam_plus = (tr + sq) / 2
@@ -401,15 +378,10 @@ def sol_invariant_form(a: Matrix2 | Iterable[Iterable[int]]) -> SolContext:
         lam_plus, lam_minus = lam_minus, lam_plus
 
     def eigvec(lam: float) -> tuple[float, float]:
-        # rows of (A - lam I) are both orthogonal complements of the eigenvector
-        if abs(pb) > 1e-12:
-            v = (float(pb), lam - pa)
-        elif abs(pc) > 1e-12:
-            v = (lam - pd, float(pc))
-        else:  # diagonal integer matrix cannot be hyperbolic with det 1
-            v = (1.0, 0.0)
-        norm = math.hypot(*v)
-        return (v[0] / norm, v[1] / norm)
+        # (b, lam - a) is orthogonal to the first row of A - lam I, and b != 0
+        # for hyperbolic A just as c != 0 is
+        norm = math.hypot(pb, lam - pa)
+        return (pb / norm, (lam - pa) / norm)
 
     eigen = ((lam_plus, eigvec(lam_plus)), (lam_minus, eigvec(lam_minus)))
     return SolContext(a=a, form=form, eigen=eigen)

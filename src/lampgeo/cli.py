@@ -105,12 +105,8 @@ def emit_report(payload, fmt: str, out) -> None:
         for key, value in payload.items():
             out.write(f"{key}: {json.dumps(value)}\n")
     elif fmt == "csv":
-        rows = payload.get("rows")
-        if rows is None:
-            raise DomainError("this command has no tabular output; use json or text")
-        header = payload["header"]
-        out.write(",".join(header) + "\n")
-        for row in rows:
+        out.write(",".join(payload["header"]) + "\n")
+        for row in payload["rows"]:
             out.write(",".join(str(x) for x in row) + "\n")
     else:
         raise DomainError(f"unsupported format {fmt!r}")
@@ -146,6 +142,8 @@ def cmd_delta(args, out):
 def cmd_dist(args, out):
     n = args.n
     if args.u is not None and args.v is not None:
+        if args.format == "csv":
+            raise DomainError("this command has no tabular output; use json or text")
         u = formats.parse_vertex(args.u, n)
         v = formats.parse_vertex(args.v, n)
         closed = dl_distance(u, v)
@@ -388,11 +386,11 @@ def cmd_isometry_search(args, out):
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(p, family=False, report=True, modulus=True, timing=False):
+def _add_common(p, family=False, format_choices=("json", "text"), modulus=True, timing=False):
     if modulus:
         p.add_argument("--n", type=int, default=2, help="modulus / base (default 2)")
-    if report:
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    if format_choices:
+        p.add_argument("--format", choices=format_choices, default="json")
     if timing:
         p.add_argument("--timing", action="store_true", help="include elapsed_ms in reports")
     p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
@@ -415,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("dist", help="DL(n,n) distance (closed form; --radius for a CSV table)")
-    _add_common(p)
+    _add_common(p, format_choices=("json", "csv", "text"))
     p.add_argument("--u")
     p.add_argument("--v")
     p.add_argument("--radius", type=int, default=None)
@@ -423,13 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("ball", help="enumerate a metric ball")
-    _add_common(p)
+    _add_common(p, format_choices=("json", "csv", "text"))
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--center", default=None)
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("export-dot", help="DOT graph of a metric ball")
-    _add_common(p, report=False)
+    _add_common(p, format_choices=())
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--center", default=None)
     p.add_argument("--coset-colors", action="store_true")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .base_groups import LampConfig, lamp_neg
+from .base_groups import LampConfig, disagreement, lamp_neg
 from .errors import DomainError
 
 
@@ -165,26 +165,9 @@ def dl_distance(u: DLVertex, v: DLVertex) -> int:
     if u.n != v.n:
         raise DomainError(f"modulus mismatch: {u.n} != {v.n}")
     ku, kv = u.cursor, v.cursor
-    ap, aq = u.config.entries, v.config.entries
-    lo = hi = None
-    i = j = 0
-    while i < len(ap) or j < len(aq):
-        if j >= len(aq) or (i < len(ap) and ap[i][0] < aq[j][0]):
-            idx = ap[i][0]
-            i += 1
-        elif i >= len(ap) or aq[j][0] < ap[i][0]:
-            idx = aq[j][0]
-            j += 1
-        else:
-            idx = ap[i][0] if ap[i][1] != aq[j][1] else None
-            i += 1
-            j += 1
-        if idx is not None:
-            if lo is None:
-                lo = idx
-            hi = idx
-    c = min(ku, kv) if lo is None else min(ku, kv, lo)
-    cp = max(ku, kv) if hi is None else max(ku, kv, hi + 1)
+    span = disagreement(u.config.entries, v.config.entries)
+    c = min(ku, kv) if span is None else min(ku, kv, span[0])
+    cp = max(ku, kv) if span is None else max(ku, kv, span[1] + 1)
     d_left = (ku - c) + (kv - c)
     d_right = (cp - ku) + (cp - kv)
     return d_left + d_right - abs(ku - kv)

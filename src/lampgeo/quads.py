@@ -725,55 +725,41 @@ def sigma_admissible(sigma: GeneratorSet, params: QuadParams):
 
 def _lamp_generates_window(sigma: GeneratorSet, window: tuple[int, int]) -> int | None:
     """None if sigma generates all configs supported in the window; else a
-    window index witnessing failure."""
-    fam = sigma.family
-    n = fam.n
+    window index whose single lamp sigma does not generate.
+
+    A subgroup of (Z_n)^w is everything iff its image spans F_p^w for every
+    prime p | n, since a proper subgroup has a quotient Z_p.  At the first
+    such p, in ascending order, where elimination finds rank < w, the unit
+    vector of the first non-pivot column is outside the span mod p.
+    """
     lo, hi = window
     width = hi - lo
-    vecs = [tuple(p.value_at(lo + i) for i in range(width)) for p in sigma.elements]
-
-    def is_prime(m: int) -> bool:
-        return m >= 2 and all(m % d for d in range(2, int(m ** 0.5) + 1))
-
-    if is_prime(n):
-        basis: list[tuple[int, ...]] = []
+    vecs = [[p.value_at(lo + i) for i in range(width)] for p in sigma.elements]
+    primes, m, d = [], sigma.family.n, 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        primes.append(m)
+    for p in primes:
+        basis: list[list[int]] = []
         pivot_cols: list[int] = []
         for vec in vecs:
-            row = list(vec)
+            row = [x % p for x in vec]
             for bvec, pc in zip(basis, pivot_cols):
                 if row[pc]:
-                    factor = row[pc] * pow(bvec[pc], -1, n)
-                    row = [(x - factor * y) % n for x, y in zip(row, bvec)]
+                    factor = row[pc] * pow(bvec[pc], -1, p)
+                    row = [(x - factor * y) % p for x, y in zip(row, bvec)]
             piv = next((i for i, x in enumerate(row) if x), None)
             if piv is not None:
-                basis.append(tuple(row))
+                basis.append(row)
                 pivot_cols.append(piv)
-        if len(basis) == width:
-            return None
-        spanned = set(pivot_cols)
-        return lo + next(i for i in range(width) if i not in spanned)
-
-    if n ** width > 1 << 16:
-        raise DomainError("window too large for the composite-modulus generation check")
-    seen = {(0,) * width}
-    frontier = [(0,) * width]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for vec in vecs:
-                y = tuple((a + b) % n for a, b in zip(x, vec))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if len(seen) == n ** width:
-        return None
-    for i in range(width):
-        e = tuple(1 if j == i else 0 for j in range(width))
-        if e not in seen:
-            return lo + i
-    # generated all single lamps yet not the full window: report the window start
-    return lo
+        if len(basis) < width:
+            return lo + next(i for i in range(width) if i not in pivot_cols)
+    return None
 
 
 def lamp_sigma_obstruction(sigma: GeneratorSet, params: QuadParams,
@@ -802,8 +788,6 @@ def lamp_sigma_obstruction(sigma: GeneratorSet, params: QuadParams,
     missing = _lamp_generates_window(sigma, window)
     if missing is not None:
         raise DomainError(f"generator set does not generate the window: index {missing} missing")
-    if len(sigma.elements) < 2:
-        raise DomainError("a single generator cannot generate a window of width >= 2")
     witness = sigma_admissible(sigma, params)
     if witness is True:
         raise InternalError("no violating pair found; the index-gap argument should forbid this")

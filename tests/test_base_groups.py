@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lampgeo as lg
@@ -86,6 +86,20 @@ def test_supp_gap_examples():
     assert (sg.l_plus, sg.l_minus, sg.gap) == (0, 3, 3)
     assert sg.index_count == 4
     assert supp_gap(L(2, {1: 1}), L(2, {1: 1})) is None
+
+
+@given(st.sampled_from([2, 3, 5, 10]), st.data())
+@settings(max_examples=200)
+def test_supp_gap_matches_difference_oracle(n, data):
+    configs = st.dictionaries(st.integers(-8, 8), st.integers(1, n - 1), max_size=6)
+    p = L(n, data.draw(configs))
+    q = data.draw(st.one_of(st.just(p), configs.map(lambda d: L(n, d))))
+    diff = lg.lamp_add(p, lg.lamp_neg(q)).entries
+    sg = supp_gap(p, q)
+    if not diff:
+        assert sg is None
+    else:
+        assert (sg.l_plus, sg.l_minus) == (diff[0][0], diff[-1][0])
 
 
 def test_lamp_delta_examples():
@@ -260,6 +274,32 @@ def test_sol_invariant_form_matches_independent_oracle(mat):
     ctx = sol_invariant_form(mat)
     assert ctx.form == independent_invariant_form(mat)
     for v in ((1, 0), (0, 1), (1, 1), (2, -3)):
+        assert ctx.f(ctx.apply_a(v)) == ctx.f(v)
+
+
+_UNIPOTENT = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)))
+
+
+def _matmul(x, y):
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+@given(st.lists(st.sampled_from(_UNIPOTENT), min_size=2, max_size=10), st.booleans())
+@settings(max_examples=200)
+def test_sol_invariant_form_characterized(word, negate):
+    # the A-invariant forms of a hyperbolic A are one line, so a primitive
+    # invariant form with alpha > 0 is unique
+    a = ((1, 0), (0, 1))
+    for g in word:
+        a = _matmul(a, g)
+    if negate:
+        a = tuple(tuple(-x for x in row) for row in a)
+    assume(abs(a[0][0] + a[1][1]) > 2)
+    ctx = sol_invariant_form(a)
+    alpha, beta, gamma = ctx.form
+    assert math.gcd(alpha, beta, gamma) == 1 and alpha > 0
+    for v in ((1, 0), (0, 1), (1, 1)):
         assert ctx.f(ctx.apply_a(v)) == ctx.f(v)
 
 

@@ -242,3 +242,21 @@ def test_options_a_command_never_reads_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("usage: lampgeo") and "Traceback" not in err
+
+
+def test_csv_only_where_reports_have_rows(monkeypatch, capsys):
+    # a report with no rows has no csv form; argparse refuses it before the
+    # verifier runs
+    def fail(*args, **kwargs):
+        raise AssertionError("verifier called")
+
+    monkeypatch.setattr(cli, "verify_lamp_claim", fail)
+    code, out = invoke("verify", "lamp-claim", "--S", "2", "--window", "10",
+                       "--format", "csv")
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage: lampgeo") and "Traceback" not in err
+    code, out = invoke("ball", "--radius", "1", "--format", "csv")
+    assert code == EXIT_OK and out.splitlines()[0] == "vertex" and len(out.splitlines()) == 6
+    code, out = invoke("dist", "--u", "|0", "--v", "0:1|0", "--format", "csv")
+    assert code == EXIT_USAGE and out == ""

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -314,3 +315,73 @@ def test_sigma_obstruction_n3_generation_check():
     sigma = GeneratorSet(fam3, (L(3, {0: 1}), L(3, {1: 1})))
     v, w = lg.lamp_sigma_obstruction(sigma, QuadParams(3, 81), (0, 2))
     assert {v, w} == {L(3, {0: 1}), L(3, {1: 1})}
+
+
+def bfs_generated(sigma, window):
+    # every window vector reachable from 0 by adding generators: the subgroup
+    # they generate, since (Z_n)^w is finite
+    n = sigma.family.n
+    lo, hi = window
+    width = hi - lo
+    vecs = [tuple(p.value_at(lo + i) for i in range(width)) for p in sigma.elements]
+    seen = {(0,) * width}
+    frontier = [(0,) * width]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for vec in vecs:
+                y = tuple((a + b) % n for a, b in zip(x, vec))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
+def test_lamp_generation_matches_bfs_oracle_composite(n):
+    from lampgeo.quads import _lamp_generates_window
+    rng = random.Random(n)
+    fam = LampFamily(n)
+    for _ in range(150):
+        width = rng.randint(1, 3)
+        lo = rng.randint(-3, 3)
+        elems = tuple(dict.fromkeys(L(n, {lo + i: rng.randrange(n) for i in range(width)})
+                                    for _ in range(rng.randint(1, width + 2))))
+        sigma = GeneratorSet(fam, elems)
+        reached = bfs_generated(sigma, (lo, lo + width))
+        missing = _lamp_generates_window(sigma, (lo, lo + width))
+        assert (missing is None) == (len(reached) == n ** width)
+        if missing is not None:
+            assert lo <= missing < lo + width
+            unit = tuple(int(i == missing - lo) for i in range(width))
+            assert unit not in reached
+
+
+@pytest.mark.parametrize("n, gens, window, missing", [
+    (2, [{0: 1, 1: 1}], (0, 3), 1),
+    (2, [{0: 1, 1: 1}, {1: 1, 2: 1}], (0, 3), 2),
+    (2, [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], (0, 3), 2),
+    (3, [{0: 1, 1: 2}, {0: 2, 1: 1}], (0, 2), 1),
+    (3, [{1: 1, 2: 1}, {0: 1, 1: 2}], (0, 3), 2),
+    (5, [{-1: 1, 0: 1}, {0: 1, 1: 4}], (-1, 2), 1),
+    (5, [{0: 2, 2: 3}, {1: 1}, {0: 1, 2: 4}], (0, 3), 2),
+    (5, [{0: 2}, {1: 3}, {2: 4}], (0, 3), None),
+])
+def test_lamp_generation_prime_witness(n, gens, window, missing):
+    # the first non-pivot column of the elimination mod n
+    from lampgeo.quads import _lamp_generates_window
+    sigma = GeneratorSet(LampFamily(n), tuple(L(n, g) for g in gens))
+    assert _lamp_generates_window(sigma, window) == missing
+
+
+def test_sigma_obstruction_composite_wide_window():
+    # 4^9 > 2^16 window vectors: decided by elimination mod 2, not by search
+    fam4 = LampFamily(4)
+    sigma = GeneratorSet(fam4, tuple(L(4, {i: 1}) for i in range(9)))
+    v, w = lg.lamp_sigma_obstruction(sigma, QuadParams(2, 32), (0, 9))
+    quad = Quad(fam4, L(4, {}), v, v + w, w)
+    assert classify(quad, QuadParams(2, 32)).kind is not Classification.PARALLELOGRAM
+    short = GeneratorSet(fam4, tuple(L(4, {i: 2 if i == 4 else 1}) for i in range(9)))
+    with pytest.raises(DomainError, match="index 4"):
+        lg.lamp_sigma_obstruction(short, QuadParams(2, 32), (0, 9))
