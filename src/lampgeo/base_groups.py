@@ -78,9 +78,6 @@ class LampConfig:
     def support(self) -> tuple[int, ...]:
         return tuple(idx for idx, _ in self.entries)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
 

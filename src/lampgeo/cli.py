@@ -310,21 +310,22 @@ def cmd_map_ppq(args, out):
     m = formats.parse_map(args.map, args.n)
     window = formats.parse_window(args.window)
     result = parallelogram_preserving(m, window)
-    strict_affine = is_generalized_affine(m, window)
-    affine_up_to_inv = strict_affine or is_generalized_affine(m, window, up_to_inversion=True)
     if result is True:
+        strict_affine = is_generalized_affine(m, window)
+        affine_up_to_inv = strict_affine or is_generalized_affine(m, window, up_to_inversion=True)
         emit_report({"parallelogram_preserving": True,
                      "generalized_affine": strict_affine,
                      "generalized_affine_up_to_inversion": affine_up_to_inv},
                     args.format, out)
         return EXIT_OK
+    # a map that breaks a parallelogram is not generalized affine either way
     a, v, w = result
     lhs = apply(m, a + v) + apply(m, a + w)
     rhs = apply(m, a + v + w) + apply(m, a)
     emit_report({
         "parallelogram_preserving": False,
-        "generalized_affine": strict_affine,
-        "generalized_affine_up_to_inversion": affine_up_to_inv,
+        "generalized_affine": False,
+        "generalized_affine_up_to_inversion": False,
         "witness": {"a": formats.format_config(a), "v": formats.format_config(v),
                     "w": formats.format_config(w)},
         "psi(a+v)+psi(a+w)": formats.format_config(lhs),

@@ -27,10 +27,6 @@ class DLVertex:
     def n(self) -> int:
         return self.config.n
 
-    @property
-    def height(self) -> int:
-        return self.cursor
-
 
 def identity_vertex(n: int) -> DLVertex:
     return DLVertex(LampConfig.zero(n), 0)
@@ -111,13 +107,20 @@ def _write_digit(cfg: LampConfig, index: int, s: int) -> tuple[tuple[int, int], 
     return entries[:pos] + ((index, s),) + entries[pos:]
 
 
+MAX_BALL_VERTICES = 1 << 16
+
+
 def distances_from(source: DLVertex, radius_cap: int) -> dict[DLVertex, int]:
-    """BFS distance table for every vertex within radius_cap of source."""
+    """BFS distance table for every vertex within radius_cap of source;
+    DomainError before a level whose 2n steps per frontier vertex could
+    take the table past MAX_BALL_VERTICES."""
     if radius_cap < 0:
         raise DomainError("radius must be >= 0")
     table = {source: 0}
     frontier = [source]
     for dist in range(1, radius_cap + 1):
+        if len(table) + 2 * source.n * len(frontier) > MAX_BALL_VERTICES:
+            raise DomainError(f"a radius-{radius_cap} ball could exceed {MAX_BALL_VERTICES} vertices")
         nxt = []
         for w in frontier:
             for x in neighbors(w):
@@ -196,9 +199,7 @@ def _node_id(v: DLVertex) -> str:
 def export_dot(
     vertices: set[DLVertex] | list[DLVertex],
     edges: set[tuple[DLVertex, DLVertex]] | list[tuple[DLVertex, DLVertex]],
-    annotations: dict[DLVertex, str] | None = None,
     coset_colors: bool = False,
-    name: str = "dl",
 ) -> str:
     """Render a vertex/edge set as a deterministic undirected DOT graph.
 
@@ -214,15 +215,13 @@ def export_dot(
     if coset_colors:
         for cfg in sorted({v.config.entries for v in order}):
             color_for[cfg] = _PALETTE[len(color_for) % len(_PALETTE)]
-    lines = [f"graph {name} {{"]
+    lines = ["graph dl {"]
     for v in order:
         nid = _node_id(v)
         attrs = [f'label="{nid}"']
         if coset_colors:
             attrs.append(f'fillcolor="{color_for[v.config.entries]}"')
             attrs.append('style="filled"')
-        if annotations and v in annotations:
-            attrs.append(f'xlabel="{annotations[v]}"')
         lines.append(f'  "{nid}" [{", ".join(attrs)}];')
     canon = sorted(
         {tuple(sorted((_node_id(a), _node_id(b)))) for a, b in edges}

@@ -34,9 +34,6 @@ class BaseMap:
     def modulus(self) -> int | None:
         return None
 
-    def __call__(self, x: LampConfig) -> LampConfig:
-        return apply(self, x)
-
 
 @dataclass(frozen=True)
 class Shift(BaseMap):
@@ -339,51 +336,48 @@ def bilip_constants(bp: BlockPerm, padding: int) -> BilipReport:
 
 def parallelogram_preserving(m: BaseMap, window: Window):
     """True, or the first (a, v, w) in lexicographic order with
-    psi(a+v+w) + psi(a) != psi(a+v) + psi(a+w)."""
+    psi(a+v+w) + psi(a) != psi(a+v) + psi(a+w).
+
+    Scanning a = 0 decides every a: the window configurations form a group,
+    and if the a = 0 identities hold, phi = psi - psi(0) is additive on it,
+    so they hold for every a.  `window_configs` lists 0 first, so the first
+    witness over all triples is the first one with a = 0."""
     n = m.modulus() or 2
     configs = window_configs(n, window)
     images = {x: apply(m, x) for x in configs}
-    for a in configs:
-        for v in configs:
-            av = a + v
-            for w in configs:
-                lhs = images[av + w] + images[a]
-                rhs = images[av] + images[a + w]
-                if lhs != rhs:
-                    return (a, v, w)
+    zero = configs[0]
+    zero_img = images[zero]
+    for v in configs:
+        for w in configs:
+            if images[v + w] + zero_img != images[v] + images[w]:
+                return (zero, v, w)
     return True
-
-
-def _shift_matches(images: dict[LampConfig, LampConfig], j: int) -> bool:
-    zero_img = images[next(x for x in images if x.is_zero())]
-    shift = Shift(j)
-    return all(img == apply(shift, x) + zero_img for x, img in images.items())
 
 
 def is_generalized_affine(m: BaseMap, window: Window, up_to_inversion: bool = False) -> bool:
     """Whether the map factors as a shift composed with a translation on the window.
 
     The strict reading excludes index inversion (an additive automorphism
-    that is not a shift); pass up_to_inversion=True to accept maps whose
-    pre- or post-composition with inversion factors strictly.
+    that is not a shift); pass up_to_inversion=True to accept parallelogram-
+    preserving maps whose pre- or post-composition with inversion factors
+    strictly (only they need the scan: a strict factorization preserves them).
     """
     n = m.modulus() or 2
     lo, hi = window
     width = hi - lo
-    if parallelogram_preserving(m, window) is not True:
-        return False
     configs = window_configs(n, window)
 
     def strict(f: BaseMap) -> bool:
-        images = {x: apply(f, x) for x in configs}
-        return any(_shift_matches(images, j) for j in range(-width, width + 1))
+        images = [apply(f, x) for x in configs]  # configs[0] is the zero config
+        return any(all(img == apply(Shift(j), x) + images[0] for x, img in zip(configs, images))
+                   for j in range(-width, width + 1))
 
     if strict(m):
         return True
-    if up_to_inversion:
-        inv = Inversion()
-        return strict(Compose((m, inv))) or strict(Compose((inv, m)))
-    return False
+    if not up_to_inversion or parallelogram_preserving(m, window) is not True:
+        return False
+    inv = Inversion()
+    return strict(Compose((m, inv))) or strict(Compose((inv, m)))
 
 
 @dataclass(frozen=True)
@@ -590,9 +584,10 @@ def isometry_search(
 
     inner_set = [i for i in range(nverts) if dcenter[i] <= radius - 1]
     geodesic = [i for i, v in enumerate(verts) if not v.config.entries] if fix_identity_coset else []
-    # assignment order: pre-fixed geodesic first, then BFS over the inner ball
-    # so every new vertex touches an already-assigned one; boundary-sphere
-    # vertices come last and are only completed once per inner assignment
+    # assignment order: pre-fixed geodesic first, then BFS from the centre over
+    # the inner ball (reaching all of it) so every new vertex touches an already-
+    # assigned one; boundary-sphere vertices come last and are only completed
+    # once per inner assignment
     order: list[int] = [i for i in geodesic if dcenter[i] <= radius - 1]
     placed = set(order)
     if not order:
@@ -608,10 +603,6 @@ def isometry_search(
                 placed.add(w)
                 order.append(w)
                 queue.append(w)
-    for i in inner_set:  # disconnected inner leftovers (kept for safety)
-        if i not in placed:
-            placed.add(i)
-            order.append(i)
     n_inner = len(order)
     boundary_order = [i for i in range(nverts) if i not in placed]
     order.extend(boundary_order)
@@ -638,8 +629,6 @@ def isometry_search(
             if used[w]:
                 continue
             if adj_mask[w] & assigned_img_mask != req:
-                continue
-            if height_preserving and height[w] != height[i]:
                 continue
             if orientation_preserving and not height_preserving:
                 ok = True

@@ -61,9 +61,6 @@ class LampFamily:
     def sub(self, p, q):
         return p - q
 
-    def neg(self, p):
-        return -p
-
     def sort_key(self, p: LampConfig):
         return p.entries
 
@@ -100,9 +97,6 @@ class BSFamily:
 
     def sub(self, p, q):
         return p - q
-
-    def neg(self, p):
-        return -p
 
     def sort_key(self, p: BSNumber):
         return p.value()
@@ -145,9 +139,6 @@ class SolFamily:
 
     def sub(self, p, q):
         return (p[0] - q[0], p[1] - q[1])
-
-    def neg(self, p):
-        return (-p[0], -p[1])
 
     def sort_key(self, p: SolVector):
         return p
@@ -293,10 +284,6 @@ class VerifyReport:
     family: str
     extras: dict = field(default_factory=dict)
     point_fmt: Callable[[object], str] = field(default=str, repr=False, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def to_jsonable(self, include_timing: bool = False) -> dict:
         out = {
@@ -626,7 +613,10 @@ def calibrate_schwartz(ctx: SolContext, eps: int, box_halfwidth: int) -> VerifyR
 # telescoping decomposition
 # ---------------------------------------------------------------------------
 
-def greedy_sum(family: Family, sigma: GeneratorSet, target, max_steps: int = 1_000_000) -> list:
+_GREEDY_MAX_STEPS = 1_000_000
+
+
+def greedy_sum(family: Family, sigma: GeneratorSet, target) -> list:
     """Write target as an ordered sum of generator-set elements.
 
     Selection is greedy: among elements that still fit the residual, take
@@ -647,7 +637,7 @@ def greedy_sum(family: Family, sigma: GeneratorSet, target, max_steps: int = 1_0
         picked.append(choice)
         residual = family.sub(residual, choice)
         steps += 1
-        if steps > max_steps:
+        if steps > _GREEDY_MAX_STEPS:
             raise DecompositionError("decomposition exceeded step limit", residual=residual)
     return sorted(picked, key=family.sort_key)
 
@@ -710,16 +700,16 @@ def telescoping_identity_holds(q: Quad, chain: Sequence[Quad]) -> bool:
 
 def sigma_admissible(sigma: GeneratorSet, params: QuadParams):
     """True if every ordered pair (v, w), v != w, spans an (eps, M)-parallelogram
-    [[0, v], [w, v+w]]; otherwise the first violating ordered pair."""
+    [[0, v], [w, v+w]]; otherwise the first violating ordered pair.
+
+    The corner relation always holds and the other conditions are symmetric
+    in v and w (delta is symmetric, + commutes), so the first violating
+    ordered pair has v before w, and only such pairs are scanned."""
     f = sigma.family
-    elems = sigma.sorted_elements()
-    for v in elems:
-        for w in elems:
-            if v == w:
-                continue
-            quad = Quad(f, f.zero, v, f.add(v, w), w)
-            if classify(quad, params).kind is not Classification.PARALLELOGRAM:
-                return (v, w)
+    for v, w in itertools.combinations(sigma.sorted_elements(), 2):
+        quad = Quad(f, f.zero, v, f.add(v, w), w)
+        if classify(quad, params).kind is not Classification.PARALLELOGRAM:
+            return (v, w)
     return True
 
 

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +99,45 @@ def test_map_ppq_counterexample():
     assert data["psi(a+v)+psi(a+w)"] == "0:1,1:1"
     assert data["psi(a+v+w)+psi(a)"] == "0:1,2:1"
     assert {data["witness"]["v"], data["witness"]["w"]} == {"0:1", "2:1"}
+
+
+@pytest.mark.parametrize("argv,scans", [
+    (("--map", "blockperm:m=3:100>111,111>100", "--window", "3"), 1),  # README line
+    (("--map", "shift:1", "--window", "3"), 1),
+    (("--map", "invert", "--window=-1:2"), 2),
+])
+def test_map_ppq_scan_count(argv, scans, monkeypatch):
+    from lampgeo import maps
+    calls = []
+    scan = maps.parallelogram_preserving
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(maps, "parallelogram_preserving", counted)
+    monkeypatch.setattr(cli, "parallelogram_preserving", counted)
+    code, _ = invoke("map", "ppq", *argv)
+    assert code in (EXIT_OK, EXIT_VIOLATIONS)
+    assert len(calls) == scans
+
+
+def test_ball_past_vertex_budget_exits_2_quickly():
+    # run in a child process, so that a ball with no vertex budget is killed
+    # at the timeout instead of growing until memory runs out
+    script = ("import io, sys, time\n"
+              "from lampgeo.cli import run\n"
+              "start = time.perf_counter()\n"
+              "code = run(['ball', '--radius', '40'], stdout=io.StringIO())\n"
+              "print(time.perf_counter() - start)\n"
+              "sys.exit(code)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert float(proc.stdout) < 1.0
 
 
 def test_map_apply_and_bilip():

@@ -256,6 +256,74 @@ def test_ppq_implies_corner_preservation():
         assert apply(m, a + v + w) + apply(m, a) == apply(m, a + v) + apply(m, a + w)
 
 
+def _parallelogram_triple_loop(m, window):
+    # reference: every triple (a, v, w) in lexicographic order
+    n = m.modulus() or 2
+    configs = window_configs(n, window)
+    images = {x: apply(m, x) for x in configs}
+    for a in configs:
+        for v in configs:
+            av = a + v
+            for w in configs:
+                lhs = images[av + w] + images[a]
+                rhs = images[av] + images[a + w]
+                if lhs != rhs:
+                    return (a, v, w)
+    return True
+
+
+def _generalized_affine_reference(m, window, up_to_inversion, preserving):
+    # reference: the parallelogram verdict first, then the shift search
+    if preserving is not True:
+        return False
+    n = m.modulus() or 2
+    lo, hi = window
+    configs = window_configs(n, window)
+
+    def strict(f):
+        zero_img = apply(f, configs[0])
+        return any(all(apply(f, x) == apply(Shift(j), x) + zero_img for x in configs)
+                   for j in range(lo - hi, hi - lo + 1))
+
+    if strict(m):
+        return True
+    return up_to_inversion and (strict(Compose((m, Inversion())))
+                                or strict(Compose((Inversion(), m))))
+
+
+def _ppq_cases():
+    rng = random.Random(71)
+    cases = []
+    for n, windows, perm_lengths in ((2, [(0, 3), (-1, 2), (1, 4), (-2, 2)], (1, 2, 3)),
+                                     (3, [(0, 2), (-1, 1), (-1, 2)], (1, 2))):
+        c = L(n, {0: 1, 1: n - 1})
+        maps = [Shift(-1), Shift(0), Shift(2), Inversion(), Translate(c),
+                Compose((Shift(1), Translate(c))), Compose((Inversion(), Shift(1))),
+                Compose((Translate(c), Inversion()))]
+        for m in perm_lengths:
+            for _ in range(2):
+                bp = _random_block_perm(rng, m, n)
+                maps += [bp, Compose((Inversion(), bp)), Compose((bp, Shift(1)))]
+        if n == 2:
+            maps.append(PI0)
+        cases += [(m, w) for m in maps for w in windows]
+    return cases
+
+
+def test_ppq_matches_triple_loop_and_affine_reference():
+    # the a = 0 scan gives the triple loop's verdict and first witness, and
+    # trying the strict factorization before the scan changes no verdict
+    outcomes = set()
+    for m, window in _ppq_cases():
+        want = _parallelogram_triple_loop(m, window)
+        assert lg.parallelogram_preserving(m, window) == want, (m, window)
+        outcomes.add(want is True)
+        for inv in (False, True):
+            assert (lg.is_generalized_affine(m, window, up_to_inversion=inv)
+                    == _generalized_affine_reference(m, window, inv, want)), (m, window, inv)
+    assert outcomes == {True, False}
+
+
 def test_is_generalized_affine():
     assert lg.is_generalized_affine(Compose((Shift(1), Translate(L(2, {0: 1})))), (0, 3))
     assert not lg.is_generalized_affine(PI0, (0, 3))
@@ -406,3 +474,15 @@ def test_isometry_search_max_results():
 def test_isometry_search_radius_validation():
     with pytest.raises(DomainError):
         lg.isometry_search(1)
+
+
+@pytest.mark.parametrize("n,radius,counts", [
+    (2, 2, [1, 1, 1, 4, 1, 1, 1, 4, 1, 1, 1, 4, 1, 1, 2, 8]),
+    (2, 3, [1, 4, 1, 64, 1, 4, 1, 64, 1, 4, 1, 64, 1, 4, 2, 128]),
+    (3, 2, [4, 4, 4, 36, 4, 4, 4, 36, 4, 4, 4, 36, 4, 4, 8, 72]),
+])
+def test_isometry_search_counts_under_every_constraint_combination(n, radius, counts):
+    # flags in the order height, orientation, identity coset, pattern, each
+    # True before False
+    for flags, count in zip(itertools.product((True, False), repeat=4), counts):
+        assert len(lg.isometry_search(radius, *flags, n=n)) == count, flags

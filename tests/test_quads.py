@@ -284,6 +284,57 @@ def test_sigma_admissible_singleton_vacuous():
     assert lg.sigma_admissible(GeneratorSet(BS2, (B(1),)), QuadParams(1, 4)) is True
 
 
+def _sigma_admissible_ordered_pairs(sigma, params):
+    # reference: every ordered pair v != w
+    f = sigma.family
+    elems = sigma.sorted_elements()
+    for v in elems:
+        for w in elems:
+            if v == w:
+                continue
+            quad = Quad(f, f.zero, v, f.add(v, w), w)
+            if classify(quad, params).kind is not Classification.PARALLELOGRAM:
+                return (v, w)
+    return True
+
+
+def _random_point(rng, family):
+    # mostly points at delta 1 from zero on many scales, so that whole sets
+    # can be admissible and witnesses can sit late in the scan
+    k = rng.randint(-6, 6)
+    if isinstance(family, LampFamily):
+        lamps = {k: rng.randrange(1, family.n)}
+        if rng.random() < 0.2:
+            lamps[rng.randint(-6, 6)] = rng.randrange(family.n)
+        return L(family.n, lamps)
+    if isinstance(family, BSFamily):
+        return BSNumber.from_fraction(rng.choice((1, -1, 2)) * Fraction(family.n) ** k, family.n)
+    v = (1, 0) if rng.random() < 0.8 else (rng.randint(-3, 3), rng.randint(-3, 3))
+    for _ in range(abs(k) // 2):
+        # A = (2, 1; 1, 1) or its inverse (1, -1; -1, 2)
+        v = (2 * v[0] + v[1], v[0] + v[1]) if k > 0 else (v[0] - v[1], 2 * v[1] - v[0])
+    return v
+
+
+@pytest.mark.parametrize("family", [
+    LampFamily(2), LampFamily(3), LampFamily(5), BSFamily(2), BSFamily(3), BSFamily(10),
+    SolFamily(lg.sol_invariant_form(((2, 1), (1, 1)))),
+], ids=lambda f: f"{f.name}-{getattr(f, 'n', 'A')}")
+def test_sigma_admissible_matches_ordered_pair_scan(family):
+    rng = random.Random(83)
+    outcomes = set()
+    for _ in range(60):
+        points = {family.sort_key(p): p for p in
+                  (_random_point(rng, family) for _ in range(rng.randint(1, 5)))}
+        sigma = GeneratorSet(family, tuple(points.values()))
+        eps = rng.randint(1, 2)
+        params = QuadParams(eps, eps + rng.randint(1, 60))
+        want = _sigma_admissible_ordered_pairs(sigma, params)
+        assert lg.sigma_admissible(sigma, params) == want
+        outcomes.add(want is True)
+    assert outcomes == {True, False}
+
+
 def test_sigma_obstruction_single_lamps():
     sigma = GeneratorSet(LAMP2, tuple(L(2, {i: 1}) for i in range(8)))
     v, w = lg.lamp_sigma_obstruction(sigma, QuadParams(2, 32), (0, 8))
