@@ -341,14 +341,16 @@ def parallelogram_preserving(m: BaseMap, window: Window):
     Scanning a = 0 decides every a: the window configurations form a group,
     and if the a = 0 identities hold, phi = psi - psi(0) is additive on it,
     so they hold for every a.  `window_configs` lists 0 first, so the first
-    witness over all triples is the first one with a = 0."""
+    witness over all triples is the first one with a = 0.  The a = 0
+    identity is symmetric in v and w, so the first witness has v no later
+    than w, and only those pairs are scanned."""
     n = m.modulus() or 2
     configs = window_configs(n, window)
     images = {x: apply(m, x) for x in configs}
     zero = configs[0]
     zero_img = images[zero]
-    for v in configs:
-        for w in configs:
+    for i, v in enumerate(configs):
+        for w in configs[i:]:
             if images[v + w] + zero_img != images[v] + images[w]:
                 return (zero, v, w)
     return True

@@ -336,6 +336,12 @@ def verify_lamp_claim(
     d={0:1,1:1,2:1}, c={2:1} at S=1).  ``hypotheses="full"`` imposes all
     four cyclic side conditions; ``"relaxed"`` imposes only the two on
     (b-a) and (c-a), the literal printed form, which admits witnesses.
+
+    Full mode lists d = b + u over side pairs (b, u) and finds c from d
+    alone: c and d - c both have gap < S, while lo(d) and hi(d) lie at
+    least 2S+1 apart, so one of them holds lo(d) and the other hi(d).
+    Hence c is d restricted to the fields [lo, lo+S) or to (hi-S, hi],
+    and either is a valid side exactly when d is zero between the two.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
@@ -368,6 +374,7 @@ def verify_lamp_claim(
 
     sides = list(_packed_with_gap(n, window_width, shift, 0, S - 1))
     min_diag = 2 * S + 1  # strict: |supp| > 2S
+    piece = (1 << (S << shift)) - 1  # S consecutive fields
     # only relaxed mode reads the large points, so only it lists them
     large = (list(_packed_with_gap(n, window_width, shift, min_diag, window_width - 1))
              if hypotheses == "relaxed" else [])
@@ -376,20 +383,28 @@ def verify_lamp_claim(
     enumerated = 0
 
     for b in sides:
-        far = [c for c in sides if c != b and gap(b ^ c) >= min_diag]  # diagonal (b, c)
         if hypotheses == "full":
             for u in sides:
                 d = add(b, u)
-                if not d or gap(d) < min_diag:  # diagonal (a, d); so d is no side
+                if not d:
+                    continue
+                lo = ((d & -d).bit_length() - 1) >> shift
+                hi = (d.bit_length() - 1) >> shift
+                if hi - lo < min_diag:  # diagonal (a, d); so d is no side
                     continue
                 enumerated += len(sides)
-                for c in far:
-                    if gap(d ^ c) >= S:  # side (d, c), strict
+                low = d & piece << (lo << shift)
+                high = d & piece << ((hi - S + 1) << shift)
+                if low | high != d:  # d is nonzero between its two ends: no c fits
+                    continue
+                for c in (low, high):
+                    if c == b or gap(b ^ c) < min_diag:  # diagonal (b, c)
                         continue
                     checked += 1
                     if d != add(b, c):  # corner relation a + d = b + c
                         violations.append((b, c, d))
         else:
+            far = [c for c in sides if c != b and gap(b ^ c) >= min_diag]  # diagonal (b, c)
             for c in far:
                 bc = add(b, c)
                 enumerated += len(large)
@@ -434,6 +449,11 @@ def verify_taback(
     argument needs); side decompositions (r_i, k_i) are recorded and the
     parallelogram side relations k1=k3, k2=k4, r1=-r3, r2=-r4 are checked
     for every quadrilateral found.
+
+    The fourth corner p4 is looked up, not scanned: an index maps p4 + s
+    to p4 for every p4 in D_eps and side s in the step list.  It holds
+    every side (p3, p4), because |p3 - p4| <= (bound + eps) * n^kmax
+    keeps the side's exponent within the step list's range.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -455,6 +475,11 @@ def verify_taback(
     jmax = kmax + max(1, math.ceil(math.log(numerator_bound + eps, n)))
     steps = sorted(s * n ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
                    for j in range(jmax - kmin + 1))
+    # p3 -> the p4 with side (p3, p4), each list ascending as d_eps is
+    corners: dict[int, list[int]] = {}
+    for p4 in d_eps:
+        for s in steps:
+            corners.setdefault(p4 + s, []).append(p4)
 
     violations = []
     side_relation_failures = []
@@ -469,10 +494,8 @@ def verify_taback(
                 continue
             if abs(r3) < M:  # diagonal (p1, p3)
                 continue
-            for p4 in d_eps:
-                if p4 == p2 or p4 == p3:
-                    continue
-                if abs(nadic_split(p3 - p4, n)[0]) > eps:  # side (p3, p4)
+            for p4 in corners.get(p3, ()):  # s != 0, so p4 != p3
+                if p4 == p2:
                     continue
                 if abs(nadic_split(p2 - p4, n)[0]) < M:  # diagonal (p2, p4)
                     continue
@@ -513,14 +536,48 @@ def verify_taback(
 # SOL verifier and calibration
 # ---------------------------------------------------------------------------
 
+def _sol_small_points(form: tuple[int, int, int], eps: int, box: int) -> list[SolVector]:
+    """The points (x, y) with |x|, |y| <= box and 0 < |f(x, y)| <= eps, sorted.
+
+    f = c (y - y1)(y - y2) in y, with real roots y1, y2 since the form is
+    indefinite, so |f| <= eps puts y within sqrt(eps / |c|) of a root.
+    Each row x therefore tests only the y within isqrt(eps) + 2 of the
+    integer estimates (-bx +- isqrt(disc x^2)) // 2c, which are within
+    1.5 of the roots: O(box) work instead of the (2 box + 1)^2 grid.
+    """
+    a, b, c = form
+    disc = b * b - 4 * a * c
+    reach = math.isqrt(eps) + 2
+    out = []
+    for x in range(-box, box + 1):
+        root = math.isqrt(disc * x * x)
+        ys = set()
+        for num in (-b * x - root, -b * x + root):
+            mid = num // (2 * c)
+            ys.update(range(max(mid - reach, -box), min(mid + reach, box) + 1))
+        out.extend((x, y) for y in sorted(ys) if 0 < abs(a * x * x + b * x * y + c * y * y) <= eps)
+    return out
+
+
 def _sol_scan(ctx: SolContext, eps: int, box: int):
     """Enumerate side-satisfying quadruples (p1=0, p2, p3, p4) in the box.
 
-    Yields (p2, p3, p4, min_diagonal_delta, is_parallelogram).
+    Yields (p2, p3, p4, min_diagonal_delta, is_parallelogram).  The fourth
+    corner p4 is looked up, not scanned: an index maps p4 + s to p4 for
+    every small p4 in the box and every small s in the doubled box, which
+    holds p3 - p4 for any p3 and p4 in the box.
     """
     a, b, c = ctx.form  # |f(x, y)| = |a x^2 + b x y + c y^2| is the delta from 0
-    d_eps = sorted((x, y) for x in range(-box, box + 1) for y in range(-box, box + 1)
-                   if 0 < abs(a * x * x + b * x * y + c * y * y) <= eps)
+    d_eps = _sol_small_points(ctx.form, eps, box)
+    # p3 -> the p4 with side (p3, p4), each list ascending as d_eps is
+    corners: dict[SolVector, list[SolVector]] = {}
+    sides = _sol_small_points(ctx.form, eps, 2 * box)
+    for p4 in d_eps:
+        x4, y4 = p4
+        for sx, sy in sides:
+            x3, y3 = x4 + sx, y4 + sy
+            if -box <= x3 <= box and -box <= y3 <= box:
+                corners.setdefault((x3, y3), []).append(p4)
     for p2 in d_eps:
         x2, y2 = p2
         for ux, uy in d_eps:
@@ -529,13 +586,10 @@ def _sol_scan(ctx: SolContext, eps: int, box: int):
                 continue  # u != 0, so p3 != p2
             p3 = (x3, y3)
             diag1 = abs(a * x3 * x3 + b * x3 * y3 + c * y3 * y3)
-            for p4 in d_eps:
-                if p4 == p2 or p4 == p3:
+            for p4 in corners.get(p3, ()):  # s != 0, so p4 != p3
+                if p4 == p2:
                     continue
                 x4, y4 = p4
-                sx, sy = x3 - x4, y3 - y4
-                if abs(a * sx * sx + b * sx * sy + c * sy * sy) > eps:
-                    continue
                 dx, dy = x2 - x4, y2 - y4
                 diag2 = abs(a * dx * dx + b * dx * dy + c * dy * dy)
                 yield p2, p3, p4, min(diag1, diag2), x3 == x2 + x4 and y3 == y2 + y4
@@ -713,6 +767,10 @@ def sigma_admissible(sigma: GeneratorSet, params: QuadParams):
     return True
 
 
+# n is factored by trial division up to sqrt(n), at most 2^20 steps
+MAX_LAMP_MODULUS = 1 << 40
+
+
 def _lamp_generates_window(sigma: GeneratorSet, window: tuple[int, int]) -> int | None:
     """None if sigma generates all configs supported in the window; else a
     window index whose single lamp sigma does not generate.
@@ -720,8 +778,11 @@ def _lamp_generates_window(sigma: GeneratorSet, window: tuple[int, int]) -> int 
     A subgroup of (Z_n)^w is everything iff its image spans F_p^w for every
     prime p | n, since a proper subgroup has a quotient Z_p.  At the first
     such p, in ascending order, where elimination finds rank < w, the unit
-    vector of the first non-pivot column is outside the span mod p.
+    vector of the first non-pivot column is outside the span mod p.  A
+    modulus above MAX_LAMP_MODULUS raises DomainError before factoring.
     """
+    if sigma.family.n > MAX_LAMP_MODULUS:
+        raise DomainError(f"n = {sigma.family.n} is above the factoring bound {MAX_LAMP_MODULUS}")
     lo, hi = window
     width = hi - lo
     vecs = [[p.value_at(lo + i) for i in range(width)] for p in sigma.elements]

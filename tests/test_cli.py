@@ -122,22 +122,37 @@ def test_map_ppq_scan_count(argv, scans, monkeypatch):
     assert len(calls) == scans
 
 
-def test_ball_past_vertex_budget_exits_2_quickly():
-    # run in a child process, so that a ball with no vertex budget is killed
-    # at the timeout instead of growing until memory runs out
+def _run_child(argv):
+    # run in a child process, so that a command with no budget is killed at
+    # the timeout instead of running on; returns the process and its seconds
     script = ("import io, sys, time\n"
               "from lampgeo.cli import run\n"
               "start = time.perf_counter()\n"
-              "code = run(['ball', '--radius', '40'], stdout=io.StringIO())\n"
+              f"code = run({list(argv)!r}, stdout=io.StringIO())\n"
               "print(time.perf_counter() - start)\n"
               "sys.exit(code)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=20)
+    return proc, float(proc.stdout)
+
+
+def test_ball_past_vertex_budget_exits_2_quickly():
+    proc, seconds = _run_child(["ball", "--radius", "40"])
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-    assert float(proc.stdout) < 1.0
+    assert seconds < 1.0
+
+
+def test_dist_table_past_pair_budget_exits_2():
+    # the radius-12 ball fits the vertex budget, but its ~6*10^8 pairs would
+    # each run a BFS; the pair budget refuses before the first one
+    proc, seconds = _run_child(["dist", "--radius", "12"])
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "vertex pairs" in proc.stderr
+    assert seconds < 5.0
 
 
 def test_map_apply_and_bilip():

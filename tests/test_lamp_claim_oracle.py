@@ -138,8 +138,10 @@ def reference_lamp_claim(S, window_width, n=2, hypotheses="full"):
     )
 
 
-FULL_CASES = [(2, 1, 6), (2, 2, 10), (2, 3, 12), (3, 1, 6), (3, 2, 8),
-              (4, 2, 8), (5, 1, 7), (10, 1, 4)]
+# S >= 3 pins the verifier's two-piece choice of c (d restricted to its
+# lowest S fields or to its highest S fields) beyond one-digit pieces
+FULL_CASES = [(2, 1, 6), (2, 2, 10), (2, 3, 12), (2, 4, 11), (3, 1, 6), (3, 2, 8),
+              (3, 3, 8), (4, 2, 8), (5, 1, 7), (10, 1, 4)]
 # relaxed mode lists every window point and reports every witness; among the
 # windows above with n^W <= 60k, (2, 3, 12), (3, 2, 8) and (10, 1, 4) carry
 # 1.3M-2.5M witnesses each, so small windows for n = 4, 5 stand in for them

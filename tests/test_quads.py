@@ -436,3 +436,17 @@ def test_sigma_obstruction_composite_wide_window():
     short = GeneratorSet(fam4, tuple(L(4, {i: 2 if i == 4 else 1}) for i in range(9)))
     with pytest.raises(DomainError, match="index 4"):
         lg.lamp_sigma_obstruction(short, QuadParams(2, 32), (0, 9))
+
+
+def test_lamp_generation_refuses_modulus_above_factoring_bound():
+    # trial division up to sqrt(n) stays within 2^20 steps; above the bound
+    # the check refuses at once instead of looping about 10^7 times
+    from lampgeo.quads import MAX_LAMP_MODULUS, _lamp_generates_window
+    top = GeneratorSet(LampFamily(MAX_LAMP_MODULUS), (L(MAX_LAMP_MODULUS, {0: 1}),))
+    assert _lamp_generates_window(top, (0, 1)) is None
+    n = 10000019 * 10000079
+    sigma = GeneratorSet(LampFamily(n), (L(n, {0: 1}), L(n, {1: 1})))
+    with pytest.raises(DomainError, match="factoring bound"):
+        _lamp_generates_window(sigma, (0, 2))
+    with pytest.raises(DomainError, match="factoring bound"):
+        lg.lamp_sigma_obstruction(sigma, QuadParams(2, 32), (0, 2))

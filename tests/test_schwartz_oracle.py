@@ -1,0 +1,122 @@
+"""verify_schwartz and calibrate_schwartz against the full-grid reference.
+
+The reference finds D_eps, the points with 0 < |f| <= eps, by evaluating
+the form on every point of the (2 box + 1)^2 grid, and finds the fourth
+corner p4 by scanning all of D_eps for each (p2, p3) pair: the verifier's
+scan before it listed D_eps row by row and looked p4 up in an index.
+"""
+
+import functools
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import lampgeo as lg
+from lampgeo.quads import SolFamily, VerifyReport, _sol_small_points
+
+# the benchmark's three matrices, then hyperbolic ones with |c| > 1 in the
+# form, a negative trace and a large trace
+MATRICES = [((2, 1), (1, 1)), ((1, 1), (1, 2)), ((5, 2), (2, 1)),
+            ((3, 1), (2, 1)), ((-3, -1), (-5, -2)), ((0, -1), (1, 5)), ((7, 3), (2, 1))]
+EPSILONS = [1, 2, 4]
+BOXES = [1, 2, 7, 25]
+
+
+def grid_small_points(form, eps, box):
+    a, b, c = form
+    return sorted((x, y) for x in range(-box, box + 1) for y in range(-box, box + 1)
+                  if 0 < abs(a * x * x + b * x * y + c * y * y) <= eps)
+
+
+@functools.cache
+def reference_scan(matrix, eps, box):
+    """(p2, p3, p4, min_diagonal_delta, is_parallelogram) for every
+    side-satisfying quadruple (0, p2, p3, p4) in the box."""
+    a, b, c = lg.sol_invariant_form(matrix).form
+
+    def f(x, y):
+        return abs(a * x * x + b * x * y + c * y * y)
+
+    d_eps = grid_small_points((a, b, c), eps, box)
+    out = []
+    for p2 in d_eps:
+        for u in d_eps:
+            p3 = (p2[0] + u[0], p2[1] + u[1])
+            if p3 == (0, 0) or not (abs(p3[0]) <= box and abs(p3[1]) <= box):
+                continue
+            for p4 in d_eps:
+                if p4 == p2 or p4 == p3 or f(p3[0] - p4[0], p3[1] - p4[1]) > eps:
+                    continue
+                diag = min(f(*p3), f(p2[0] - p4[0], p2[1] - p4[1]))
+                out.append((p2, p3, p4, diag, p3 == (p2[0] + p4[0], p2[1] + p4[1])))
+    return out
+
+
+def _report(ctx, eps, M, box, checked, violations, extras=None):
+    fam = SolFamily(ctx)
+    return VerifyReport(
+        params={"matrix": [list(r) for r in ctx.a], "form": list(ctx.form),
+                "epsilon": eps, "M": M},
+        search_space={"box_halfwidth": box},
+        count_checked=checked,
+        violations=sorted(violations),
+        vacuous=checked == 0,
+        elapsed_ms=0,
+        family=fam.name,
+        extras=extras or {},
+        point_fmt=fam.fmt,
+    )
+
+
+def reference_verify(matrix, eps, M, box):
+    ctx = lg.sol_invariant_form(matrix)
+    quads = [q for q in reference_scan(matrix, eps, box) if q[3] >= M]
+    violations = [((0, 0), p2, p3, p4) for p2, p3, p4, _, par in quads if not par]
+    return _report(ctx, eps, M, box, len(quads), violations)
+
+
+def reference_calibrate(matrix, eps, box):
+    ctx = lg.sol_invariant_form(matrix)
+    quads = reference_scan(matrix, eps, box)
+    worst = max((d for *_, d, par in quads if not par), default=0)
+    par_diags = [d for *_, d, par in quads if par]
+    m_star = worst + 1
+    return _report(ctx, eps, m_star, box, sum(1 for d in par_diags if d >= m_star), [],
+                   {"M_star": m_star, "max_nonparallelogram_min_diagonal": worst,
+                    "max_parallelogram_min_diagonal": max(par_diags, default=0)})
+
+
+CASES = [(m, eps, box) for m in MATRICES for eps in EPSILONS for box in BOXES]
+
+
+@pytest.mark.parametrize("matrix, eps, box", CASES)
+def test_schwartz_matches_grid_reference(matrix, eps, box):
+    ctx = lg.sol_invariant_form(matrix)
+    want = reference_calibrate(matrix, eps, box)
+    assert lg.calibrate_schwartz(ctx, eps, box).to_jsonable() == want.to_jsonable()
+    m_star = want.extras["M_star"]
+    # below, at and above the calibrated threshold
+    for M in (m_star - 1, m_star, m_star + 3):
+        got = lg.verify_schwartz(ctx, eps, M, box)
+        assert got.to_jsonable() == reference_verify(matrix, eps, M, box).to_jsonable()
+
+
+def test_schwartz_reference_cases_are_not_vacuous():
+    # the comparison above means something only if the reference finds both
+    # parallelograms and non-parallelograms, so that M* splits them
+    for matrix in MATRICES:
+        quads = reference_scan(matrix, 4, 25)
+        assert any(par for *_, par in quads) and any(not par for *_, par in quads), matrix
+    split = [case for case in CASES if reference_calibrate(*case).extras["M_star"] > 1]
+    assert len(split) >= len(CASES) // 2
+
+
+@given(st.integers(-6, 6).filter(bool), st.integers(-12, 12), st.integers(-6, 6).filter(bool),
+       st.integers(1, 30), st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_row_lister_matches_grid(a, b, c, eps, box):
+    # any indefinite form: f(x, .) has real roots in every row
+    assume(b * b - 4 * a * c > 0)
+    got = _sol_small_points((a, b, c), eps, box)
+    assert got == grid_small_points((a, b, c), eps, box)
