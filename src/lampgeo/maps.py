@@ -228,19 +228,23 @@ class BilipReport:
         return max(self.K_lower, self.K_upper)
 
 
-_bit_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# the pure-Python pair scans take 5-20 us per pair on a 2-vCPU VM, so at most
+# 2^19 pairs (2^10 configurations) bounds each at about 10 s
+MAX_SCAN_PAIRS = 1 << 19
+# the packed n = 2 scan visits C(2^width, 2) pairs: width 14 takes 1.4 s
+MAX_PACKED_WIDTH = 14
 
 
-def _fd_ld_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
-    if width not in _bit_tables:
-        size = 1 << width
-        fd = np.zeros(size, dtype=np.int16)
-        ld = np.zeros(size, dtype=np.int16)
-        for d in range(1, size):
-            fd[d] = (d & -d).bit_length() - 1
-            ld[d] = d.bit_length() - 1
-        _bit_tables[width] = (fd, ld)
-    return _bit_tables[width]
+def _check_scan_pairs(n: int, window: Window) -> None:
+    """Raise DomainError before a scan over the distinct configuration pairs
+    of the window when there are more than MAX_SCAN_PAIRS of them."""
+    lo, hi = window
+    # past width 20 there are at least 2^20 configurations, so capping the
+    # width keeps n ** width small without admitting more pairs
+    count = n ** min(max(hi - lo, 0), 20)
+    if count * (count - 1) // 2 > MAX_SCAN_PAIRS:
+        raise DomainError(f"window [{lo}, {hi}) over Z_{n} has more than "
+                          f"{MAX_SCAN_PAIRS} configuration pairs to scan")
 
 
 def _mod2_deviations(img: np.ndarray, width: int) -> tuple[int, int]:
@@ -249,10 +253,15 @@ def _mod2_deviations(img: np.ndarray, width: int) -> tuple[int, int]:
 
     Each unordered pair {x, x ^ d} is visited once, grouped by the top bit t
     of d: x runs over the configs with bit t clear and d over [2^t, 2^(t+1)),
-    so the source disagreement indices are fd[d] (one per row) and t.
+    so the source disagreement indices are fd[d] (one per row) and t.  The
+    last-disagreement table ld holds b on [2^b, 2^(b+1)), and the first
+    disagreement of x is the last one of its lowest set bit, x & -x.
     """
-    fd, ld = _fd_ld_tables(width)
     configs = np.arange(1 << width, dtype=np.uint32)
+    ld = np.zeros(1 << width, dtype=np.int16)
+    for b in range(width):
+        ld[1 << b:2 << b] = b
+    fd = ld[configs & -configs]
     max_fd = max_ld = 0
     for t in range(width):
         x = configs[(configs >> t) & 1 == 0]
@@ -309,7 +318,9 @@ def bilip_constants(bp: BlockPerm, padding: int) -> BilipReport:
     Scans every distinct pair of configs supported in
     [-padding, m + padding); with padding >= m the extrema equal the global
     biLipschitz constants (disagreements outside the block are fixed by the
-    map), which the report flags as exhaustive.
+    map), which the report flags as exhaustive.  DomainError refuses an
+    n = 2 window wider than MAX_PACKED_WIDTH, and any other window with
+    more than MAX_SCAN_PAIRS configuration pairs, before the scan starts.
     """
     if padding < 0:
         raise DomainError("padding must be >= 0")
@@ -318,13 +329,15 @@ def bilip_constants(bp: BlockPerm, padding: int) -> BilipReport:
     window = (-padding, bp.m + padding)
     if bp.n == 2:
         width = bp.m + 2 * padding
-        if width > 24:
-            raise DomainError("window too wide for the exhaustive pair scan")
+        if width > MAX_PACKED_WIDTH:
+            raise DomainError(f"window width {width} is above {MAX_PACKED_WIDTH}, "
+                              "the bound of the exhaustive pair scan")
         img = _blockperm_image_table(bp, padding)
         dev_fd, dev_ld = _mod2_deviations(img, width)
         k_lower = Fraction(2) ** dev_fd
         k_upper = Fraction(2) ** dev_ld
     else:
+        _check_scan_pairs(bp.n, window)
         k_lower, k_upper = _bilip_pair_scan(bp, padding)
     return BilipReport(K_lower=k_lower, K_upper=k_upper,
                        exhaustive=padding >= bp.m, window=window)
@@ -343,8 +356,11 @@ def parallelogram_preserving(m: BaseMap, window: Window):
     so they hold for every a.  `window_configs` lists 0 first, so the first
     witness over all triples is the first one with a = 0.  The a = 0
     identity is symmetric in v and w, so the first witness has v no later
-    than w, and only those pairs are scanned."""
+    than w, and only those pairs are scanned.  A window with more than
+    MAX_SCAN_PAIRS configuration pairs raises DomainError before it is
+    listed."""
     n = m.modulus() or 2
+    _check_scan_pairs(n, window)
     configs = window_configs(n, window)
     images = {x: apply(m, x) for x in configs}
     zero = configs[0]
@@ -400,8 +416,11 @@ def delta_distortion(bp: BlockPerm, window: Window) -> DeltaDistortionReport:
 
     The ratios must lie in [1/K^2, K^2] for K = max(K_lower, K_upper) from
     the exhaustive biLipschitz report; a violation is a library bug, not a
-    data condition, and raises InternalError.
+    data condition, and raises InternalError.  A window with more than
+    MAX_SCAN_PAIRS configuration pairs raises DomainError before it is
+    listed.
     """
+    _check_scan_pairs(bp.n, window)
     rep = bilip_constants(bp, padding=bp.m)
     k = rep.K
     configs = window_configs(bp.n, window)

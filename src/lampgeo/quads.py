@@ -450,10 +450,12 @@ def verify_taback(
     parallelogram side relations k1=k3, k2=k4, r1=-r3, r2=-r4 are checked
     for every quadrilateral found.
 
-    The fourth corner p4 is looked up, not scanned: an index maps p4 + s
-    to p4 for every p4 in D_eps and side s in the step list.  It holds
-    every side (p3, p4), because |p3 - p4| <= (bound + eps) * n^kmax
-    keeps the side's exponent within the step list's range.
+    One index, near[p3] = the points of D_eps one step from p3, holds both
+    corners p2 and p4, which are the ordered pairs of distinct entries of
+    near[p3].  It is built as q + s over q in D_eps and steps s; the step
+    list is closed under negation, so p3 - q is a step exactly when
+    q - p3 is.  It holds every side at p3, because |p3 - q| <=
+    (bound + eps) * n^kmax keeps the side's exponent within its range.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -471,44 +473,39 @@ def verify_taback(
     small_rs = [r for r in range(-min(eps, numerator_bound), min(eps, numerator_bound) + 1)
                 if r and r % n]
     d_eps = sorted(r * n ** k for r in small_rs for k in range(span + 1))
-    # p3 - p2 ranges over s * n^j; j is bounded because p3 must lie in the space
+    # p3 - q ranges over s * n^j; j is bounded because p3 must lie in the space
     jmax = kmax + max(1, math.ceil(math.log(numerator_bound + eps, n)))
     steps = sorted(s * n ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
                    for j in range(jmax - kmin + 1))
-    # p3 -> the p4 with side (p3, p4), each list ascending as d_eps is
-    corners: dict[int, list[int]] = {}
-    for p4 in d_eps:
+    near: dict[int, list[int]] = {}
+    for q in d_eps:
         for s in steps:
-            corners.setdefault(p4 + s, []).append(p4)
+            near.setdefault(q + s, []).append(q)  # s != 0, so q != p3
+
+    quads = []
+    for p3, corners in near.items():
+        r3, v3 = nadic_split(p3, n)
+        # p3 outside the space (r3 = 0 included, as M > 0), or diagonal (p1, p3) short
+        if not M <= abs(r3) <= numerator_bound or v3 > span:
+            continue
+        quads.extend((0, p2, p3, p4) for p2 in corners for p4 in corners
+                     if p2 != p4 and abs(nadic_split(p2 - p4, n)[0]) >= M)  # diagonal (p2, p4)
+    quads.sort()
 
     violations = []
     side_relation_failures = []
     samples = []
-    checked = 0
-
-    for p2 in d_eps:
-        for u in steps:
-            p3 = p2 + u  # u != 0, so p3 != p2
-            r3, v3 = nadic_split(p3, n)
-            if r3 == 0 or abs(r3) > numerator_bound or v3 > span:  # p3 outside the space
-                continue
-            if abs(r3) < M:  # diagonal (p1, p3)
-                continue
-            for p4 in corners.get(p3, ()):  # s != 0, so p4 != p3
-                if p4 == p2:
-                    continue
-                if abs(nadic_split(p2 - p4, n)[0]) < M:  # diagonal (p2, p4)
-                    continue
-                checked += 1
-                sides = [nadic_split(p2, n), nadic_split(p3 - p2, n),
-                         nadic_split(p4 - p3, n), nadic_split(-p4, n)]
-                if len(samples) < 5:
-                    samples.append(((0, p2, p3, p4), sides))
-                (r1, v1), (r2, v2), (r3s, v3s), (r4, v4) = sides
-                if not (v1 == v3s and v2 == v4 and r1 == -r3s and r2 == -r4):
-                    side_relation_failures.append((0, p2, p3, p4))
-                if p3 != p2 + p4:  # corner relation
-                    violations.append((0, p2, p3, p4))
+    for quad in quads:
+        _, p2, p3, p4 = quad
+        sides = [nadic_split(p2, n), nadic_split(p3 - p2, n),
+                 nadic_split(p4 - p3, n), nadic_split(-p4, n)]
+        if len(samples) < 5:
+            samples.append((quad, sides))
+        (r1, v1), (r2, v2), (r3s, v3s), (r4, v4) = sides
+        if not (v1 == v3s and v2 == v4 and r1 == -r3s and r2 == -r4):
+            side_relation_failures.append(quad)
+        if p3 != p2 + p4:  # corner relation
+            violations.append(quad)
 
     fam = BSFamily(n)
     to_bs = lambda x: bs_normalize(x, kmin, n)
@@ -517,9 +514,9 @@ def verify_taback(
         params={"n": n, "epsilon": eps, "M": M},
         search_space={"numerator_bound": numerator_bound, "exp_range": list(exp_range),
                       "side_candidates": len(d_eps), "step_candidates": len(steps)},
-        count_checked=checked,
-        violations=[tuple(map(to_bs, quad)) for quad in sorted(violations)],
-        vacuous=checked == 0,
+        count_checked=len(quads),
+        violations=[tuple(map(to_bs, quad)) for quad in violations],
+        vacuous=not quads,
         elapsed_ms=int((time.perf_counter() - start) * 1000),
         family=fam.name,
         extras={"sample_decompositions": [
@@ -527,7 +524,7 @@ def verify_taback(
                      "sides_rk": [(r, v + kmin) for r, v in sides]}
                     for quad, sides in samples],
                 "side_relation_failures": [[to_str(x) for x in quad]
-                                           for quad in sorted(side_relation_failures)]},
+                                           for quad in side_relation_failures]},
         point_fmt=fam.fmt,
     )
 
@@ -562,37 +559,34 @@ def _sol_small_points(form: tuple[int, int, int], eps: int, box: int) -> list[So
 def _sol_scan(ctx: SolContext, eps: int, box: int):
     """Enumerate side-satisfying quadruples (p1=0, p2, p3, p4) in the box.
 
-    Yields (p2, p3, p4, min_diagonal_delta, is_parallelogram).  The fourth
-    corner p4 is looked up, not scanned: an index maps p4 + s to p4 for
-    every small p4 in the box and every small s in the doubled box, which
-    holds p3 - p4 for any p3 and p4 in the box.
+    Yields (p2, p3, p4, min_diagonal_delta, is_parallelogram).  Every
+    corner lies in the box, so both sides at p3, p3 - p2 and p3 - p4,
+    range over the small points of the doubled box.  One index,
+    near[p3] = the small points of the box one side from p3, holds both
+    corners p2 and p4, which are the ordered pairs of distinct entries of
+    near[p3].  It is built as q + s over q in D_eps and small s in the
+    doubled box; f(-s) = f(s) and the box is symmetric, so p3 - q is such
+    an s exactly when q - p3 is.
     """
     a, b, c = ctx.form  # |f(x, y)| = |a x^2 + b x y + c y^2| is the delta from 0
-    d_eps = _sol_small_points(ctx.form, eps, box)
-    # p3 -> the p4 with side (p3, p4), each list ascending as d_eps is
-    corners: dict[SolVector, list[SolVector]] = {}
     sides = _sol_small_points(ctx.form, eps, 2 * box)
-    for p4 in d_eps:
-        x4, y4 = p4
+    d_eps = [(x, y) for x, y in sides if -box <= x <= box and -box <= y <= box]
+    near: dict[SolVector, list[SolVector]] = {}
+    for x, y in d_eps:
         for sx, sy in sides:
-            x3, y3 = x4 + sx, y4 + sy
-            if -box <= x3 <= box and -box <= y3 <= box:
-                corners.setdefault((x3, y3), []).append(p4)
-    for p2 in d_eps:
-        x2, y2 = p2
-        for ux, uy in d_eps:
-            x3, y3 = x2 + ux, y2 + uy
-            if (x3 == 0 and y3 == 0) or not (-box <= x3 <= box and -box <= y3 <= box):
-                continue  # u != 0, so p3 != p2
-            p3 = (x3, y3)
-            diag1 = abs(a * x3 * x3 + b * x3 * y3 + c * y3 * y3)
-            for p4 in corners.get(p3, ()):  # s != 0, so p4 != p3
-                if p4 == p2:
-                    continue
-                x4, y4 = p4
-                dx, dy = x2 - x4, y2 - y4
-                diag2 = abs(a * dx * dx + b * dx * dy + c * dy * dy)
-                yield p2, p3, p4, min(diag1, diag2), x3 == x2 + x4 and y3 == y2 + y4
+            x3, y3 = x + sx, y + sy
+            # f(s) != 0, so q != p3; p3 = 0 would repeat p1
+            if (x3 or y3) and -box <= x3 <= box and -box <= y3 <= box:
+                near.setdefault((x3, y3), []).append((x, y))
+    for (x3, y3), corners in near.items():
+        diag1 = abs(a * x3 * x3 + b * x3 * y3 + c * y3 * y3)
+        for x2, y2 in corners:
+            for x4, y4 in corners:
+                if x2 != x4 or y2 != y4:
+                    dx, dy = x2 - x4, y2 - y4
+                    diag2 = abs(a * dx * dx + b * dx * dy + c * dy * dy)
+                    yield ((x2, y2), (x3, y3), (x4, y4), min(diag1, diag2),
+                           x3 == x2 + x4 and y3 == y2 + y4)
 
 
 def _schwartz_report(ctx: SolContext, eps: int, M: int, box_halfwidth: int,
@@ -614,9 +608,11 @@ def _schwartz_report(ctx: SolContext, eps: int, M: int, box_halfwidth: int,
 def verify_schwartz(ctx: SolContext, eps: int, M: int, box_halfwidth: int) -> VerifyReport:
     """Check that every (eps, M)-quadrilateral of the SOL lattice in the box is a parallelogram.
 
-    Sub-threshold M is allowed; the resulting report is informational and
-    may contain violations.  A run that finds no (eps, M)-quadrilateral at
-    all is flagged vacuous.
+    Every corner ranges over the box, so every side ranges over the
+    doubled box: p3 - p2 and p3 - p4 may have coordinates up to
+    2 * box_halfwidth in absolute value.  Sub-threshold M is allowed; the
+    resulting report is informational and may contain violations.  A run
+    that finds no (eps, M)-quadrilateral at all is flagged vacuous.
     """
     if box_halfwidth < 1:
         raise DomainError("box_halfwidth must be >= 1")
@@ -817,17 +813,14 @@ def lamp_sigma_obstruction(sigma: GeneratorSet, params: QuadParams,
                            window: tuple[int, int]):
     """Exhibit a generator pair that fails to span an (eps, M)-parallelogram.
 
-    Preconditions: log2 M > 2 log2 eps + 1 (checked exactly as M > 2 eps^2),
-    sigma supported in and generating the window.  Under these a violating
-    pair always exists; its absence would falsify the index-gap argument
-    and raises InternalError.
+    Preconditions: sigma supported in and generating the window, and
+    log_n M > 2 log_n eps + 1, checked exactly as M > n eps^2.  Under these
+    a violating pair always exists; its absence would falsify the index-gap
+    argument and raises InternalError.
     """
     f = sigma.family
     if not isinstance(f, LampFamily):
         raise DomainError("the obstruction argument is specific to the lamplighter family")
-    if params.M <= 2 * params.epsilon * params.epsilon:
-        raise DomainError(
-            f"need M > 2*eps^2 (log2 M > 2 log2 eps + 1), got eps={params.epsilon}, M={params.M}")
     lo, hi = window
     if hi - lo < 2:
         raise DomainError("window must contain at least two indices")
@@ -839,6 +832,9 @@ def lamp_sigma_obstruction(sigma: GeneratorSet, params: QuadParams,
     missing = _lamp_generates_window(sigma, window)
     if missing is not None:
         raise DomainError(f"generator set does not generate the window: index {missing} missing")
+    if params.M <= f.n * params.epsilon * params.epsilon:
+        raise DomainError(f"need M > {f.n}*eps^2 (log_n M > 2 log_n eps + 1 for n = {f.n}), "
+                          f"got eps={params.epsilon}, M={params.M}")
     witness = sigma_admissible(sigma, params)
     if witness is True:
         raise InternalError("no violating pair found; the index-gap argument should forbid this")

@@ -90,6 +90,16 @@ def test_verify_schwartz_calibrate():
     assert data["extras"]["M_star"] >= 1 and not data["vacuous"]
 
 
+def test_verify_schwartz_finds_sides_past_the_box():
+    # the side (0,1) -> (1,-1) has a coordinate of 2, outside the box: both
+    # sides at p3 range over the doubled box
+    argv = ("verify", "schwartz", "--matrix=-3,-1,-5,-2", "--eps", "4", "--M", "5", "--box", "1")
+    code, out = invoke(*argv)
+    data = json.loads(out)
+    assert code == EXIT_VIOLATIONS and not data["vacuous"]
+    assert ["0,0", "0,1", "1,-1", "1,1"] in data["violations"]
+
+
 def test_map_ppq_counterexample():
     code, out = invoke("map", "ppq", "--map", "blockperm:m=3:100>111,111>100",
                        "--window", "3")
@@ -153,6 +163,31 @@ def test_dist_table_past_pair_budget_exits_2():
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "vertex pairs" in proc.stderr
     assert seconds < 5.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "ppq", "--map", "shift:1", "--window", "16"),
+    ("map", "delta-distortion", "--map", "blockperm:m=3:100>111,111>100", "--window", "16"),
+    ("map", "bilip", "--n", "3", "--map", "blockperm:m=3:012>021,021>012"),
+    ("map", "bilip", "--map", "blockperm:m=3:100>111,111>100", "--padding", "10"),
+], ids=["ppq", "delta-distortion", "bilip-n3", "bilip-width-23"])
+def test_map_scans_past_pair_budget_exit_2_quickly(argv):
+    # unbounded, these run for hours (the pair scans) or days (width 23)
+    proc, seconds = _run_child(argv)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert seconds < 1.0
+
+
+def test_sigma_obstruct_precondition_follows_n():
+    # at n = 3, M = 3 = n*eps^2 is below the precondition; two adjacent single
+    # lamps then span a parallelogram, and no witness pair exists
+    code, _ = invoke("sigma", "obstruct", "--n", "3", "--sigma", "0:1;1:1",
+                     "--eps", "1", "--M", "3", "--window", "2")
+    assert code == EXIT_USAGE
+    code, out = invoke("sigma", "obstruct", "--n", "3", "--sigma", "0:1;1:1",
+                       "--eps", "1", "--M", "4", "--window", "2")
+    assert code == EXIT_VIOLATIONS and len(json.loads(out)["witness"]) == 2
 
 
 def test_map_apply_and_bilip():

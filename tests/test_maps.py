@@ -205,6 +205,19 @@ def test_bilip_scan_keeps_no_pair_arrays():
     assert peak < 64 << 20
 
 
+def test_scan_pair_budget_boundary():
+    # 2^10 configurations (about 2^19 pairs) pass, one more index does not
+    from lampgeo.maps import MAX_PACKED_WIDTH, _check_scan_pairs
+    _check_scan_pairs(2, (0, 10))
+    _check_scan_pairs(4, (-2, 3))
+    for n, window in ((2, (0, 11)), (3, (0, 7)), (2, (0, 10 ** 9))):
+        with pytest.raises(DomainError, match="configuration pairs"):
+            _check_scan_pairs(n, window)
+    assert MAX_PACKED_WIDTH >= 13  # test_bilip_row_chunks_match_unchunked_window's width
+    with pytest.raises(DomainError, match="width"):
+        lg.bilip_constants(PI0, (MAX_PACKED_WIDTH - 1) // 2)
+
+
 def test_bilip_rejects_non_bijection():
     with pytest.raises(DomainError):
         lg.bilip_constants(BlockPerm.from_pairs(3, [("100", "111")]), 3)

@@ -368,6 +368,34 @@ def test_sigma_obstruction_n3_generation_check():
     assert {v, w} == {L(3, {0: 1}), L(3, {1: 1})}
 
 
+def test_sigma_obstruction_sweep_every_n():
+    # the index-gap argument at M > n*eps^2: every generating set of a
+    # window yields a witness pair, and M = n*eps^2 is refused
+    rng = random.Random(2024)
+    witnesses = 0
+    for _ in range(3000):
+        n, width, lo = rng.randint(2, 7), rng.randint(2, 4), rng.randint(-2, 2)
+        elems = {}
+        for _ in range(rng.randint(width, width + 2)):
+            span = rng.randint(1, width)
+            start = lo + rng.randint(0, width - span)
+            elems[L(n, {start + i: rng.randrange(1, n) for i in range(span)})] = None
+        fam = LampFamily(n)
+        sigma = GeneratorSet(fam, tuple(elems))
+        window = (lo, lo + width)
+        if lg.quads._lamp_generates_window(sigma, window) is not None:
+            continue
+        eps = rng.randint(1, 3)
+        with pytest.raises(DomainError, match="eps\\^2"):
+            lg.lamp_sigma_obstruction(sigma, QuadParams(eps, n * eps * eps), window)
+        params = QuadParams(eps, n * eps * eps + rng.choice([1, 2, rng.randint(1, n ** 4)]))
+        v, w = lg.lamp_sigma_obstruction(sigma, params, window)
+        assert classify(Quad(fam, fam.zero, v, v + w, w), params).kind \
+            is not Classification.PARALLELOGRAM
+        witnesses += 1
+    assert witnesses >= 1500
+
+
 def bfs_generated(sigma, window):
     # every window vector reachable from 0 by adding generators: the subgroup
     # they generate, since (Z_n)^w is finite

@@ -1,12 +1,13 @@
 """verify_schwartz and calibrate_schwartz against the full-grid reference.
 
 The reference finds D_eps, the points with 0 < |f| <= eps, by evaluating
-the form on every point of the (2 box + 1)^2 grid, and finds the fourth
-corner p4 by scanning all of D_eps for each (p2, p3) pair: the verifier's
-scan before it listed D_eps row by row and looked p4 up in an index.
+the form on every point of the (2 box + 1)^2 grid.  It takes p3 from the
+whole grid and p2, p4 from D_eps, and checks both sides at p3 by
+evaluating f, so it assumes no range for the sides.
 """
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import assume, given, settings
@@ -40,13 +41,13 @@ def reference_scan(matrix, eps, box):
 
     d_eps = grid_small_points((a, b, c), eps, box)
     out = []
-    for p2 in d_eps:
-        for u in d_eps:
-            p3 = (p2[0] + u[0], p2[1] + u[1])
-            if p3 == (0, 0) or not (abs(p3[0]) <= box and abs(p3[1]) <= box):
-                continue
-            for p4 in d_eps:
-                if p4 == p2 or p4 == p3 or f(p3[0] - p4[0], p3[1] - p4[1]) > eps:
+    for p3 in itertools.product(range(-box, box + 1), repeat=2):
+        if p3 == (0, 0):
+            continue
+        corners = [q for q in d_eps if q != p3 and f(p3[0] - q[0], p3[1] - q[1]) <= eps]
+        for p2 in corners:
+            for p4 in corners:
+                if p4 == p2:
                     continue
                 diag = min(f(*p3), f(p2[0] - p4[0], p2[1] - p4[1]))
                 out.append((p2, p3, p4, diag, p3 == (p2[0] + p4[0], p2[1] + p4[1])))
@@ -120,3 +121,16 @@ def test_row_lister_matches_grid(a, b, c, eps, box):
     assume(b * b - 4 * a * c > 0)
     got = _sol_small_points((a, b, c), eps, box)
     assert got == grid_small_points((a, b, c), eps, box)
+
+
+@pytest.mark.parametrize("matrix, m_star", [(((-3, -1), (-5, -2)), 6), (((0, -1), (1, 5)), 8)])
+def test_calibration_counts_sides_past_the_box(matrix, m_star):
+    # at box 1 the non-parallelograms that set M* have a side with a
+    # coordinate of 2; a scan that took p3 - p2 from the box found M* = 1 and 6
+    ctx = lg.sol_invariant_form(matrix)
+    assert lg.calibrate_schwartz(ctx, 4, 1).extras["M_star"] == m_star
+    report = lg.verify_schwartz(ctx, 4, m_star - 1, 1)
+    assert report.violations and not report.vacuous
+    for quad in report.violations:
+        kind = lg.classify(lg.Quad(SolFamily(ctx), *quad), lg.QuadParams(4, m_star - 1)).kind
+        assert kind is lg.Classification.QUADRILATERAL
