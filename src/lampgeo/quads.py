@@ -435,6 +435,14 @@ def verify_lamp_claim(
 # Baumslag-Solitar verifier
 # ---------------------------------------------------------------------------
 
+def _ceil_log(x: int, n: int) -> int:
+    """The least j >= 0 with n^j >= x; a float log misses near powers of n."""
+    j, power = 0, 1
+    while power < x:
+        j, power = j + 1, power * n
+    return j
+
+
 def verify_taback(
     n: int,
     eps: int,
@@ -456,6 +464,8 @@ def verify_taback(
     list is closed under negation, so p3 - q is a step exactly when
     q - p3 is.  It holds every side at p3, because |p3 - q| <=
     (bound + eps) * n^kmax keeps the side's exponent within its range.
+    Each pair {p2, p4} is decided once; its mirror (0, p4, p3, p2) walks
+    the same sides backwards, negated.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -474,7 +484,7 @@ def verify_taback(
                 if r and r % n]
     d_eps = sorted(r * n ** k for r in small_rs for k in range(span + 1))
     # p3 - q ranges over s * n^j; j is bounded because p3 must lie in the space
-    jmax = kmax + max(1, math.ceil(math.log(numerator_bound + eps, n)))
+    jmax = kmax + max(1, _ceil_log(numerator_bound + eps, n))
     steps = sorted(s * n ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
                    for j in range(jmax - kmin + 1))
     near: dict[int, list[int]] = {}
@@ -482,23 +492,25 @@ def verify_taback(
         for s in steps:
             near.setdefault(q + s, []).append(q)  # s != 0, so q != p3
 
-    quads = []
+    quads = []  # (quad, its four sides (r, v))
     for p3, corners in near.items():
         r3, v3 = nadic_split(p3, n)
         # p3 outside the space (r3 = 0 included, as M > 0), or diagonal (p1, p3) short
         if not M <= abs(r3) <= numerator_bound or v3 > span:
             continue
-        quads.extend((0, p2, p3, p4) for p2 in corners for p4 in corners
-                     if p2 != p4 and abs(nadic_split(p2 - p4, n)[0]) >= M)  # diagonal (p2, p4)
-    quads.sort()
+        for i, p2 in enumerate(corners):  # corners are distinct: q = p3 - s
+            for p4 in corners[i + 1:]:
+                if abs(nadic_split(p2 - p4, n)[0]) >= M:  # diagonal (p2, p4)
+                    sides = [nadic_split(x, n) for x in (p2, p3 - p2, p4 - p3, -p4)]
+                    quads += [((0, p2, p3, p4), sides),
+                              ((0, p4, p3, p2), [(-r, v) for r, v in sides[::-1]])]
+    quads.sort()  # the quads are distinct, so their sides are never compared
 
     violations = []
     side_relation_failures = []
     samples = []
-    for quad in quads:
+    for quad, sides in quads:
         _, p2, p3, p4 = quad
-        sides = [nadic_split(p2, n), nadic_split(p3 - p2, n),
-                 nadic_split(p4 - p3, n), nadic_split(-p4, n)]
         if len(samples) < 5:
             samples.append((quad, sides))
         (r1, v1), (r2, v2), (r3s, v3s), (r4, v4) = sides
@@ -533,6 +545,16 @@ def verify_taback(
 # SOL verifier and calibration
 # ---------------------------------------------------------------------------
 
+# the row lister walks the 4 box + 1 rows of the doubled box; at eps <= 4,
+# calibrate_schwartz takes about 0.5 s at box 10^4 and 3 s at 10^5
+MAX_SOL_BOX = 10_000
+
+
+def _check_box(box_halfwidth: int) -> None:
+    if not 1 <= box_halfwidth <= MAX_SOL_BOX:
+        raise DomainError(f"box_halfwidth must be in 1..{MAX_SOL_BOX}, got {box_halfwidth}")
+
+
 def _sol_small_points(form: tuple[int, int, int], eps: int, box: int) -> list[SolVector]:
     """The points (x, y) with |x|, |y| <= box and 0 < |f(x, y)| <= eps, sorted.
 
@@ -559,14 +581,14 @@ def _sol_small_points(form: tuple[int, int, int], eps: int, box: int) -> list[So
 def _sol_scan(ctx: SolContext, eps: int, box: int):
     """Enumerate side-satisfying quadruples (p1=0, p2, p3, p4) in the box.
 
-    Yields (p2, p3, p4, min_diagonal_delta, is_parallelogram).  Every
-    corner lies in the box, so both sides at p3, p3 - p2 and p3 - p4,
-    range over the small points of the doubled box.  One index,
-    near[p3] = the small points of the box one side from p3, holds both
-    corners p2 and p4, which are the ordered pairs of distinct entries of
-    near[p3].  It is built as q + s over q in D_eps and small s in the
-    doubled box; f(-s) = f(s) and the box is symmetric, so p3 - q is such
-    an s exactly when q - p3 is.
+    Yields (p2, p3, p4, min_diagonal_delta, is_parallelogram) once per
+    unordered pair {p2, p4}; callers count its mirror (0, p4, p3, p2),
+    which has the same diagonals and verdict.  Every corner lies in the
+    box, so both sides at p3, p3 - p2 and p3 - p4, range over the small
+    points of the doubled box.  One index, near[p3] = the small points of
+    the box one side from p3, holds both corners p2 and p4.  It is built
+    as q + s over q in D_eps and small s in the doubled box; f(-s) = f(s)
+    and the box is symmetric, so p3 - q is such an s exactly when q - p3 is.
     """
     a, b, c = ctx.form  # |f(x, y)| = |a x^2 + b x y + c y^2| is the delta from 0
     sides = _sol_small_points(ctx.form, eps, 2 * box)
@@ -580,13 +602,12 @@ def _sol_scan(ctx: SolContext, eps: int, box: int):
                 near.setdefault((x3, y3), []).append((x, y))
     for (x3, y3), corners in near.items():
         diag1 = abs(a * x3 * x3 + b * x3 * y3 + c * y3 * y3)
-        for x2, y2 in corners:
-            for x4, y4 in corners:
-                if x2 != x4 or y2 != y4:
-                    dx, dy = x2 - x4, y2 - y4
-                    diag2 = abs(a * dx * dx + b * dx * dy + c * dy * dy)
-                    yield ((x2, y2), (x3, y3), (x4, y4), min(diag1, diag2),
-                           x3 == x2 + x4 and y3 == y2 + y4)
+        for i, (x2, y2) in enumerate(corners):  # corners are distinct: q = p3 - s
+            for x4, y4 in corners[i + 1:]:
+                dx, dy = x2 - x4, y2 - y4
+                diag2 = abs(a * dx * dx + b * dx * dy + c * dy * dy)
+                yield ((x2, y2), (x3, y3), (x4, y4), min(diag1, diag2),
+                       x3 == x2 + x4 and y3 == y2 + y4)
 
 
 def _schwartz_report(ctx: SolContext, eps: int, M: int, box_halfwidth: int,
@@ -614,17 +635,16 @@ def verify_schwartz(ctx: SolContext, eps: int, M: int, box_halfwidth: int) -> Ve
     resulting report is informational and may contain violations.  A run
     that finds no (eps, M)-quadrilateral at all is flagged vacuous.
     """
-    if box_halfwidth < 1:
-        raise DomainError("box_halfwidth must be >= 1")
+    _check_box(box_halfwidth)
     start = time.perf_counter()
     checked = 0
     violations = []
     for p2, p3, p4, min_diag, is_par in _sol_scan(ctx, eps, box_halfwidth):
         if min_diag < M:
             continue
-        checked += 1
+        checked += 2
         if not is_par:
-            violations.append(((0, 0), p2, p3, p4))
+            violations += (((0, 0), p2, p3, p4), ((0, 0), p4, p3, p2))
     return _schwartz_report(ctx, eps, M, box_halfwidth, checked, violations, start)
 
 
@@ -638,8 +658,7 @@ def calibrate_schwartz(ctx: SolContext, eps: int, box_halfwidth: int) -> VerifyR
     report has no violations and counts the parallelograms whose
     min-diagonal delta is at least M*.
     """
-    if box_halfwidth < 1:
-        raise DomainError("box_halfwidth must be >= 1")
+    _check_box(box_halfwidth)
     start = time.perf_counter()
     worst_nonpar = 0
     par_diags = []
@@ -649,7 +668,7 @@ def calibrate_schwartz(ctx: SolContext, eps: int, box_halfwidth: int) -> VerifyR
         else:
             worst_nonpar = max(worst_nonpar, min_diag)
     m_star = worst_nonpar + 1
-    checked = sum(1 for d in par_diags if d >= m_star)
+    checked = 2 * sum(1 for d in par_diags if d >= m_star)  # both orders of each pair
     report = _schwartz_report(ctx, eps, m_star, box_halfwidth, checked, [], start)
     report.extras = {
         "M_star": m_star,
@@ -672,24 +691,29 @@ def greedy_sum(family: Family, sigma: GeneratorSet, target) -> list:
     Selection is greedy: among elements that still fit the residual, take
     the one with the largest (delta-from-zero, magnitude); the selected
     multiset is emitted sorted ascending by the family's canonical order.
+    One pass over that preference order takes each element while it fits:
+    ``fits`` means the same sign (orthant, digitwise order) and no larger
+    magnitude, so an element that fails fails for every later residual.
     Raises DecompositionError with the residual when no element fits.
     """
     residual = target
-    picked: list = []
-    by_pref = sorted(sigma.elements, key=family.magnitude_key, reverse=True)
-    steps = 0
-    while residual != family.zero:
-        choice = next((v for v in by_pref if family.fits(v, residual)), None)
-        if choice is None:
-            raise DecompositionError(
-                f"residual {family.fmt(residual)} not expressible over the generator set",
-                residual=residual)
-        picked.append(choice)
-        residual = family.sub(residual, choice)
-        steps += 1
-        if steps > _GREEDY_MAX_STEPS:
-            raise DecompositionError("decomposition exceeded step limit", residual=residual)
-    return sorted(picked, key=family.sort_key)
+    runs, steps = [], 0  # runs: the picks of one element each
+    for v in sorted(sigma.elements, key=family.magnitude_key, reverse=True):
+        run = []
+        while family.fits(v, residual):
+            residual = family.sub(residual, v)
+            run.append(v)
+            steps += 1
+            if steps > _GREEDY_MAX_STEPS:
+                raise DecompositionError("decomposition exceeded step limit", residual=residual)
+        if run:
+            runs.append(run)
+    if residual != family.zero:
+        raise DecompositionError(
+            f"residual {family.fmt(residual)} not expressible over the generator set",
+            residual=residual)
+    runs.sort(key=lambda run: family.sort_key(run[0]))  # GeneratorSet keys are distinct
+    return [v for run in runs for v in run]
 
 
 def telescope_decompose(q: Quad, sigma: GeneratorSet) -> list[Quad]:
@@ -703,14 +727,11 @@ def telescope_decompose(q: Quad, sigma: GeneratorSet) -> list[Quad]:
     f = q.family
     if f != sigma.family:
         raise DomainError("quad and generator set families differ")
-    pts = q.points
-    for i, j in itertools.combinations(range(4), 2):
-        if pts[i] == pts[j]:
-            raise DomainError("telescoping needs four distinct points")
+    if len(set(q.points)) < 4:
+        raise DomainError("telescoping needs four distinct points")
     if not q.corner_holds():
         raise DomainError("telescoping needs a parallelogram (corner relation fails)")
-    target = f.sub(q.p4, q.p1)
-    terms = greedy_sum(f, sigma, target)
+    terms = greedy_sum(f, sigma, f.sub(q.p4, q.p1))
     chain = []
     a, b = q.p1, q.p2
     for v in terms:
@@ -725,23 +746,18 @@ def telescope_decompose(q: Quad, sigma: GeneratorSet) -> list[Quad]:
 def telescoping_identity_holds(q: Quad, chain: Sequence[Quad]) -> bool:
     """Cancel the chain's formal corner relations and compare with the input's.
 
-    Each P_j contributes p1+p3 on the left and p2+p4 on the right; after
-    cancelling matching terms the remainder must be exactly
-    {q.p1, q.p3} = {q.p2, q.p4}.  Points of every family are canonical
-    values, so they serve as their own multiset keys.
+    One signed tally takes +p1 +p3 -p2 -p4 over the chain and the opposite
+    over the input; it must cancel.  No remainder is exactly {q.p1, q.p3} =
+    {q.p2, q.p4} when those two meet.  Points of every family are canonical
+    values, so they serve as their own keys.
     """
-    from collections import Counter
-    left: Counter = Counter()
-    right: Counter = Counter()
-    for p in chain:
-        left[p.p1] += 1
-        left[p.p3] += 1
-        right[p.p2] += 1
-        right[p.p4] += 1
-    common = left & right
-    left -= common
-    right -= common
-    return left == Counter([q.p1, q.p3]) and right == Counter([q.p2, q.p4])
+    if q.p1 in (q.p2, q.p4) or q.p3 in (q.p2, q.p4):
+        return False
+    tally: dict = {}
+    for p, sign in [(p, 1) for p in chain] + [(q, -1)]:
+        for x, s in ((p.p1, sign), (p.p3, sign), (p.p2, -sign), (p.p4, -sign)):
+            tally[x] = tally.get(x, 0) + s
+    return not any(tally.values())
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,16 @@ def test_map_scans_past_pair_budget_exit_2_quickly(argv):
     assert seconds < 1.0
 
 
+def test_verify_schwartz_past_box_budget_exits_2_quickly():
+    # the row lister is O(box); unbounded, box 10^8 runs for minutes
+    proc, seconds = _run_child(["verify", "schwartz", "--matrix", "2,1,1,1", "--eps", "1",
+                                "--M", "5", "--box", "100000000"])
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "box_halfwidth" in proc.stderr
+    assert seconds < 1.0
+
+
 def test_sigma_obstruct_precondition_follows_n():
     # at n = 3, M = 3 = n*eps^2 is below the precondition; two adjacent single
     # lamps then span a parallelogram, and no witness pair exists

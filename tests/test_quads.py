@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import lampgeo as lg
+from lampgeo import quads
 from lampgeo import (
     BSFamily,
     BSNumber,
@@ -148,6 +149,24 @@ def test_taback_small():
 def test_taback_requires_separation():
     with pytest.raises(DomainError):
         lg.verify_taback(2, 3, 9, 64, (-2, 2))  # M = eps^2 rejected
+
+
+@pytest.mark.parametrize("n, k", [(2, 49), (3, 31), (7, 18), (2, 29)])
+def test_taback_step_exponent_bound_is_exact(n, k):
+    # the steps are +-n^j for j up to kmax + the least j with n^j >= bound + eps;
+    # a float log gives k, not k + 1, at n^k + 1 for the first three, and
+    # k + 1, not k, at 2^29
+    at_power = lg.verify_taback(n, 1, 2, n ** k - 1, (0, 0))
+    past_power = lg.verify_taback(n, 1, 2, n ** k, (0, 0))
+    assert at_power.search_space["step_candidates"] == 2 * (k + 1)
+    assert past_power.search_space["step_candidates"] == 2 * (k + 2)
+
+
+def test_ceil_log_is_the_least_power_at_or_above():
+    for n in range(2, 8):
+        for x in range(1, n ** 4 + 2):
+            j = quads._ceil_log(x, n)
+            assert n ** j >= x and (j == 0 or n ** (j - 1) < x)
 
 
 def test_taback_sample_decompositions_recorded():

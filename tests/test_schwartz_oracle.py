@@ -134,3 +134,56 @@ def test_calibration_counts_sides_past_the_box(matrix, m_star):
     for quad in report.violations:
         kind = lg.classify(lg.Quad(SolFamily(ctx), *quad), lg.QuadParams(4, m_star - 1)).kind
         assert kind is lg.Classification.QUADRILATERAL
+
+
+def ordered_pair_scan(ctx, eps, box):
+    """The ordered-pair scan that _sol_scan replaced: every ordered pair
+    (p2, p4) of distinct entries of near[p3] is decided on its own."""
+    a, b, c = ctx.form
+    sides = _sol_small_points(ctx.form, eps, 2 * box)
+    d_eps = [(x, y) for x, y in sides if -box <= x <= box and -box <= y <= box]
+    near = {}
+    for x, y in d_eps:
+        for sx, sy in sides:
+            x3, y3 = x + sx, y + sy
+            if (x3 or y3) and -box <= x3 <= box and -box <= y3 <= box:
+                near.setdefault((x3, y3), []).append((x, y))
+    for (x3, y3), corners in near.items():
+        diag1 = abs(a * x3 * x3 + b * x3 * y3 + c * y3 * y3)
+        for x2, y2 in corners:
+            for x4, y4 in corners:
+                if x2 != x4 or y2 != y4:
+                    dx, dy = x2 - x4, y2 - y4
+                    diag2 = abs(a * dx * dx + b * dx * dy + c * dy * dy)
+                    yield ((x2, y2), (x3, y3), (x4, y4), min(diag1, diag2),
+                           x3 == x2 + x4 and y3 == y2 + y4)
+
+
+@pytest.mark.parametrize("matrix, eps, box", CASES)
+def test_schwartz_matches_ordered_pair_scan(matrix, eps, box):
+    # counting each unordered pair twice and listing both orders of its
+    # violations gives the reports of the ordered-pair scan
+    ctx = lg.sol_invariant_form(matrix)
+    quads = list(ordered_pair_scan(ctx, eps, box))
+    worst = max((d for *_, d, par in quads if not par), default=0)
+    par_diags = [d for *_, d, par in quads if par]
+    want = _report(ctx, eps, worst + 1, box, sum(1 for d in par_diags if d > worst), [],
+                   {"M_star": worst + 1, "max_nonparallelogram_min_diagonal": worst,
+                    "max_parallelogram_min_diagonal": max(par_diags, default=0)})
+    assert lg.calibrate_schwartz(ctx, eps, box).to_jsonable() == want.to_jsonable()
+    for M in (worst, worst + 1, worst + 4):
+        kept = [q for q in quads if q[3] >= M]
+        want = _report(ctx, eps, M, box, len(kept),
+                       [((0, 0), p2, p3, p4) for p2, p3, p4, _, par in kept if not par])
+        assert lg.verify_schwartz(ctx, eps, M, box).to_jsonable() == want.to_jsonable()
+
+
+def test_box_budget():
+    # the benchmark's boxes, 50 to 100, lie inside it
+    ctx = lg.sol_invariant_form(((2, 1), (1, 1)))
+    assert lg.calibrate_schwartz(ctx, 1, 100).extras["M_star"] == 5
+    for box in (0, lg.quads.MAX_SOL_BOX + 1):
+        with pytest.raises(lg.DomainError, match="box_halfwidth"):
+            lg.calibrate_schwartz(ctx, 1, box)
+        with pytest.raises(lg.DomainError, match="box_halfwidth"):
+            lg.verify_schwartz(ctx, 1, 5, box)

@@ -12,6 +12,7 @@ import pytest
 
 import lampgeo as lg
 from lampgeo import BSFamily, BSNumber, DomainError
+from lampgeo.base_groups import bs_normalize, nadic_split
 from lampgeo.quads import VerifyReport
 
 
@@ -114,3 +115,100 @@ def test_taback_reference_grid_is_not_vacuous():
     for n in (2, 3, 4):
         for exp_range in ((-3, 3), (1, 3), (-4, -1)):
             assert reference_taback(n, 1, 2, 16, exp_range).count_checked > 0
+
+
+def ordered_pair_taback(n, eps, M, numerator_bound, exp_range):
+    """The ordered-pair scan that verify_taback replaced: each ordered pair
+    (p2, p4) of near[p3] is decided, and its sides split, on its own.  Its
+    float exponent bound agrees with the exact one on every grid below."""
+    kmin, kmax = exp_range
+    span = kmax - kmin
+    small_rs = [r for r in range(-min(eps, numerator_bound), min(eps, numerator_bound) + 1)
+                if r and r % n]
+    d_eps = sorted(r * n ** k for r in small_rs for k in range(span + 1))
+    jmax = kmax + max(1, math.ceil(math.log(numerator_bound + eps, n)))
+    steps = sorted(s * n ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
+                   for j in range(jmax - kmin + 1))
+    near: dict[int, list[int]] = {}
+    for q in d_eps:
+        for s in steps:
+            near.setdefault(q + s, []).append(q)
+
+    quads = []
+    for p3, corners in near.items():
+        r3, v3 = nadic_split(p3, n)
+        if not M <= abs(r3) <= numerator_bound or v3 > span:
+            continue
+        quads.extend((0, p2, p3, p4) for p2 in corners for p4 in corners
+                     if p2 != p4 and abs(nadic_split(p2 - p4, n)[0]) >= M)
+    quads.sort()
+
+    violations = []
+    side_relation_failures = []
+    samples = []
+    for quad in quads:
+        _, p2, p3, p4 = quad
+        sides = [nadic_split(p2, n), nadic_split(p3 - p2, n),
+                 nadic_split(p4 - p3, n), nadic_split(-p4, n)]
+        if len(samples) < 5:
+            samples.append((quad, sides))
+        (r1, v1), (r2, v2), (r3s, v3s), (r4, v4) = sides
+        if not (v1 == v3s and v2 == v4 and r1 == -r3s and r2 == -r4):
+            side_relation_failures.append(quad)
+        if p3 != p2 + p4:
+            violations.append(quad)
+
+    fam = BSFamily(n)
+    to_bs = lambda x: bs_normalize(x, kmin, n)
+    to_str = lambda x: str(to_bs(x).value())
+    return VerifyReport(
+        params={"n": n, "epsilon": eps, "M": M},
+        search_space={"numerator_bound": numerator_bound, "exp_range": list(exp_range),
+                      "side_candidates": len(d_eps), "step_candidates": len(steps)},
+        count_checked=len(quads),
+        violations=[tuple(map(to_bs, quad)) for quad in violations],
+        vacuous=not quads,
+        elapsed_ms=0,
+        family=fam.name,
+        extras={"sample_decompositions": [
+                    {"points": [to_str(x) for x in quad],
+                     "sides_rk": [(r, v + kmin) for r, v in sides]}
+                    for quad, sides in samples],
+                "side_relation_failures": [[to_str(x) for x in quad]
+                                           for quad in side_relation_failures]},
+        point_fmt=fam.fmt,
+    )
+
+
+# the grid above, then the grid of the benchmark's taback jobs
+ORDERED_GRID = ([(n, eps, M, bound, kr) for n in (2, 3, 4) for kr in ((-3, 3), (1, 3), (-4, -1))
+                 for eps, M, bound in ((1, 2, 16), (2, 5, 40), (3, 10, 64))]
+                + [(n, eps, M, bound, kr) for n, eps in ((2, 3), (3, 2), (3, 3))
+                   for M in (32, 64) for bound in (512, 1024) for kr in ((-4, 4), (-5, 5))])
+
+
+@pytest.mark.parametrize("n, eps, M, bound, exp_range", ORDERED_GRID)
+def test_taback_matches_ordered_pair_scan(n, eps, M, bound, exp_range):
+    # deciding each pair {p2, p4} once and deriving its mirror's sides
+    # changes no count, sample, failure or violation
+    got = lg.verify_taback(n, eps, M, bound, exp_range)
+    want = ordered_pair_taback(n, eps, M, bound, exp_range)
+    assert got.to_jsonable() == want.to_jsonable()
+
+
+def test_ordered_grid_finds_violations_and_side_failures():
+    # the comparison above covers the mirrored sides only if some quads fail
+    reports = [lg.verify_taback(*point) for point in ORDERED_GRID]
+    assert any(rep.violations for rep in reports)
+    assert any(rep.extras["side_relation_failures"] for rep in reports)
+
+
+@pytest.mark.parametrize("n, eps, M, bound", [(2, 3, 10, 2 ** 49 - 2), (3, 2, 5, 3 ** 31 - 1),
+                                               (7, 3, 10, 7 ** 18 - 2), (2, 3, 10, 2 ** 29 - 3)])
+def test_exact_exponent_bound_changes_only_the_step_count(n, eps, M, bound):
+    # bound + eps is n^k + 1 or 2^29, where the float log is off by one: the
+    # step list gains or loses one exponent that no side needs
+    got = lg.verify_taback(n, eps, M, bound, (-2, 2)).to_jsonable()
+    want = ordered_pair_taback(n, eps, M, bound, (-2, 2)).to_jsonable()
+    assert got["search_space"].pop("step_candidates") != want["search_space"].pop("step_candidates")
+    assert got == want and got["count_checked"] > 0
