@@ -3,6 +3,9 @@
 Three base groups B are supported exactly:
 
 * the lamplighter base ``⊕_Z Z_n`` (finitely supported configurations),
+  packed into digit fields of one int: two configurations aligned at one
+  ``low`` differ exactly at the nonzero fields of their XOR, and for n = 2
+  the sum is that XOR,
 * ``Z[1/n]`` in normalized form ``r * n^k`` with ``n ∤ r``,
 * ``Z^2`` carrying the quadratic form left invariant by a hyperbolic
   ``A ∈ SL(2,Z)``.
@@ -16,7 +19,7 @@ in SOL coarse-height diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -30,28 +33,48 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 # lamplighter configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LampConfig:
-    """Finitely supported function Z -> Z_n.
+class Frozen:
+    """Base of the slotted value types: attributes are set once, through
+    their slot descriptors, by the module that builds the object."""
 
-    ``entries`` holds (index, value) pairs, strictly sorted by index, with
-    every value in {1, ..., n-1}; this is the canonical form, so equality
-    and hashing are structural.
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class LampConfig(Frozen):
+    """Finitely supported function Z -> Z_n, packed into one int.
+
+    The digit of index ``low + i`` is field i of ``digits``, at bit
+    ``i << digit_shift(n)``; ``low`` is the lowest support index (0 for the
+    zero config).  The form is canonical, so equality compares (n, low,
+    digits) and the hash is computed once.  ``entries``, the (index, value)
+    pairs sorted by index with values in 1..n-1, is kept from the
+    constructor or derived on first read.
     """
 
-    n: int
-    entries: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("n", "digits", "low", "_hash", "_entries")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"modulus must be >= 2, got {self.n}")
+    def __new__(cls, n: int, entries: tuple[tuple[int, int], ...] = ()):
+        if n < 2:
+            raise DomainError(f"modulus must be >= 2, got {n}")
+        shift = digit_shift(n)
+        low = entries[0][0] if entries else 0
+        digits = 0
         prev = None
-        for idx, val in self.entries:
+        for idx, val in entries:
             if prev is not None and idx <= prev:
                 raise DomainError("entries must be strictly sorted by index")
-            if not 0 < val < self.n:
-                raise DomainError(f"value {val} at index {idx} not in 1..{self.n - 1}")
+            if not 0 < val < n:
+                raise DomainError(f"value {val} at index {idx} not in 1..{n - 1}")
+            digits |= val << ((idx - low) << shift)
             prev = idx
+        cfg = packed_lamp(n, digits, low)
+        _set_entries(cfg, tuple(entries))
+        return cfg
 
     @classmethod
     def of(cls, n: int, items: Mapping[int, int] | Iterable[tuple[int, int]] = ()) -> "LampConfig":
@@ -69,17 +92,28 @@ class LampConfig:
     def zero(cls, n: int) -> "LampConfig":
         return cls(n)
 
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        try:
+            return self._entries
+        except AttributeError:
+            shift, d = digit_shift(self.n), self.digits
+            mask = (1 << (1 << shift)) - 1
+            _set_entries(self, tuple((self.low + i, v) for i in range(((d.bit_length() - 1) >> shift) + 1)
+                                     if (v := d >> (i << shift) & mask)))
+            return self._entries
+
     def value_at(self, index: int) -> int:
-        for idx, val in self.entries:
-            if idx == index:
-                return val
-        return 0
+        if index < self.low:
+            return 0
+        shift = digit_shift(self.n)
+        return self.digits >> ((index - self.low) << shift) & ((1 << (1 << shift)) - 1)
 
     def support(self) -> tuple[int, ...]:
         return tuple(idx for idx, _ in self.entries)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.digits
 
     def __add__(self, other: "LampConfig") -> "LampConfig":
         return lamp_add(self, other)
@@ -90,6 +124,43 @@ class LampConfig:
     def __sub__(self, other: "LampConfig") -> "LampConfig":
         return lamp_add(self, lamp_neg(other))
 
+    def __eq__(self, other):
+        if other.__class__ is not LampConfig:
+            return NotImplemented
+        return self.digits == other.digits and self.low == other.low and self.n == other.n
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"LampConfig(n={self.n!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        return (LampConfig, (self.n, self.entries))
+
+
+_set_n, _set_digits, _set_low, _set_hash, _set_entries = (
+    getattr(LampConfig, name).__set__ for name in LampConfig.__slots__)
+
+
+def packed_lamp(n: int, digits: int, low: int) -> LampConfig:
+    """The config with field i of ``digits`` at index ``low + i``, made
+    canonical: zero low fields are stripped, and the zero config sits at
+    low 0.  Every LampConfig is built here."""
+    if not digits:
+        low = 0
+    elif not digits & 1:
+        shift = digit_shift(n)
+        f = ((digits & -digits).bit_length() - 1) >> shift
+        digits >>= f << shift
+        low += f
+    cfg = object.__new__(LampConfig)
+    _set_n(cfg, n)
+    _set_digits(cfg, digits)
+    _set_low(cfg, low)
+    _set_hash(cfg, hash((digits, low)))
+    return cfg
+
 
 def _check_same_modulus(p: LampConfig, q: LampConfig) -> int:
     if p.n != q.n:
@@ -98,33 +169,29 @@ def _check_same_modulus(p: LampConfig, q: LampConfig) -> int:
 
 
 def lamp_add(p: LampConfig, q: LampConfig) -> LampConfig:
-    """Componentwise sum mod n; the abelian group law of ⊕ Z_n."""
+    """Componentwise sum mod n; the abelian group law of ⊕ Z_n.
+
+    Both configs are aligned at the lower of their ``low``s; for n = 2 the
+    sum is the XOR, otherwise q's nonzero fields are added into p's mod n.
+    """
     n = _check_same_modulus(p, q)
-    out: list[tuple[int, int]] = []
-    ap, aq = p.entries, q.entries
-    i = j = 0
-    while i < len(ap) and j < len(aq):
-        ip, vp = ap[i]
-        iq, vq = aq[j]
-        if ip < iq:
-            out.append((ip, vp))
-            i += 1
-        elif iq < ip:
-            out.append((iq, vq))
-            j += 1
-        else:
-            v = (vp + vq) % n
-            if v:
-                out.append((ip, v))
-            i += 1
-            j += 1
-    out.extend(ap[i:])
-    out.extend(aq[j:])
-    return LampConfig(n, tuple(out))
+    low = min(p.low, q.low)
+    shift = digit_shift(n)
+    a = p.digits << ((p.low - low) << shift)
+    b = q.digits << ((q.low - low) << shift)
+    if n == 2:
+        return packed_lamp(n, a ^ b, low)
+    width = 1 << shift
+    mask = (1 << width) - 1
+    for pos in range(0, b.bit_length(), width):
+        if v := b >> pos & mask:
+            x = a >> pos & mask
+            a += ((x + v) % n - x) << pos
+    return packed_lamp(n, a, low)
 
 
 def lamp_neg(p: LampConfig) -> LampConfig:
-    return LampConfig(p.n, tuple((i, p.n - v) for i, v in p.entries))
+    return p if p.n == 2 else LampConfig(p.n, tuple((i, p.n - v) for i, v in p.entries))
 
 
 @dataclass(frozen=True)
@@ -149,32 +216,21 @@ class SuppGap:
         return self.gap + 1
 
 
-def disagreement(ap: tuple[tuple[int, int], ...],
-                 aq: tuple[tuple[int, int], ...]) -> tuple[int, int] | None:
-    """First and last index where two canonical entry tuples differ, or None.
-
-    Equal entries are skipped from the front, then from the back; where each
-    scan stops, the outer of the two current indices is held by one side
-    only or with two values, so the configurations differ there.
-    """
-    i, la, lb = 0, len(ap), len(aq)
-    while i < la and i < lb and ap[i] == aq[i]:
-        i += 1
-    if i == la == lb:
+def diff_span(p: LampConfig, q: LampConfig) -> tuple[int, int] | None:
+    """First and last index where two configs of one modulus differ, or
+    None: the lowest and highest nonzero field of their aligned XOR."""
+    low = min(p.low, q.low)
+    shift = digit_shift(p.n)
+    d = (p.digits << ((p.low - low) << shift)) ^ (q.digits << ((q.low - low) << shift))
+    if not d:
         return None
-    first = min(ap[i][0] if i < la else aq[i][0], aq[i][0] if i < lb else ap[i][0])
-    i, j = la - 1, lb - 1
-    while i >= 0 and j >= 0 and ap[i] == aq[j]:
-        i -= 1
-        j -= 1
-    last = max(ap[i][0] if i >= 0 else aq[j][0], aq[j][0] if j >= 0 else ap[i][0])
-    return first, last
+    return low + (((d & -d).bit_length() - 1) >> shift), low + ((d.bit_length() - 1) >> shift)
 
 
 def supp_gap(p: LampConfig, q: LampConfig) -> SuppGap | None:
     """Disagreement interval of p and q, or None when p == q."""
     _check_same_modulus(p, q)
-    span = disagreement(p.entries, q.entries)
+    span = diff_span(p, q)
     if span is None:
         return None
     lo, hi = span

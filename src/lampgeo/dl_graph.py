@@ -9,23 +9,43 @@ breadth-first-search oracle over `neighbors`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
-from .base_groups import LampConfig, disagreement, lamp_neg
+from .base_groups import Frozen, LampConfig, diff_span, digit_shift, lamp_neg, packed_lamp
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class DLVertex:
-    """Vertex of DL(n,n): a lamp configuration plus the lamplighter position."""
+class DLVertex(Frozen):
+    """Vertex of DL(n,n): a lamp configuration plus the lamplighter position;
+    the hash is computed once, at construction."""
 
-    config: LampConfig
-    cursor: int
+    __slots__ = ("config", "cursor", "_hash")
+
+    def __init__(self, config: LampConfig, cursor: int):
+        _set_config(self, config)
+        _set_cursor(self, cursor)
+        _set_hash(self, hash((config._hash, cursor)))
 
     @property
     def n(self) -> int:
         return self.config.n
+
+    def __eq__(self, other):
+        if other.__class__ is not DLVertex:
+            return NotImplemented
+        return self.cursor == other.cursor and self.config == other.config
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"DLVertex(config={self.config!r}, cursor={self.cursor!r})"
+
+    def __reduce__(self):
+        return (DLVertex, (self.config, self.cursor))
+
+
+_set_config, _set_cursor, _set_hash = (getattr(DLVertex, name).__set__ for name in DLVertex.__slots__)
 
 
 def identity_vertex(n: int) -> DLVertex:
@@ -51,8 +71,11 @@ class TreeCoord:
 
 def tree_coords(v: DLVertex) -> tuple[TreeCoord, TreeCoord]:
     k = v.cursor
-    left = LampConfig(v.n, tuple((i, x) for i, x in v.config.entries if i < k))
-    right = LampConfig(v.n, tuple((i, x) for i, x in v.config.entries if i >= k))
+    cfg = v.config
+    # the fields below index k, and those from k on
+    cut = max(k - cfg.low, 0) << digit_shift(cfg.n)
+    left = packed_lamp(cfg.n, cfg.digits & ((1 << cut) - 1), cfg.low)
+    right = packed_lamp(cfg.n, cfg.digits >> cut << cut, cfg.low)
     return (TreeCoord("left", left, k), TreeCoord("right", right, -k))
 
 
@@ -60,19 +83,17 @@ def tree_coords(v: DLVertex) -> tuple[TreeCoord, TreeCoord]:
 # group structure (left multiplication is a graph isometry)
 # ---------------------------------------------------------------------------
 
-def _shift_entries(cfg: LampConfig, offset: int) -> LampConfig:
-    return LampConfig(cfg.n, tuple((i + offset, x) for i, x in cfg.entries))
-
-
 def dl_mul(g: DLVertex, h: DLVertex) -> DLVertex:
     """Group law ((x), k) * ((y), l) = ((x_i + y_{i-k}), k + l)."""
     if g.n != h.n:
         raise DomainError(f"modulus mismatch: {g.n} != {h.n}")
-    return DLVertex(g.config + _shift_entries(h.config, g.cursor), g.cursor + h.cursor)
+    y = h.config
+    return DLVertex(g.config + packed_lamp(y.n, y.digits, y.low + g.cursor), g.cursor + h.cursor)
 
 
 def dl_inv(g: DLVertex) -> DLVertex:
-    return DLVertex(_shift_entries(lamp_neg(g.config), -g.cursor), -g.cursor)
+    y = lamp_neg(g.config)
+    return DLVertex(packed_lamp(y.n, y.digits, y.low - g.cursor), -g.cursor)
 
 
 # ---------------------------------------------------------------------------
@@ -85,26 +106,22 @@ def neighbors(v: DLVertex) -> set[DLVertex]:
     Up-moves write s at the cursor index and step to k+1; down-moves write s
     at index k-1 and step to k-1 (s ranges over Z_n, s = 0 writes nothing).
     """
-    n = v.n
-    k = v.cursor
     cfg = v.config
-    out: set[DLVertex] = set()
-    for s in range(n):
-        up = cfg if s == 0 else LampConfig(n, _write_digit(cfg, k, s))
-        down = cfg if s == 0 else LampConfig(n, _write_digit(cfg, k - 1, s))
-        out.add(DLVertex(up, k + 1))
-        out.add(DLVertex(down, k - 1))
-    return out
-
-
-def _write_digit(cfg: LampConfig, index: int, s: int) -> tuple[tuple[int, int], ...]:
-    """The entries of cfg with s added to the digit at index."""
-    entries = cfg.entries
-    pos = bisect_left(entries, (index, 0))  # values are >= 1, so (index, 0) sorts first
-    if pos < len(entries) and entries[pos][0] == index:
-        v = (entries[pos][1] + s) % cfg.n
-        return entries[:pos] + (((index, v),) if v else ()) + entries[pos + 1:]
-    return entries[:pos] + ((index, s),) + entries[pos:]
+    n, digits, low = cfg.n, cfg.digits, cfg.low
+    k = v.cursor
+    shift = digit_shift(n)
+    mask = (1 << (1 << shift)) - 1
+    # up writes the field of index k, down the field of index k - 1; the
+    # digits are realigned at the written index when it lies below low
+    upat, downat = min(k, low), min(k - 1, low)
+    ups, downs = digits << ((low - upat) << shift), digits << ((low - downat) << shift)
+    uppos, downpos = (k - upat) << shift, (k - 1 - downat) << shift
+    x, y = ups >> uppos & mask, downs >> downpos & mask
+    out = [DLVertex(cfg, k + 1), DLVertex(cfg, k - 1)]
+    for s in range(1, n):
+        out += (DLVertex(packed_lamp(n, ups + (((x + s) % n - x) << uppos), upat), k + 1),
+                DLVertex(packed_lamp(n, downs + (((y + s) % n - y) << downpos), downat), k - 1))
+    return set(out)
 
 
 MAX_BALL_VERTICES = 1 << 16
@@ -168,7 +185,7 @@ def dl_distance(u: DLVertex, v: DLVertex) -> int:
     if u.n != v.n:
         raise DomainError(f"modulus mismatch: {u.n} != {v.n}")
     ku, kv = u.cursor, v.cursor
-    span = disagreement(u.config.entries, v.config.entries)
+    span = diff_span(u.config, v.config)
     c = min(ku, kv) if span is None else min(ku, kv, span[0])
     cp = max(ku, kv) if span is None else max(ku, kv, span[1] + 1)
     d_left = (ku - c) + (kv - c)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base_groups import LampConfig, digit_shift, lamp_delta, lamp_dl, lamp_du
+from .base_groups import LampConfig, digit_shift, lamp_delta, lamp_dl, lamp_du, packed_lamp
 from .dl_graph import DLVertex, ball, distances_from, identity_vertex, neighbors
 from .errors import DomainError, InternalError
 
@@ -131,7 +131,7 @@ def apply(m: BaseMap, x: LampConfig) -> LampConfig:
     if mod is not None and mod != x.n:
         raise DomainError(f"map modulus {mod} does not match configuration modulus {x.n}")
     if isinstance(m, Shift):
-        return LampConfig(x.n, tuple(sorted((i - m.j, v) for i, v in x.entries)))
+        return packed_lamp(x.n, x.digits, x.low - m.j)
     if isinstance(m, Translate):
         return x + m.c
     if isinstance(m, Inversion):
@@ -470,33 +470,6 @@ def induced_vertex_map(m: BaseMap) -> VertexMap:
     return VertexMap(m)
 
 
-def _mask_encoder(configs: set[LampConfig], n: int):
-    """Pack configurations into ints: index i gets a field of 2**shift bits
-    holding its digit, wide enough for n - 1, so two configurations differ
-    exactly at the fields where their XOR is nonzero."""
-    shift = digit_shift(n)
-    indices = [i for cfg in configs for i in cfg.support()]
-    off = -min(indices, default=0)
-
-    def enc(cfg: LampConfig) -> int:
-        mask = 0
-        for i, x in cfg.entries:
-            mask |= x << ((i + off) << shift)
-        return mask
-
-    return enc, off, shift
-
-
-def _mask_distance(mu: int, ku: int, mv: int, kv: int, off: int, shift: int) -> int:
-    """dl_distance on packed configurations: 2 * (c' - c) - |k_u - k_v|."""
-    d = mu ^ mv
-    if not d:
-        return abs(ku - kv)
-    lo = (((d & -d).bit_length() - 1) >> shift) - off
-    hi = ((d.bit_length() - 1) >> shift) - off
-    return 2 * (max(ku, kv, hi + 1) - min(ku, kv, lo)) - abs(ku - kv)
-
-
 def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
     """Max additive distance distortion |d(vm u, vm v) - d(u, v)| over all
     pairs in the radius ball around the identity vertex.
@@ -505,39 +478,61 @@ def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
     the ball meets its coset), because a vertex map keeps the cursor and
     maps fibres to fibres.  Two vertices of one fibre have distance
     |k_u - k_v| before and after, so they contribute 0.  For two fibres,
-    `_mask_distance` reads the configurations only through the first and
-    last disagreement, the lowest and highest set bits of the XOR d of the
-    source masks (e for the images).  When the map keeps both bits, every
-    cursor pair of the two fibres has deviation 0 and the pair is skipped;
-    otherwise the maximum over the cursor pairs depends only on those bits
-    and the two cursor tuples, and is computed once per such key.
+    the packed configurations, aligned at one common ``low``, are XORed: d
+    for the sources and e for the images.  With L the first nonzero field
+    of an XOR, H its last nonzero field + 1, and m <= M the cursors of a
+    vertex pair, dl_distance is 2 * (max(M, H) - min(m, L)) - (M - m).
+    The M - m terms of the two distances cancel, so the pair deviates by
+
+        2 * |(max(M, H_e) - max(M, H_d)) - (min(m, L_e) - min(m, L_d))|.
+
+    Both XORs are nonzero for distinct fibres of a bijection.  When the
+    map keeps both fields, L_e = L_d and H_e = H_d, every cursor pair has
+    deviation 0 and the fibre pair is skipped; otherwise the maximum over
+    the cursor pairs depends only on the four fields and the two cursor
+    tuples, and is computed once per such key.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
     n = n or vm.base.modulus() or 2
+    shift = digit_shift(n)
     fibres: dict[LampConfig, list[int]] = {}
     for v in ball(identity_vertex(n), radius):
         fibres.setdefault(v.config, []).append(v.cursor)
     images = {cfg: vm(DLVertex(cfg, ks[0])).config for cfg, ks in fibres.items()}
-    enc, off, shift = _mask_encoder(set(fibres) | set(images.values()), n)
-    packed = [(enc(cfg), enc(images[cfg]), tuple(sorted(ks))) for cfg, ks in fibres.items()]
+    low = min(cfg.low for cfg in (*fibres, *images.values()))
+    packed = [(cfg.digits << ((cfg.low - low) << shift), img.digits << ((img.low - low) << shift),
+               tuple(sorted(fibres[cfg]))) for cfg, img in images.items()]
     memo: dict[tuple, int] = {}
     worst = 0
     for a, (ma, na, ka) in enumerate(packed):
         for mb, nb, kb in packed[a + 1:]:
             d = ma ^ mb
             e = na ^ nb
-            dlo, dhi, elo, ehi = d & -d, d.bit_length(), e & -e, e.bit_length()
-            if dlo == elo and dhi == ehi:
+            # first and last disagreement field of each XOR
+            ld, hd = ((d & -d).bit_length() - 1) >> shift, (d.bit_length() - 1) >> shift
+            le, he = ((e & -e).bit_length() - 1) >> shift, (e.bit_length() - 1) >> shift
+            if ld == le and hd == he:
                 continue
-            key = (dlo, dhi, elo, ehi, ka, kb)
+            key = (ld, hd, le, he, ka, kb)
             dev = memo.get(key)
             if dev is None:
-                # _mask_distance reads its two masks only through their XOR
-                dev = memo[key] = max(
-                    abs(_mask_distance(e, ku, 0, kv, off, shift)
-                        - _mask_distance(d, ku, 0, kv, off, shift))
-                    for ku in ka for kv in kb)
+                ld, hd, le, he = ld + low, hd + low + 1, le + low, he + low + 1
+                if not e:
+                    # equal images (a map that is not injective): a span
+                    # outside every cursor, so the image distance is M - m
+                    le, he = radius, -radius
+                # the M-term and the m-term of each cursor of the second fibre
+                terms = [(k, max(k, he) - max(k, hd), min(k, le) - min(k, ld)) for k in kb]
+                dev = 0
+                for ku in ka:
+                    gu = max(ku, he) - max(ku, hd)
+                    hu = min(ku, le) - min(ku, ld)
+                    for kv, gv, hv in terms:
+                        x = abs(gv - hu if ku <= kv else gu - hv)
+                        if x > dev:
+                            dev = x
+                dev = memo[key] = 2 * dev
             if dev > worst:
                 worst = dev
     return worst

@@ -797,7 +797,8 @@ def _lamp_generates_window(sigma: GeneratorSet, window: tuple[int, int]) -> int 
         raise DomainError(f"n = {sigma.family.n} is above the factoring bound {MAX_LAMP_MODULUS}")
     lo, hi = window
     width = hi - lo
-    vecs = [[p.value_at(lo + i) for i in range(width)] for p in sigma.elements]
+    lamps = [dict(p.entries) for p in sigma.elements]
+    vecs = [[row.get(i, 0) for i in range(lo, hi)] for row in lamps]
     primes, m, d = [], sigma.family.n, 2
     while d * d <= m:
         if m % d == 0:

@@ -8,6 +8,7 @@ import pytest
 
 import lampgeo as lg
 from lampgeo import DomainError, LampConfig
+from lampgeo.base_groups import digit_shift
 from lampgeo.maps import (
     BlockPerm,
     Compose,
@@ -416,14 +417,27 @@ def _random_block_perm(rng, m, n):
     return BlockPerm.from_pairs(m, zip(strings, images), n=n)
 
 
-@pytest.mark.parametrize("m,n,radius,count,seed", [(3, 2, 5, 6, 61), (2, 3, 3, 4, 62)])
+@pytest.mark.parametrize("m,n,radius,count,seed", [(3, 2, 5, 6, 61), (2, 3, 3, 4, 62),
+                                                   (2, 3, 4, 2, 63), (3, 3, 3, 2, 64),
+                                                   (2, 4, 3, 3, 65)])
 def test_qi_distortion_random_block_perms_match_pair_loop(m, n, radius, count, seed):
-    # the fibre scan skips fibre pairs and memoizes per disagreement key;
+    # the fibre scan skips fibre pairs and memoizes per disagreement key,
+    # comparing digit fields (for n > 2 a field is wider than one bit);
     # the plain dl_distance loop over every vertex pair does neither
     rng = random.Random(seed)
     for _ in range(count):
         vm = lg.induced_vertex_map(_random_block_perm(rng, m, n))
         assert lg.qi_distortion(vm, radius, n=n) == _qi_distortion_pair_loop(vm, radius, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_qi_distortion_of_a_non_injective_map_matches_pair_loop(n):
+    # a VertexMap built directly may merge fibres; their images then agree,
+    # and the image distance of such a pair is |k_u - k_v|
+    bp = BlockPerm.from_pairs(2, [("10", "00"), ("01", "10")], n=n)
+    vm = lg.VertexMap(bp)
+    for r in range(4):
+        assert lg.qi_distortion(vm, r, n=n) == _qi_distortion_pair_loop(vm, r, n)
 
 
 @pytest.mark.parametrize("j,radius", [(2, 3), (3, 3), (3, 4), (4, 4)])
@@ -438,15 +452,26 @@ def test_qi_distortion_edge_transposition_matches_pair_loop(j, radius):
 
 
 def test_mask_distance_agrees_with_closed_form():
+    # the reading qi_distortion makes of two packed configs aligned at one
+    # common low: with L the first field of their XOR, H the last one + 1
+    # and m <= M the cursors, the distance is 2 * (max(M, H) - min(m, L)) - (M - m)
     rng = random.Random(23)
-    from lampgeo.maps import _mask_distance, _mask_encoder
-    for n, radius in ((2, 4), (3, 3)):
+    for n, radius in ((2, 4), (3, 3), (4, 3)):
         verts = sorted(lg.ball(lg.identity_vertex(n), radius),
                        key=lambda v: (v.cursor, v.config.entries))
-        enc, off, shift = _mask_encoder({v.config for v in verts}, n)
+        shift = digit_shift(n)
+        low = min(v.config.low for v in verts)
         for _ in range(300):
             u, v = rng.choice(verts), rng.choice(verts)
-            fast = _mask_distance(enc(u.config), u.cursor, enc(v.config), v.cursor, off, shift)
+            d = (u.config.digits << ((u.config.low - low) << shift)) ^ \
+                (v.config.digits << ((v.config.low - low) << shift))
+            m, big = sorted((u.cursor, v.cursor))
+            if d:
+                lo = low + (((d & -d).bit_length() - 1) >> shift)
+                hi = low + ((d.bit_length() - 1) >> shift) + 1
+                fast = 2 * (max(big, hi) - min(m, lo)) - (big - m)
+            else:
+                fast = big - m
             assert fast == lg.dl_distance(u, v)
 
 
