@@ -5,7 +5,10 @@ Three base groups B are supported exactly:
 * the lamplighter base ``⊕_Z Z_n`` (finitely supported configurations),
   packed into digit fields of one int: two configurations aligned at one
   ``low`` differ exactly at the nonzero fields of their XOR, and for n = 2
-  the sum is that XOR,
+  the sum is that XOR.  The field layout is read and written only here
+  (``lamp_align``, ``digits_at``, ``lamp_rewrites``, ``lamp_split``), and
+  the packed int of a config or an aligned pair has at most
+  ``MAX_LAMP_BITS`` bits,
 * ``Z[1/n]`` in normalized form ``r * n^k`` with ``n ∤ r``,
 * ``Z^2`` carrying the quadratic form left invariant by a hyperbolic
   ``A ∈ SL(2,Z)``.
@@ -18,6 +21,7 @@ in SOL coarse-height diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -35,14 +39,36 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 class Frozen:
     """Base of the slotted value types: attributes are set once, through
-    their slot descriptors, by the module that builds the object."""
+    their slot descriptors, by the module that builds the object.  The repr
+    and the pickle form list the constructor arguments named in ``_fields``."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value=None):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+# The packed int of a configuration, and of two configurations aligned for
+# one operation, has at most this many bits: a field of 2^digit_shift(n) bits
+# for every index from the lowest to the highest (2^16 indices for n = 2,
+# 2^15 for n = 3 or 4).  This bounds memory, and time too: at the edge, a
+# dense n = 3 sum with its entries takes about 0.35 s on a 2-vCPU VM
+MAX_LAMP_BITS = 1 << 16
+
+
+def _span_error(span: int, shift: int) -> DomainError:
+    return DomainError(f"a configuration spanning {span} indices of {1 << shift} bits each is "
+                       f"above the budget of MAX_LAMP_BITS = {MAX_LAMP_BITS} bits")
 
 
 class LampConfig(Frozen):
@@ -53,10 +79,12 @@ class LampConfig(Frozen):
     zero config).  The form is canonical, so equality compares (n, low,
     digits) and the hash is computed once.  ``entries``, the (index, value)
     pairs sorted by index with values in 1..n-1, is kept from the
-    constructor or derived on first read.
+    constructor or derived on first read.  A config whose fields would take
+    more than MAX_LAMP_BITS bits raises DomainError.
     """
 
     __slots__ = ("n", "digits", "low", "_hash", "_entries")
+    _fields = ("n", "entries")
 
     def __new__(cls, n: int, entries: tuple[tuple[int, int], ...] = ()):
         if n < 2:
@@ -70,6 +98,8 @@ class LampConfig(Frozen):
                 raise DomainError("entries must be strictly sorted by index")
             if not 0 < val < n:
                 raise DomainError(f"value {val} at index {idx} not in 1..{n - 1}")
+            if (idx - low + 1) << shift > MAX_LAMP_BITS:
+                raise _span_error(idx - low + 1, shift)
             digits |= val << ((idx - low) << shift)
             prev = idx
         cfg = packed_lamp(n, digits, low)
@@ -97,10 +127,9 @@ class LampConfig(Frozen):
         try:
             return self._entries
         except AttributeError:
-            shift, d = digit_shift(self.n), self.digits
-            mask = (1 << (1 << shift)) - 1
-            _set_entries(self, tuple((self.low + i, v) for i in range(((d.bit_length() - 1) >> shift) + 1)
-                                     if (v := d >> (i << shift) & mask)))
+            shift = digit_shift(self.n)
+            _set_entries(self, tuple((self.low + (pos >> shift), v)
+                                     for pos, v in _nonzero_fields(self.digits, shift)))
             return self._entries
 
     def value_at(self, index: int) -> int:
@@ -131,12 +160,6 @@ class LampConfig(Frozen):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"LampConfig(n={self.n!r}, entries={self.entries!r})"
-
-    def __reduce__(self):
-        return (LampConfig, (self.n, self.entries))
 
 
 _set_n, _set_digits, _set_low, _set_hash, _set_entries = (
@@ -171,27 +194,84 @@ def _check_same_modulus(p: LampConfig, q: LampConfig) -> int:
 def lamp_add(p: LampConfig, q: LampConfig) -> LampConfig:
     """Componentwise sum mod n; the abelian group law of ⊕ Z_n.
 
-    Both configs are aligned at the lower of their ``low``s; for n = 2 the
-    sum is the XOR, otherwise q's nonzero fields are added into p's mod n.
+    Both configs are aligned by ``lamp_align``; for n = 2 the sum is the
+    XOR, otherwise q's nonzero fields are added into p's mod n.
     """
     n = _check_same_modulus(p, q)
-    low = min(p.low, q.low)
-    shift = digit_shift(n)
-    a = p.digits << ((p.low - low) << shift)
-    b = q.digits << ((q.low - low) << shift)
+    a, b, low = lamp_align(p, q)
     if n == 2:
         return packed_lamp(n, a ^ b, low)
-    width = 1 << shift
-    mask = (1 << width) - 1
-    for pos in range(0, b.bit_length(), width):
-        if v := b >> pos & mask:
-            x = a >> pos & mask
-            a += ((x + v) % n - x) << pos
+    shift = digit_shift(n)
+    mask = (1 << (1 << shift)) - 1
+    for pos, v in _nonzero_fields(b, shift):
+        x = a >> pos & mask
+        a += ((x + v) % n - x) << pos
     return packed_lamp(n, a, low)
+
+
+def _nonzero_fields(d: int, shift: int):
+    """(bit position, value) of each nonzero field of d, lowest first: the
+    cost grows with the nonzero fields, not with the span."""
+    mask = (1 << (1 << shift)) - 1
+    while d:
+        pos = ((d & -d).bit_length() - 1) >> shift << shift
+        v = d >> pos & mask
+        yield pos, v
+        d ^= v << pos
 
 
 def lamp_neg(p: LampConfig) -> LampConfig:
     return p if p.n == 2 else LampConfig(p.n, tuple((i, p.n - v) for i, v in p.entries))
+
+
+def digits_at(cfg: LampConfig, low: int) -> int:
+    """cfg's digits with field 0 at index low, which is at most cfg.low
+    unless cfg is zero; DomainError past MAX_LAMP_BITS."""
+    d, by = cfg.digits, cfg.low - low
+    if not by or not d:
+        return d
+    shift = digit_shift(cfg.n)
+    span = by + ((d.bit_length() - 1) >> shift) + 1
+    if span << shift > MAX_LAMP_BITS:
+        raise _span_error(span, shift)
+    return d << (by << shift)
+
+
+def lamp_align(p: LampConfig, q: LampConfig) -> tuple[int, int, int]:
+    """p's and q's digits aligned at one low, and that low: the lower of
+    their lows, or the other one's when p or q is zero."""
+    pl, ql = p.low, q.low
+    if pl == ql or not q.digits:
+        return p.digits, q.digits, pl
+    if ql < pl or not p.digits:
+        return digits_at(p, ql), q.digits, ql
+    return p.digits, digits_at(q, pl), pl
+
+
+def lamp_rewrites(cfg: LampConfig, index: int) -> list[LampConfig]:
+    """The n - 1 configs that differ from cfg at index alone, with s added
+    to its digit there for s = 1..n-1: one digit field written per config."""
+    n, digits, low = cfg.n, cfg.digits, cfg.low
+    shift = digit_shift(n)
+    if not digits or index < low:
+        digits, low = digits_at(cfg, index), index
+    elif (index - low + 1) << shift > MAX_LAMP_BITS:
+        raise _span_error(index - low + 1, shift)
+    pos = (index - low) << shift
+    if n == 2:
+        return [packed_lamp(2, digits ^ (1 << pos), low)]
+    x = digits >> pos & ((1 << (1 << shift)) - 1)
+    return [packed_lamp(n, digits + (((x + s) % n - x) << pos), low) for s in range(1, n)]
+
+
+def lamp_split(cfg: LampConfig, index: int) -> tuple[LampConfig, LampConfig]:
+    """The parts of cfg below index and from index on."""
+    n, d = cfg.n, cfg.digits
+    at = max(index, cfg.low)
+    cut = (at - cfg.low) << digit_shift(n)
+    if cut >= d.bit_length():
+        return cfg, packed_lamp(n, 0, 0)
+    return packed_lamp(n, d & ((1 << cut) - 1), cfg.low), packed_lamp(n, d >> cut, at)
 
 
 @dataclass(frozen=True)
@@ -219,11 +299,10 @@ class SuppGap:
 def diff_span(p: LampConfig, q: LampConfig) -> tuple[int, int] | None:
     """First and last index where two configs of one modulus differ, or
     None: the lowest and highest nonzero field of their aligned XOR."""
-    low = min(p.low, q.low)
-    shift = digit_shift(p.n)
-    d = (p.digits << ((p.low - low) << shift)) ^ (q.digits << ((q.low - low) << shift))
-    if not d:
+    a, b, low = lamp_align(p, q)
+    if not (d := a ^ b):
         return None
+    shift = digit_shift(p.n)
     return low + (((d & -d).bit_length() - 1) >> shift), low + ((d.bit_length() - 1) >> shift)
 
 
@@ -261,6 +340,7 @@ def lamp_du(p: LampConfig, q: LampConfig) -> Fraction:
     return Fraction(p.n) ** sg.l_minus
 
 
+@functools.lru_cache(maxsize=64)
 def digit_shift(n: int) -> int:
     """log2 of the bit width of a packed Z_n digit field: the smallest power
     of two of bits that holds n - 1 (0 for n = 2, so a field is one bit)."""

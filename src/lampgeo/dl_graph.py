@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base_groups import Frozen, LampConfig, diff_span, digit_shift, lamp_neg, packed_lamp
+from .base_groups import Frozen, LampConfig, diff_span, lamp_neg, lamp_rewrites, lamp_split, packed_lamp
 from .errors import DomainError
 
 
@@ -20,6 +20,7 @@ class DLVertex(Frozen):
     the hash is computed once, at construction."""
 
     __slots__ = ("config", "cursor", "_hash")
+    _fields = ("config", "cursor")
 
     def __init__(self, config: LampConfig, cursor: int):
         _set_config(self, config)
@@ -37,12 +38,6 @@ class DLVertex(Frozen):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"DLVertex(config={self.config!r}, cursor={self.cursor!r})"
-
-    def __reduce__(self):
-        return (DLVertex, (self.config, self.cursor))
 
 
 _set_config, _set_cursor, _set_hash = (getattr(DLVertex, name).__set__ for name in DLVertex.__slots__)
@@ -71,11 +66,7 @@ class TreeCoord:
 
 def tree_coords(v: DLVertex) -> tuple[TreeCoord, TreeCoord]:
     k = v.cursor
-    cfg = v.config
-    # the fields below index k, and those from k on
-    cut = max(k - cfg.low, 0) << digit_shift(cfg.n)
-    left = packed_lamp(cfg.n, cfg.digits & ((1 << cut) - 1), cfg.low)
-    right = packed_lamp(cfg.n, cfg.digits >> cut << cut, cfg.low)
+    left, right = lamp_split(v.config, k)
     return (TreeCoord("left", left, k), TreeCoord("right", right, -k))
 
 
@@ -106,22 +97,12 @@ def neighbors(v: DLVertex) -> set[DLVertex]:
     Up-moves write s at the cursor index and step to k+1; down-moves write s
     at index k-1 and step to k-1 (s ranges over Z_n, s = 0 writes nothing).
     """
-    cfg = v.config
-    n, digits, low = cfg.n, cfg.digits, cfg.low
-    k = v.cursor
-    shift = digit_shift(n)
-    mask = (1 << (1 << shift)) - 1
-    # up writes the field of index k, down the field of index k - 1; the
-    # digits are realigned at the written index when it lies below low
-    upat, downat = min(k, low), min(k - 1, low)
-    ups, downs = digits << ((low - upat) << shift), digits << ((low - downat) << shift)
-    uppos, downpos = (k - upat) << shift, (k - 1 - downat) << shift
-    x, y = ups >> uppos & mask, downs >> downpos & mask
-    out = [DLVertex(cfg, k + 1), DLVertex(cfg, k - 1)]
-    for s in range(1, n):
-        out += (DLVertex(packed_lamp(n, ups + (((x + s) % n - x) << uppos), upat), k + 1),
-                DLVertex(packed_lamp(n, downs + (((y + s) % n - y) << downpos), downat), k - 1))
-    return set(out)
+    cfg, k = v.config, v.cursor
+    out = {DLVertex(cfg, k + 1), DLVertex(cfg, k - 1)}
+    for up, down in zip(lamp_rewrites(cfg, k), lamp_rewrites(cfg, k - 1)):
+        out.add(DLVertex(up, k + 1))
+        out.add(DLVertex(down, k - 1))
+    return out
 
 
 MAX_BALL_VERTICES = 1 << 16

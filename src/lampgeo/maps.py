@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base_groups import LampConfig, digit_shift, lamp_delta, lamp_dl, lamp_du, packed_lamp
+from .base_groups import LampConfig, digit_shift, digits_at, lamp_delta, lamp_dl, lamp_du, packed_lamp
 from .dl_graph import DLVertex, ball, distances_from, identity_vertex, neighbors
 from .errors import DomainError, InternalError
 
@@ -141,9 +141,8 @@ def apply(m: BaseMap, x: LampConfig) -> LampConfig:
         t = m.image_string(s)
         if t == s:
             return x
-        entries = [e for e in x.entries if not 0 <= e[0] < m.m]
-        entries.extend((i, int(ch)) for i, ch in enumerate(t) if ch != "0")
-        return LampConfig(x.n, tuple(sorted(entries)))
+        # x agrees with s on the window, so adding t - s there writes t
+        return x + LampConfig.of(x.n, [(i, int(b) - int(a)) for i, (a, b) in enumerate(zip(s, t))])
     if isinstance(m, Compose):
         for part in reversed(m.maps):
             x = apply(part, x)
@@ -177,10 +176,8 @@ def window_configs(n: int, window: Window) -> list[LampConfig]:
         raise DomainError("empty window")
     if n ** width > _MAX_WINDOW_STATES:
         raise DomainError(f"window of width {width} over Z_{n} is too large to enumerate")
-    out = []
-    for digits in itertools.product(range(n), repeat=width):
-        out.append(LampConfig(n, tuple((lo + i, v) for i, v in enumerate(digits) if v)))
-    return out
+    return [LampConfig(n, tuple((lo + i, v) for i, v in enumerate(digits) if v))
+            for digits in itertools.product(range(n), repeat=width)]
 
 
 def is_bijection_on_window(m: BaseMap, window: Window) -> bool:
@@ -500,16 +497,17 @@ def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
     for v in ball(identity_vertex(n), radius):
         fibres.setdefault(v.config, []).append(v.cursor)
     images = {cfg: vm(DLVertex(cfg, ks[0])).config for cfg, ks in fibres.items()}
-    low = min(cfg.low for cfg in (*fibres, *images.values()))
-    packed = [(cfg.digits << ((cfg.low - low) << shift), img.digits << ((img.low - low) << shift),
-               tuple(sorted(fibres[cfg]))) for cfg, img in images.items()]
+    low = min((cfg.low for cfg in (*fibres, *images.values()) if cfg.digits), default=0)
+    packed = [(digits_at(cfg, low), digits_at(img, low), tuple(sorted(fibres[cfg])))
+              for cfg, img in images.items()]
     memo: dict[tuple, int] = {}
     worst = 0
     for a, (ma, na, ka) in enumerate(packed):
         for mb, nb, kb in packed[a + 1:]:
             d = ma ^ mb
             e = na ^ nb
-            # first and last disagreement field of each XOR
+            # first and last disagreement field of each XOR, read as in
+            # diff_span, inline: a call per XOR would cost a third of the scan
             ld, hd = ((d & -d).bit_length() - 1) >> shift, (d.bit_length() - 1) >> shift
             le, he = ((e & -e).bit_length() - 1) >> shift, (e.bit_length() - 1) >> shift
             if ld == le and hd == he:
@@ -577,10 +575,8 @@ def isometry_search(
     updeg = [sum(1 for w in ws if height[w] == height[i] + 1) for i, ws in enumerate(adj_sets)]
     downdeg = [len(ws) - u for ws, u in zip(adj_sets, updeg)]
 
-    cfg_ids: dict[tuple, int] = {}
-    cls = []
-    for v in verts:
-        cls.append(cfg_ids.setdefault(v.config.entries, len(cfg_ids)))
+    cfg_ids: dict[LampConfig, int] = {}
+    cls = [cfg_ids.setdefault(v.config, len(cfg_ids)) for v in verts]
     fiber_size = [0] * len(cfg_ids)
     for c in cls:
         fiber_size[c] += 1
@@ -599,7 +595,7 @@ def isometry_search(
         pools.setdefault(sigs[i], []).append(i)
 
     inner_set = [i for i in range(nverts) if dcenter[i] <= radius - 1]
-    geodesic = [i for i, v in enumerate(verts) if not v.config.entries] if fix_identity_coset else []
+    geodesic = [i for i, v in enumerate(verts) if v.config.is_zero()] if fix_identity_coset else []
     # assignment order: pre-fixed geodesic first, then BFS from the centre over
     # the inner ball (reaching all of it) so every new vertex touches an already-
     # assigned one; boundary-sphere vertices come last and are only completed
@@ -635,7 +631,7 @@ def isometry_search(
     def candidates(i: int):
         # identity-coset vertices may only map to themselves, but still have
         # to pass every consistency check like any other assignment
-        if fix_identity_coset and not verts[i].config.entries:
+        if fix_identity_coset and verts[i].config.is_zero():
             pool = (i,)
         else:
             pool = pools[sigs[i]]

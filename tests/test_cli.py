@@ -179,6 +179,36 @@ def test_map_scans_past_pair_budget_exit_2_quickly(argv):
     assert seconds < 1.0
 
 
+FAR = str(10 ** 15)
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist", "--u", f"0:1,{FAR}:1|0", "--v", "|0"),
+    ("dist", "--u", f"{FAR}:1|0", "--v", "0:1|0"),
+    ("ball", "--center", f"0:1|{FAR}", "--radius", "1"),
+    ("map", "qi-distortion", "--map", f"shift:{FAR}", "--radius", "2"),
+    ("map", "apply", "--map", "translate:0:1", "--x", f"{FAR}:1"),
+], ids=["one-config", "aligned-pair", "far-write", "qi-shift", "translate"])
+def test_lamp_configs_past_span_budget_exit_2_quickly(argv):
+    # a config is one int with a digit field for every index of its span:
+    # these would ask for about 10^15 bits
+    proc, seconds = _run_child(argv)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "MAX_LAMP_BITS" in proc.stderr
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist", "--u", f"{FAR}:1|0", "--v", "|0", "--format", "text"),
+    ("ball", "--center", f"|{FAR}", "--radius", "1"),
+    ("map", "apply", "--map", f"shift:{FAR}", "--x", "0:1", "--format", "text"),
+], ids=["zero-pair", "zero-ball", "shift"])
+def test_far_indices_within_span_budget_answer_quickly(argv):
+    proc, seconds = _run_child(argv)
+    assert proc.returncode == EXIT_OK and seconds < 1.0
+
+
 def test_verify_schwartz_past_box_budget_exits_2_quickly():
     # the row lister is O(box); unbounded, box 10^8 runs for minutes
     proc, seconds = _run_child(["verify", "schwartz", "--matrix", "2,1,1,1", "--eps", "1",

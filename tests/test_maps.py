@@ -8,7 +8,7 @@ import pytest
 
 import lampgeo as lg
 from lampgeo import DomainError, LampConfig
-from lampgeo.base_groups import digit_shift
+from lampgeo.base_groups import diff_span, digit_shift, digits_at
 from lampgeo.maps import (
     BlockPerm,
     Compose,
@@ -453,24 +453,27 @@ def test_qi_distortion_edge_transposition_matches_pair_loop(j, radius):
 
 def test_mask_distance_agrees_with_closed_form():
     # the reading qi_distortion makes of two packed configs aligned at one
-    # common low: with L the first field of their XOR, H the last one + 1
-    # and m <= M the cursors, the distance is 2 * (max(M, H) - min(m, L)) - (M - m)
+    # common low by digits_at: the first and last field of their XOR are
+    # diff_span's, and with L the first, H the last + 1 and m <= M the
+    # cursors, the distance is 2 * (max(M, H) - min(m, L)) - (M - m)
     rng = random.Random(23)
     for n, radius in ((2, 4), (3, 3), (4, 3)):
         verts = sorted(lg.ball(lg.identity_vertex(n), radius),
                        key=lambda v: (v.cursor, v.config.entries))
         shift = digit_shift(n)
-        low = min(v.config.low for v in verts)
+        low = min(v.config.low for v in verts if v.config.digits)
         for _ in range(300):
             u, v = rng.choice(verts), rng.choice(verts)
-            d = (u.config.digits << ((u.config.low - low) << shift)) ^ \
-                (v.config.digits << ((v.config.low - low) << shift))
+            d = digits_at(u.config, low) ^ digits_at(v.config, low)
+            span = diff_span(u.config, v.config)
             m, big = sorted((u.cursor, v.cursor))
             if d:
                 lo = low + (((d & -d).bit_length() - 1) >> shift)
                 hi = low + ((d.bit_length() - 1) >> shift) + 1
+                assert span == (lo, hi - 1)
                 fast = 2 * (max(big, hi) - min(m, lo)) - (big - m)
             else:
+                assert span is None
                 fast = big - m
             assert fast == lg.dl_distance(u, v)
 

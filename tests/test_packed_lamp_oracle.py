@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lampgeo as lg
-from lampgeo import DLVertex, LampConfig
+from lampgeo import DLVertex, DomainError, LampConfig
+from lampgeo.base_groups import MAX_LAMP_BITS, digit_shift, lamp_align, packed_lamp
 
 MODULI = [2, 3, 4, 5, 10]
 
@@ -170,6 +171,16 @@ def test_dl_graph_operations_match_tuple_oracles(pq, ku, kv):
         assert_canonical(cfg)
 
 
+@given(config_pair())
+@settings(max_examples=200)
+def test_lamp_align_keeps_both_configs(pq):
+    p, q = pq
+    a, b, low = lamp_align(p, q)
+    assert packed_lamp(p.n, a, low) == p and packed_lamp(q.n, b, low) == q
+    lows = [cfg.low for cfg in (p, q) if not cfg.is_zero()]
+    assert low == min(lows, default=0)
+
+
 @pytest.mark.parametrize("n", MODULI)
 def test_value_at_and_support_match_entries(n):
     cfg = LampConfig.of(n, {-7: 1, -2: n - 1, 0: 1, 5: n - 1})
@@ -243,3 +254,50 @@ def test_copy_and_pickle_round_trip():
     v = DLVertex(LampConfig(5, ((-2, 4), (3, 1))), 2)
     for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
         assert w == v and hash(w) == hash(v) and repr(w) == repr(v)
+
+
+# ---------------------------------------------------------------------------
+# the span budget: a packed int spends a field on every index between the
+# lowest and the highest one, so no config or aligned pair has more than
+# MAX_LAMP_BITS bits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_config_spans_at_most_the_budget(n):
+    top = (MAX_LAMP_BITS >> digit_shift(n)) - 1
+    assert LampConfig(n, ((0, 1), (top, 1))).entries == ((0, 1), (top, 1))
+    with pytest.raises(DomainError, match="MAX_LAMP_BITS"):
+        LampConfig(n, ((0, 1), (top + 1, 1)))
+    with pytest.raises(DomainError, match="MAX_LAMP_BITS"):
+        LampConfig.of(n, {-10 ** 15: 1, 10 ** 15: 1})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_aligned_pair_spans_at_most_the_budget(n):
+    top = (MAX_LAMP_BITS >> digit_shift(n)) - 1
+    near, far = LampConfig(n, ((0, 1),)), LampConfig(n, ((top, 1),))
+    assert lg.supp_gap(near, far).gap == top
+    assert (near + far).support() == (0, top)
+    assert (far + near - far).entries == ((0, 1),)
+    beyond = LampConfig(n, ((10 ** 15, 1),))
+    for op in (lg.lamp_add, lg.supp_gap):
+        with pytest.raises(DomainError, match="MAX_LAMP_BITS"):
+            op(near, beyond)
+    with pytest.raises(DomainError, match="MAX_LAMP_BITS"):
+        lg.dl_distance(DLVertex(near, 0), DLVertex(beyond, 0))
+    # the zero config and moved lows cost nothing
+    zero = LampConfig.zero(n)
+    assert lg.supp_gap(zero, beyond).l_plus == 10 ** 15 and beyond + zero == beyond
+    assert lg.dl_inv(DLVertex(beyond, -10 ** 15)).config.support() == (2 * 10 ** 15,)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_write_far_from_the_config_is_refused(n):
+    far = 10 ** 15
+    assert {w.config.support() for w in lg.neighbors(DLVertex(LampConfig.zero(n), far))} \
+        == {(), (far,), (far - 1,)}
+    for cursor in (far, -far):
+        with pytest.raises(DomainError, match="MAX_LAMP_BITS"):
+            lg.neighbors(DLVertex(LampConfig(n, ((0, 1),)), cursor))
+    left, right = lg.tree_coords(DLVertex(LampConfig(n, ((0, 1),)), far))
+    assert left.germ.support() == (0,) and right.germ.is_zero()
