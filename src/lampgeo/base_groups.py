@@ -13,10 +13,9 @@ Three base groups B are supported exactly:
 * ``Z^2`` carrying the quadratic form left invariant by a hyperbolic
   ``A ∈ SL(2,Z)``.
 
-On each we compute the product boundary quantity ``delta``, the lower and
-upper boundary metrics where they make sense, and coarse-height intervals.
-All pass/fail arithmetic is exact (ints and Fractions); floats appear only
-in SOL coarse-height diagnostics.
+On each we compute the product boundary quantity ``delta`` and the lower
+and upper boundary metrics where they make sense.  All arithmetic is exact
+(ints and Fractions); no float appears.
 """
 
 from __future__ import annotations
@@ -195,18 +194,22 @@ def lamp_add(p: LampConfig, q: LampConfig) -> LampConfig:
     """Componentwise sum mod n; the abelian group law of ⊕ Z_n.
 
     Both configs are aligned by ``lamp_align``; for n = 2 the sum is the
-    XOR, otherwise q's nonzero fields are added into p's mod n.
+    XOR, otherwise it is ``digit_sum``.
     """
     n = _check_same_modulus(p, q)
     a, b, low = lamp_align(p, q)
-    if n == 2:
-        return packed_lamp(n, a ^ b, low)
+    return packed_lamp(n, a ^ b if n == 2 else digit_sum(a, b, n), low)
+
+
+def digit_sum(a: int, b: int, n: int) -> int:
+    """Fieldwise sum mod n of two packed digit strings at one alignment:
+    b's nonzero fields are added into a's, so the cost grows with them."""
     shift = digit_shift(n)
     mask = (1 << (1 << shift)) - 1
     for pos, v in _nonzero_fields(b, shift):
         x = a >> pos & mask
         a += ((x + v) % n - x) << pos
-    return packed_lamp(n, a, low)
+    return a
 
 
 def _nonzero_fields(d: int, shift: int):
@@ -318,26 +321,30 @@ def supp_gap(p: LampConfig, q: LampConfig) -> SuppGap | None:
 
 def lamp_delta(p: LampConfig, q: LampConfig) -> tuple[int, int | None]:
     """delta(p,q) = n^gap and the gap itself; (0, None) when p == q."""
-    sg = supp_gap(p, q)
-    if sg is None:
+    n = _check_same_modulus(p, q)
+    span = diff_span(p, q)
+    if span is None:
         return 0, None
-    return p.n ** sg.gap, sg.gap
+    gap = span[1] - span[0]
+    return n ** gap, gap
 
 
 def lamp_dl(p: LampConfig, q: LampConfig) -> Fraction:
     """Lower-boundary metric n^(-l_plus). Requires p != q."""
-    sg = supp_gap(p, q)
-    if sg is None:
+    n = _check_same_modulus(p, q)
+    span = diff_span(p, q)
+    if span is None:
         raise DomainError("lower-boundary metric needs distinct configurations")
-    return Fraction(p.n) ** (-sg.l_plus)
+    return Fraction(n) ** -span[0]
 
 
 def lamp_du(p: LampConfig, q: LampConfig) -> Fraction:
     """Upper-boundary metric n^(l_minus). Requires p != q."""
-    sg = supp_gap(p, q)
-    if sg is None:
+    n = _check_same_modulus(p, q)
+    span = diff_span(p, q)
+    if span is None:
         raise DomainError("upper-boundary metric needs distinct configurations")
-    return Fraction(p.n) ** sg.l_minus
+    return Fraction(n) ** span[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -459,14 +466,11 @@ class SolContext:
     """Hyperbolic A in SL(2,Z) with its invariant primitive integer form.
 
     ``form`` holds (alpha, beta, gamma) of f(x,y) = alpha x^2 + beta xy +
-    gamma y^2 with f(Av) = f(v); ``eigen`` carries floating
-    (eigenvalue, eigenvector) pairs, expanding direction first, for
-    coarse-height diagnostics only.
+    gamma y^2 with f(Av) = f(v).
     """
 
     a: Matrix2
     form: tuple[int, int, int]
-    eigen: tuple[tuple[float, tuple[float, float]], tuple[float, tuple[float, float]]]
 
     def f(self, v: SolVector) -> int:
         alpha, beta, gamma = self.form
@@ -480,7 +484,7 @@ class SolContext:
 
 
 def sol_invariant_form(a: Matrix2 | Iterable[Iterable[int]]) -> SolContext:
-    """Context for a hyperbolic A in SL(2,Z): invariant form plus eigen diagnostics.
+    """Context for a hyperbolic A in SL(2,Z): A and its invariant form.
 
     Rejects matrices with det != 1 or |trace| <= 2.  The form is
     omega(v, Av) = c x^2 + (d - a) xy - b y^2, with omega(u, w) = u_x w_y -
@@ -502,94 +506,10 @@ def sol_invariant_form(a: Matrix2 | Iterable[Iterable[int]]) -> SolContext:
     if abs(tr) <= 2:
         raise DomainError(f"matrix must be hyperbolic (|trace| > 2), got trace {tr}")
     g = math.gcd(pc, pd - pa, pb) * (1 if pc > 0 else -1)
-    form = (pc // g, (pd - pa) // g, -pb // g)
-
-    sq = math.sqrt(tr * tr - 4)
-    lam_plus = (tr + sq) / 2
-    lam_minus = (tr - sq) / 2
-    if abs(lam_plus) < abs(lam_minus):
-        lam_plus, lam_minus = lam_minus, lam_plus
-
-    def eigvec(lam: float) -> tuple[float, float]:
-        # (b, lam - a) is orthogonal to the first row of A - lam I, and b != 0
-        # for hyperbolic A just as c != 0 is
-        norm = math.hypot(pb, lam - pa)
-        return (pb / norm, (lam - pa) / norm)
-
-    eigen = ((lam_plus, eigvec(lam_plus)), (lam_minus, eigvec(lam_minus)))
-    return SolContext(a=a, form=form, eigen=eigen)
+    return SolContext(a=a, form=(pc // g, (pd - pa) // g, -pb // g))
 
 
 def sol_delta(ctx: SolContext, p: SolVector, q: SolVector) -> int:
     """delta(p,q) = |f(p - q)|; A-invariant, 0 iff p == q."""
     dx, dy = p[0] - q[0], p[1] - q[1]
     return abs(ctx.f((dx, dy)))
-
-
-# ---------------------------------------------------------------------------
-# coarse heights
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoarseHeightInterval:
-    """Interval [t_u, t_l] of heights at which two vertical geodesics come close.
-
-    Endpoints are measured in log-base-`base` units.  The true upper
-    endpoint is ``t_high + log_base(high_log_arg)``; storing the integer
-    ``high_log_arg`` separately keeps the BS(1,n) endpoint k + log_n|r|
-    exact.  SOL intervals are floating diagnostics, flagged exact=False.
-    """
-
-    t_low: Fraction | float
-    t_high: Fraction | float
-    base: int | float
-    high_log_arg: int = 1
-    exact: bool = True
-
-    def __post_init__(self):
-        if self.high_log_arg < 1:
-            raise DomainError("high_log_arg must be a positive integer")
-        if self.exact and self.low > self.high + 1e-12:
-            raise DomainError("coarse-height interval is empty")
-
-    @property
-    def low(self) -> float:
-        return float(self.t_low)
-
-    @property
-    def high(self) -> float:
-        extra = 0.0 if self.high_log_arg == 1 else math.log(self.high_log_arg, self.base)
-        return float(self.t_high) + extra
-
-
-def lamp_coarse_heights(p: LampConfig, q: LampConfig) -> CoarseHeightInterval:
-    """[-l_minus, -l_plus] in base n. Requires p != q."""
-    sg = supp_gap(p, q)
-    if sg is None:
-        raise DomainError("coarse heights need distinct configurations")
-    return CoarseHeightInterval(Fraction(-sg.l_minus), Fraction(-sg.l_plus), base=p.n)
-
-
-def bs_coarse_heights(p: BSNumber, q: BSNumber) -> CoarseHeightInterval:
-    """[k, k + log_n|r|] for p - q = r * n^k. Requires p != q."""
-    p._same_base(q)
-    diff = p - q
-    if diff.is_zero():
-        raise DomainError("coarse heights need distinct points")
-    return CoarseHeightInterval(Fraction(diff.k), Fraction(diff.k),
-                                base=p.n, high_log_arg=abs(diff.r))
-
-
-def sol_coarse_heights(ctx: SolContext, p: SolVector, q: SolVector) -> CoarseHeightInterval:
-    """Floating [-(ln|dy_e|), ln|dx_e|] in eigen-coordinates; diagnostic only."""
-    if p == q:
-        raise DomainError("coarse heights need distinct points")
-    dx, dy = p[0] - q[0], p[1] - q[1]
-    (_, (ex, ey)), (_, (fx, fy)) = ctx.eigen
-    # coordinates of (dx, dy) in the eigenbasis {e, f}
-    det = ex * fy - ey * fx
-    ce = (dx * fy - dy * fx) / det
-    cf = (ex * dy - ey * dx) / det
-    tiny = 1e-300
-    return CoarseHeightInterval(-math.log(abs(cf) + tiny), math.log(abs(ce) + tiny),
-                                base=math.e, exact=False)

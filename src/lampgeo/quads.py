@@ -27,8 +27,10 @@ from .base_groups import (
     bs_delta,
     bs_normalize,
     digit_shift,
+    digit_sum,
     lamp_delta,
     nadic_split,
+    packed_lamp,
     sol_delta,
 )
 from .errors import DecompositionError, DomainError, InternalError
@@ -353,24 +355,16 @@ def verify_lamp_claim(
     # Points are packed ints, index i's digit at bit i << shift: two points
     # differ exactly at the fields where their XOR is nonzero.
     shift = digit_shift(n)
-    fmask = (1 << (1 << shift)) - 1
-    fields = range(0, window_width << shift, 1 << shift)
 
     def gap(d: int) -> int:
         # d != 0; width of the disagreement interval of a packed difference
         return ((d.bit_length() - 1) >> shift) - (((d & -d).bit_length() - 1) >> shift)
 
-    def add_digits(x: int, y: int) -> int:
-        out = 0
-        for s in fields:
-            out |= (((x >> s & fmask) + (y >> s & fmask)) % n) << s
-        return out
-
-    add = operator.xor if n == 2 else add_digits
+    add = operator.xor if n == 2 else functools.partial(digit_sum, n=n)
 
     @functools.cache  # relaxed witnesses repeat few distinct points
     def to_config(p: int) -> LampConfig:
-        return LampConfig(n, tuple((i, v) for i, s in enumerate(fields) if (v := p >> s & fmask)))
+        return packed_lamp(n, p, 0)
 
     sides = list(_packed_with_gap(n, window_width, shift, 0, S - 1))
     min_diag = 2 * S + 1  # strict: |supp| > 2S

@@ -46,6 +46,14 @@ def test_lamp_add_modulus_mismatch():
         L(2, {0: 1}) + L(3, {0: 1})
 
 
+@pytest.mark.parametrize("fn", [lamp_delta, lamp_dl, lamp_du])
+def test_lamp_metrics_modulus_mismatch(fn):
+    with pytest.raises(DomainError, match="modulus mismatch"):
+        fn(L(2, {0: 1}), L(3, {0: 1}))
+    with pytest.raises(DomainError, match="modulus mismatch"):
+        fn(L(2, {}), L(3, {}))
+
+
 def test_lamp_config_canonical():
     assert L(2, [(0, 1), (0, 1)]) == L(2, {})
     assert L(3, [(5, 2), (5, 2)]) == L(3, {5: 1})
@@ -331,35 +339,3 @@ def test_sol_delta_invariances():
         c = (4, -7)
         assert d == sol_delta(ctx, (p[0] + c[0], p[1] + c[1]), (q[0] + c[0], q[1] + c[1]))
         assert (d == 0) == (p == q)
-
-
-# ---------------------------------------------------------------------------
-# coarse heights
-# ---------------------------------------------------------------------------
-
-def test_lamp_coarse_heights():
-    iv = lg.lamp_coarse_heights(L(2, {0: 1, 3: 1}), L(2, {}))
-    assert (iv.t_low, iv.t_high) == (-3, 0)
-    iv = lg.lamp_coarse_heights(L(2, {5: 1}), L(2, {}))
-    assert (iv.t_low, iv.t_high) == (-5, -5)
-    with pytest.raises(DomainError):
-        lg.lamp_coarse_heights(L(2, {}), L(2, {}))
-
-
-def test_bs_coarse_heights():
-    iv = lg.bs_coarse_heights(bs_normalize(12, 0, 2), bs_normalize(0, 0, 2))
-    assert iv.t_low == 2
-    assert iv.t_high == 2 and iv.high_log_arg == 3
-    assert iv.high == pytest.approx(2 + math.log2(3))
-    assert iv.low <= iv.high
-
-
-def test_sol_coarse_heights_diagnostic():
-    ctx = sol_invariant_form(((2, 1), (1, 1)))
-    # |f| = 49 here, far above the eigen-normalization constant, so the
-    # diagnostic interval is honestly ordered
-    iv = lg.sol_coarse_heights(ctx, (7, 0), (0, 0))
-    assert iv.exact is False
-    assert iv.low <= iv.high + 1e-9
-    with pytest.raises(DomainError):
-        lg.sol_coarse_heights(ctx, (1, 1), (1, 1))
