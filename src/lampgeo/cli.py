@@ -26,7 +26,10 @@ from .dl_graph import (
     ball,
     ball_edges,
     bfs_distance,
+    distances_from,
     dl_distance,
+    dl_inv,
+    dl_mul,
     export_dot,
     identity_vertex,
 )
@@ -38,6 +41,7 @@ from .maps import (
     delta_distortion,
     induced_vertex_map,
     is_generalized_affine,
+    is_identity_ball_map,
     isometry_search,
     parallelogram_preserving,
     qi_distortion,
@@ -64,10 +68,6 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-# `dist --radius` runs one BFS per vertex pair; radius 3 of DL(3,3), 5671
-# pairs, takes about 13 s on a 2-vCPU VM
-MAX_DIST_PAIRS = 1 << 13
 
 
 def _family(args):
@@ -162,18 +162,15 @@ def cmd_dist(args, out):
         return EXIT_OK
     if args.radius is None:
         raise DomainError("dist needs either --u and --v, or --radius for a table")
-    verts = sorted(ball(identity_vertex(n), args.radius),
+    # the metric is left-invariant, d(u, v) = d(e, u^-1 v), and u^-1 v lies
+    # within 2r of e, so one radius-2r table answers every pair of the r-ball
+    table = distances_from(identity_vertex(n), 2 * args.radius)
+    verts = sorted((w for w, d in table.items() if d <= args.radius),
                    key=lambda w: (w.cursor, w.config.entries))
-    pairs = len(verts) * (len(verts) - 1) // 2
-    if pairs > MAX_DIST_PAIRS:
-        raise DomainError(f"a radius-{args.radius} table has {pairs} vertex pairs, "
-                          f"over the budget of {MAX_DIST_PAIRS} BFS searches")
-    rows = []
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            closed = dl_distance(u, v)
-            rows.append((formats.format_vertex(u), formats.format_vertex(v),
-                         closed, bfs_distance(u, v, closed + 1)))
+    names = [formats.format_vertex(w) for w in verts]
+    inverses = [dl_inv(w) for w in verts]
+    rows = [(names[i], names[j], dl_distance(u, v), table[dl_mul(inverses[i], v)])
+            for i, u in enumerate(verts) for j, v in enumerate(verts[i + 1:], i + 1)]
     payload = {"header": ["u", "v", "closed_form", "bfs"], "rows": rows}
     emit_report(payload, "csv" if args.format == "text" else args.format, out)
     return EXIT_OK
@@ -379,7 +376,7 @@ def cmd_isometry_search(args, out):
     payload = {
         "radius": args.radius,
         "maps_found": len(maps_found),
-        "all_identity": all(all(v == w for v, w in m.items()) for m in maps_found),
+        "all_identity": all(is_identity_ball_map(m) for m in maps_found),
     }
     if args.list_maps:
         payload["maps"] = [

@@ -92,12 +92,14 @@ def dl_inv(g: DLVertex) -> DLVertex:
 # ---------------------------------------------------------------------------
 
 def neighbors(v: DLVertex) -> set[DLVertex]:
-    """The 2n vertices reachable by one generator.
+    """The 2n vertices reachable by one generator (DomainError if 2n > MAX_BALL_VERTICES).
 
     Up-moves write s at the cursor index and step to k+1; down-moves write s
     at index k-1 and step to k-1 (s ranges over Z_n, s = 0 writes nothing).
     """
     cfg, k = v.config, v.cursor
+    if 2 * cfg.n > MAX_BALL_VERTICES:
+        raise DomainError(f"{2 * cfg.n} neighbours per vertex pass MAX_BALL_VERTICES = {MAX_BALL_VERTICES}")
     out = {DLVertex(cfg, k + 1), DLVertex(cfg, k - 1)}
     for up, down in zip(lamp_rewrites(cfg, k), lamp_rewrites(cfg, k - 1)):
         out.add(DLVertex(up, k + 1))

@@ -146,7 +146,8 @@ class SolFamily:
         return p
 
     def fmt(self, p: SolVector) -> str:
-        return f"{p[0]},{p[1]}"
+        from .formats import format_vector
+        return format_vector(p)
 
     def fits(self, v: SolVector, residual: SolVector) -> bool:
         if v == (0, 0):

@@ -9,8 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lampgeo import InternalError, cli
+from lampgeo import InternalError, cli, dl_graph
 from lampgeo.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, run
+from lampgeo.dl_graph import (
+    MAX_BALL_VERTICES,
+    ball,
+    bfs_distance,
+    distances_from,
+    dl_distance,
+    identity_vertex,
+)
+from lampgeo.formats import format_vertex
 
 
 def invoke(*argv):
@@ -138,14 +147,15 @@ def _run_child(argv):
     script = ("import io, sys, time\n"
               "from lampgeo.cli import run\n"
               "start = time.perf_counter()\n"
-              f"code = run({list(argv)!r}, stdout=io.StringIO())\n"
-              "print(time.perf_counter() - start)\n"
+              "out = io.StringIO()\n"
+              f"code = run({list(argv)!r}, stdout=out)\n"
+              "print(time.perf_counter() - start, out.getvalue().count('\\n'))\n"
               "sys.exit(code)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=20)
-    return proc, float(proc.stdout)
+    return proc, float(proc.stdout.split()[0])
 
 
 def test_ball_past_vertex_budget_exits_2_quickly():
@@ -155,14 +165,63 @@ def test_ball_past_vertex_budget_exits_2_quickly():
     assert seconds < 1.0
 
 
-def test_dist_table_past_pair_budget_exits_2():
-    # the radius-12 ball fits the vertex budget, but its ~6*10^8 pairs would
-    # each run a BFS; the pair budget refuses before the first one
+def test_dist_table_past_ball_budget_exits_2():
+    # a radius-12 table reads the radius-24 BFS table from e, which could pass
+    # MAX_BALL_VERTICES; distances_from refuses before that level
     proc, seconds = _run_child(["dist", "--radius", "12"])
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-    assert "vertex pairs" in proc.stderr
+    assert f"could exceed {MAX_BALL_VERTICES} vertices" in proc.stderr
     assert seconds < 5.0
+
+
+@pytest.mark.parametrize("argv, seconds_cap, lines", [
+    (("dist", "--n", "3", "--radius", "3"), 1.0, None),
+    (("dist", "--radius", "5", "--format", "csv"), 5.0, 1 + 21528),
+], ids=["n3-r3", "n2-r5"])
+def test_dist_tables_within_ball_budget_answer(argv, seconds_cap, lines):
+    proc, seconds = _run_child(argv)
+    assert proc.returncode == EXIT_OK and seconds < seconds_cap
+    if lines is not None:
+        assert int(proc.stdout.split()[1]) == lines
+
+
+def _dist_rows_by_pair_bfs(n, radius):
+    # oracle: the per-pair loop `dist --radius` ran before it read one table
+    # by left translation, one meet-in-the-middle BFS for every vertex pair
+    verts = sorted(ball(identity_vertex(n), radius), key=lambda w: (w.cursor, w.config.entries))
+    rows = []
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            closed = dl_distance(u, v)
+            rows.append([format_vertex(u), format_vertex(v), closed, bfs_distance(u, v, closed + 1)])
+    return rows
+
+
+@pytest.mark.parametrize("n, radius", [(2, 3), (3, 2), (4, 2), (10, 1)])
+def test_dist_table_matches_per_pair_bfs(n, radius):
+    code, out = invoke("dist", "--n", str(n), "--radius", str(radius), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"] == _dist_rows_by_pair_bfs(n, radius)
+
+
+def test_dist_table_runs_one_bfs(monkeypatch):
+    tables, pair_searches = [], []
+
+    def counted_table(*args):
+        tables.append(args)
+        return distances_from(*args)
+
+    def counted_pair(*args):
+        pair_searches.append(args)
+        return bfs_distance(*args)
+
+    for module in (dl_graph, cli):
+        monkeypatch.setattr(module, "distances_from", counted_table, raising=False)
+        monkeypatch.setattr(module, "bfs_distance", counted_pair)
+    code, _ = invoke("dist", "--radius", "3")
+    assert code == EXIT_OK
+    assert tables == [(identity_vertex(2), 6)] and pair_searches == []
 
 
 @pytest.mark.parametrize("argv", [

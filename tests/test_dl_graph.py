@@ -26,6 +26,13 @@ def test_neighbors_write_at_cursor_and_below():
     assert got == expect
 
 
+def test_neighbors_past_ball_budget_raise():
+    # 2n = 65538 neighbours pass MAX_BALL_VERTICES: refused before any is built
+    with pytest.raises(DomainError, match="MAX_BALL_VERTICES"):
+        lg.neighbors(lg.identity_vertex(2 ** 15 + 1))
+    assert len(lg.neighbors(lg.identity_vertex(2 ** 15))) == 2 ** 16
+
+
 def _neighbors_by_lamp_add(v):
     # reference: each written successor as v.config + a one-entry config
     n, k = v.n, v.cursor
@@ -112,6 +119,17 @@ def test_bfs_is_left_invariant_spot_checks():
         d = lg.bfs_distance(u, v, 8)
         assert d == lg.bfs_distance(E2, lg.dl_mul(lg.dl_inv(u), v), 8)
         assert d == lg.dl_distance(u, v)
+    # left multiplication by any g is a graph isometry; `dist --radius` reads
+    # every pair from one table at e by this fact, so check it by BFS alone
+    for n in (2, 3, 4):
+        e = lg.identity_vertex(n)
+        verts = sorted(lg.ball(e, 2), key=lambda v: (v.cursor, v.config.entries))
+        gs = [rng.choice(verts) for _ in range(4)] + [V("-3:1,2:1|5", n), lg.dl_inv(V("0:1,4:1|-2", n))]
+        for g in gs:
+            u, v = rng.choice(verts), rng.choice(verts)
+            d = lg.bfs_distance(u, v, 5)
+            assert d is not None
+            assert lg.bfs_distance(lg.dl_mul(g, u), lg.dl_mul(g, v), 5) == d
 
 
 def test_metric_axioms_sampled():
