@@ -6,7 +6,8 @@ Three base groups B are supported exactly:
   packed into digit fields of one int: two configurations aligned at one
   ``low`` differ exactly at the nonzero fields of their XOR, and for n = 2
   the sum is that XOR.  The field layout is read and written only here
-  (``lamp_align``, ``digits_at``, ``lamp_rewrites``, ``lamp_split``), and
+  (``lamp_align``, ``digits_at``, ``lamp_rewrites``, ``lamp_split``, and
+  the int-level ``field_bit``, ``field_rewrites`` and ``check_write``), and
   the packed int of a config or an aligned pair has at most
   ``MAX_LAMP_BITS`` bits,
 * ``Z[1/n]`` in normalized form ``r * n^k`` with ``n ∤ r``,
@@ -251,20 +252,43 @@ def lamp_align(p: LampConfig, q: LampConfig) -> tuple[int, int, int]:
     return p.digits, digits_at(q, pl), pl
 
 
+def field_bit(n: int, index: int, low: int) -> int:
+    """Bit position of index's digit field in a packed int whose field 0
+    holds index low (index >= low)."""
+    return (index - low) << digit_shift(n)
+
+
+def field_rewrites(d: int, pos: int, n: int) -> list[int]:
+    """The n - 1 ints that differ from d in the digit field at bit pos
+    alone, with s added to that digit mod n for s = 1..n-1: for n = 2 the
+    one XOR.  The bits below pos may hold anything; no write reaches them."""
+    if n == 2:
+        return [d ^ 1 << pos]
+    x = d >> pos & ((1 << (1 << digit_shift(n))) - 1)
+    return [d + (((x + s) % n - x) << pos) for s in range(1, n)]
+
+
+def check_write(n: int, digits: int, low: int, index: int) -> None:
+    """DomainError when a write at index would take the config packed as
+    digits at low past MAX_LAMP_BITS (a zero config then spans one index)."""
+    if not digits:
+        return
+    shift = digit_shift(n)
+    lo = low + (((digits & -digits).bit_length() - 1) >> shift)
+    hi = low + ((digits.bit_length() - 1) >> shift)
+    span = max(hi, index) - min(lo, index) + 1
+    if span << shift > MAX_LAMP_BITS:
+        raise _span_error(span, shift)
+
+
 def lamp_rewrites(cfg: LampConfig, index: int) -> list[LampConfig]:
     """The n - 1 configs that differ from cfg at index alone, with s added
     to its digit there for s = 1..n-1: one digit field written per config."""
     n, digits, low = cfg.n, cfg.digits, cfg.low
-    shift = digit_shift(n)
+    check_write(n, digits, low, index)
     if not digits or index < low:
         digits, low = digits_at(cfg, index), index
-    elif (index - low + 1) << shift > MAX_LAMP_BITS:
-        raise _span_error(index - low + 1, shift)
-    pos = (index - low) << shift
-    if n == 2:
-        return [packed_lamp(2, digits ^ (1 << pos), low)]
-    x = digits >> pos & ((1 << (1 << shift)) - 1)
-    return [packed_lamp(n, digits + (((x + s) % n - x) << pos), low) for s in range(1, n)]
+    return [packed_lamp(n, d, low) for d in field_rewrites(digits, field_bit(n, index, low), n)]
 
 
 def lamp_split(cfg: LampConfig, index: int) -> tuple[LampConfig, LampConfig]:

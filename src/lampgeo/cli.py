@@ -23,8 +23,9 @@ from .base_groups import (
     sol_invariant_form,
 )
 from .dl_graph import (
+    MAX_BALL_VERTICES,
     ball,
-    ball_edges,
+    ball_graph,
     bfs_distance,
     distances_from,
     dl_distance,
@@ -162,9 +163,15 @@ def cmd_dist(args, out):
         return EXIT_OK
     if args.radius is None:
         raise DomainError("dist needs either --u and --v, or --radius for a table")
+    if args.radius < 0:
+        raise DomainError("radius must be >= 0")
     # the metric is left-invariant, d(u, v) = d(e, u^-1 v), and u^-1 v lies
     # within 2r of e, so one radius-2r table answers every pair of the r-ball
-    table = distances_from(identity_vertex(n), 2 * args.radius)
+    try:
+        table = distances_from(identity_vertex(n), 2 * args.radius)
+    except DomainError as err:
+        raise DomainError(f"dist --radius {args.radius} reads every pair from the radius-{2 * args.radius} "
+                          f"BFS table, which could exceed {MAX_BALL_VERTICES} vertices") from err
     verts = sorted((w for w, d in table.items() if d <= args.radius),
                    key=lambda w: (w.cursor, w.config.entries))
     names = [formats.format_vertex(w) for w in verts]
@@ -192,8 +199,9 @@ def cmd_ball(args, out):
 def cmd_export_dot(args, out):
     n = args.n
     center = formats.parse_vertex(args.center, n) if args.center else identity_vertex(n)
-    verts = ball(center, args.radius)
-    out.write(export_dot(verts, ball_edges(verts), coset_colors=args.coset_colors))
+    verts, _, adj = ball_graph(center, args.radius)
+    edges = [(verts[i], verts[j]) for i, js in enumerate(adj) for j in js if i < j]
+    out.write(export_dot(verts, edges, coset_colors=args.coset_colors))
     return EXIT_OK
 
 

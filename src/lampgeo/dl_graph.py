@@ -4,14 +4,18 @@ Vertices are (configuration, cursor) pairs; edges are right multiplication
 by the 2n generators "move up, optionally writing at the cursor" and
 "move down, optionally writing below the cursor".  Distance comes in two
 independent flavors: a closed form via tree confluence heights, and a
-breadth-first-search oracle over `neighbors`.
+breadth-first search.  `distances_from`, `ball` and `ball_graph` share one
+BFS kernel over int keys (packed digits above a cursor offset), which
+builds each ball vertex once, at the end; `neighbors` is the per-vertex
+API, and the tests pin the kernel to a BFS over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base_groups import Frozen, LampConfig, diff_span, lamp_neg, lamp_rewrites, lamp_split, packed_lamp
+from .base_groups import (MAX_LAMP_BITS, Frozen, LampConfig, check_write, diff_span, field_bit,
+                          field_rewrites, lamp_neg, lamp_rewrites, lamp_split, packed_lamp)
 from .errors import DomainError
 
 
@@ -109,31 +113,128 @@ def neighbors(v: DLVertex) -> set[DLVertex]:
 
 MAX_BALL_VERTICES = 1 << 16
 
+# a radius-d ball holds at least n^d >= 2^d vertices (d up-moves, each with
+# any write), so no BFS within MAX_BALL_VERTICES expands more levels than this
+_MAX_LEVELS = MAX_BALL_VERTICES.bit_length()
 
-def distances_from(source: DLVertex, radius_cap: int) -> dict[DLVertex, int]:
-    """BFS distance table for every vertex within radius_cap of source;
+
+def _ball_error(radius: int) -> DomainError:
+    return DomainError(f"a radius-{radius} ball could exceed {MAX_BALL_VERTICES} vertices")
+
+
+def _ball_keys(source: DLVertex, radius: int):
+    """The BFS kernel behind distances_from, ball and ball_graph.
+
+    It runs over int keys: a vertex's digits, aligned at an origin below
+    every index a move can write, shifted above its cursor offset.  A move
+    is key + 1 (up) or key - 1 (down), and a write adds one field rewrite
+    at the cursor (up) or just below it (down): an XOR for n = 2.  The
+    ball's cursor offsets run from 1 to 2 * radius + 1, so the moves out
+    of its lowest and highest cursor land on offsets 0 and 2 * radius + 2,
+    which no ball key has, and write into fields at or above the origin.
+
+    Returns the table {key: distance} in BFS order, the moves of a key
+    (defined for radius >= 1), and the vertices of a list of keys.
     DomainError before a level whose 2n steps per frontier vertex could
-    take the table past MAX_BALL_VERTICES."""
-    if radius_cap < 0:
+    take the table past MAX_BALL_VERTICES, and, as in neighbors, when a
+    write would take a configuration past MAX_LAMP_BITS.
+    """
+    if radius < 0:
         raise DomainError("radius must be >= 0")
-    table = {source: 0}
-    frontier = [source]
-    for dist in range(1, radius_cap + 1):
-        if len(table) + 2 * source.n * len(frontier) > MAX_BALL_VERTICES:
-            raise DomainError(f"a radius-{radius_cap} ball could exceed {MAX_BALL_VERTICES} vertices")
+    n, k0, cfg = source.n, source.cursor, source.config
+    reach = min(radius, _MAX_LEVELS)
+    kbase = k0 - reach - 1
+    origin = cfg.low if cfg.digits else k0
+    if reach:
+        # level 1's checks come before the source's key is built: a cursor
+        # far from the configuration would make that key huge
+        if 1 + 2 * n > MAX_BALL_VERTICES:
+            raise _ball_error(radius)
+        check_write(n, cfg.digits, cfg.low, k0)
+        check_write(n, cfg.digits, cfg.low, k0 - 1)
+        origin = min(origin, kbase)
+    d0 = cfg.digits << field_bit(n, cfg.low, origin) if cfg.digits else 0
+    # every key's fields lie between the origin and the highest write of
+    # the BFS; only when that span passes MAX_LAMP_BITS can a write take a
+    # config past it, and only then is each write checked
+    near_budget = reach and max(d0.bit_length(), field_bit(n, k0 + reach, origin)) > MAX_LAMP_BITS
+    cbits = (2 * reach + 2).bit_length()
+    cmask = (1 << cbits) - 1
+    # pos[c]: the bit of index kbase + c's field, written up from cursor
+    # offset c and down from c + 1
+    pos = [cbits + field_bit(n, kbase + c, origin) for c in range(2 * reach + 2)] if reach else []
+    if n == 2:
+        # a write is an XOR with one bit per field: the rewrite of 0 there
+        flip = [field_rewrites(0, p, 2)[0] for p in pos]
+
+        def moves(key: int):
+            c = key & cmask
+            return key + 1, key + 1 ^ flip[c], key - 1, key - 1 ^ flip[c - 1]
+    else:
+        def moves(key: int):
+            c = key & cmask
+            up, down = key + 1, key - 1
+            return [up, *field_rewrites(up, pos[c], n), down, *field_rewrites(down, pos[c - 1], n)]
+
+    table = {d0 << cbits | reach + 1: 0}
+    frontier = list(table)
+    for dist in range(1, radius + 1):
+        if dist > reach or len(table) + 2 * n * len(frontier) > MAX_BALL_VERTICES:
+            raise _ball_error(radius)
+        if near_budget:
+            for key in frontier:
+                d, k = key >> cbits, kbase + (key & cmask)
+                check_write(n, d, origin, k)
+                check_write(n, d, origin, k - 1)
         nxt = []
-        for w in frontier:
-            for x in neighbors(w):
+        for key in frontier:
+            for x in moves(key):
                 if x not in table:
                     table[x] = dist
                     nxt.append(x)
         frontier = nxt
-    return table
+
+    def vertices(keys) -> list[DLVertex]:
+        configs: dict[int, LampConfig] = {}
+        out = []
+        for key in keys:
+            d = key >> cbits
+            c = configs.get(d)
+            if c is None:
+                c = configs[d] = packed_lamp(n, d, origin)
+            out.append(DLVertex(c, kbase + (key & cmask)))
+        return out
+
+    return table, moves, vertices
+
+
+def distances_from(source: DLVertex, radius_cap: int) -> dict[DLVertex, int]:
+    """BFS distance table for every vertex within radius_cap of source, in
+    BFS order; DomainError before a level whose 2n steps per frontier
+    vertex could take the table past MAX_BALL_VERTICES."""
+    table, _, vertices = _ball_keys(source, radius_cap)
+    return dict(zip(vertices(table), table.values()))
 
 
 def ball(center: DLVertex, radius: int) -> set[DLVertex]:
     """All vertices at graph distance <= radius from center, by BFS."""
-    return set(distances_from(center, radius))
+    table, _, vertices = _ball_keys(center, radius)
+    return set(vertices(table))
+
+
+def ball_graph(center: DLVertex, radius: int) -> tuple[list[DLVertex], list[int], list[list[int]]]:
+    """The ball's vertices ordered by (distance, cursor, entries), their
+    distances from center, and the induced adjacency: the sorted indices
+    of each vertex's neighbours in the ball."""
+    table, moves, vertices = _ball_keys(center, radius)
+    keys = list(table)
+    verts = vertices(keys)
+    order = sorted(range(len(keys)), key=lambda i: (table[keys[i]], verts[i].cursor, verts[i].config.entries))
+    keys = [keys[i] for i in order]
+    index = {key: i for i, key in enumerate(keys)}
+    # a radius-0 ball has no edges, and no moves are laid out for it
+    adj = [sorted(index[x] for x in moves(key) if x in index) for key in keys] if radius else [[]]
+    return [verts[i] for i in order], [table[key] for key in keys], adj
 
 
 def bfs_distance(u: DLVertex, v: DLVertex, radius_cap: int) -> int | None:

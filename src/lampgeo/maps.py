@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .base_groups import LampConfig, digit_shift, digits_at, lamp_delta, lamp_dl, lamp_du, packed_lamp
-from .dl_graph import DLVertex, ball, distances_from, identity_vertex, neighbors
+from .dl_graph import DLVertex, ball, ball_graph, identity_vertex
 from .errors import DomainError, InternalError
 
 Window = tuple[int, int]
@@ -563,15 +563,10 @@ def isometry_search(
         raise DomainError("radius must be >= 2")
     if max_results is not None and max_results < 1:
         return []
-    center = identity_vertex(n)
-    dist = distances_from(center, radius)
-    verts = sorted(dist, key=lambda v: (dist[v], v.cursor, v.config.entries))
-    index = {v: i for i, v in enumerate(verts)}
+    verts, dcenter, adj_sets = ball_graph(identity_vertex(n), radius)
     nverts = len(verts)
-    adj_sets = [sorted(index[w] for w in neighbors(v) if w in index) for v in verts]
     adj_mask = [sum(1 << w for w in ws) for ws in adj_sets]
     height = [v.cursor for v in verts]
-    dcenter = [dist[v] for v in verts]
     updeg = [sum(1 for w in ws if height[w] == height[i] + 1) for i, ws in enumerate(adj_sets)]
     downdeg = [len(ws) - u for ws, u in zip(adj_sets, updeg)]
 

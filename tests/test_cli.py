@@ -14,12 +14,14 @@ from lampgeo.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, run
 from lampgeo.dl_graph import (
     MAX_BALL_VERTICES,
     ball,
+    ball_edges,
     bfs_distance,
     distances_from,
     dl_distance,
+    export_dot,
     identity_vertex,
 )
-from lampgeo.formats import format_vertex
+from lampgeo.formats import format_vertex, parse_vertex
 
 
 def invoke(*argv):
@@ -55,6 +57,27 @@ def test_delta_families():
                   "--format", "text") == (EXIT_OK, "3\n")
     assert invoke("delta", "--family", "sol", "--matrix", "2,1,1,1",
                   "--p", "1,2", "--q", "0,0", "--format", "text") == (EXIT_OK, "5\n")
+
+
+@pytest.mark.parametrize("n, center, radii", [
+    (2, None, (0, 1, 2, 3, 4)),
+    (2, "-2:1,1:1|-3", (1, 2, 3)),
+    (3, None, (0, 1, 2, 3)),
+    (3, "0:2,4:1|5", (1, 2)),
+])
+def test_export_dot_equals_ball_edges_rendering(n, center, radii):
+    # export-dot reads its edges from ball_graph's adjacency; the rendering
+    # of ball and ball_edges is the reference
+    c = parse_vertex(center, n) if center else identity_vertex(n)
+    for radius in radii:
+        for colors in ((), ("--coset-colors",)):
+            argv = ["export-dot", "--n", str(n), "--radius", str(radius), *colors]
+            if center:
+                argv.append(f"--center={center}")
+            code, out = invoke(*argv)
+            verts = ball(c, radius)
+            assert code == EXIT_OK
+            assert out == export_dot(verts, ball_edges(verts), coset_colors=bool(colors))
 
 
 def test_ball_and_dot():
@@ -173,6 +196,16 @@ def test_dist_table_past_ball_budget_exits_2():
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert f"could exceed {MAX_BALL_VERTICES} vertices" in proc.stderr
     assert seconds < 5.0
+
+
+@pytest.mark.parametrize("radius", [7, 9])
+def test_dist_table_refusal_names_the_radius_asked_for(radius, capsys):
+    # the table is read from a radius-2r BFS; the refusal names both
+    code, _ = invoke("dist", "--radius", str(radius))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (f"error: dist --radius {radius} reads every pair from the "
+                                       f"radius-{2 * radius} BFS table, which could exceed "
+                                       f"{MAX_BALL_VERTICES} vertices\n")
 
 
 @pytest.mark.parametrize("argv, seconds_cap, lines", [
