@@ -6,8 +6,9 @@ Three base groups B are supported exactly:
   packed into digit fields of one int: two configurations aligned at one
   ``low`` differ exactly at the nonzero fields of their XOR, and for n = 2
   the sum is that XOR.  The field layout is read and written only here
-  (``lamp_align``, ``digits_at``, ``lamp_rewrites``, ``lamp_split``, and
-  the int-level ``field_bit``, ``field_rewrites`` and ``check_write``), and
+  (``lamp_align``, ``digits_at``, ``diff_span``, ``lamp_rewrites``,
+  ``lamp_split``, ``window_digits``, ``rewrite_window``, and the int-level
+  ``field_bit``, ``field_rewrites`` and ``check_write``), and
   the packed int of a config or an aligned pair has at most
   ``MAX_LAMP_BITS`` bits,
 * ``Z[1/n]`` in normalized form ``r * n^k`` with ``n ∤ r``,
@@ -268,15 +269,16 @@ def field_rewrites(d: int, pos: int, n: int) -> list[int]:
     return [d + (((x + s) % n - x) << pos) for s in range(1, n)]
 
 
-def check_write(n: int, digits: int, low: int, index: int) -> None:
-    """DomainError when a write at index would take the config packed as
-    digits at low past MAX_LAMP_BITS (a zero config then spans one index)."""
+def check_write(n: int, digits: int, low: int, index: int, last: int | None = None) -> None:
+    """DomainError when writes at index (through last, if given) would take
+    the config packed as digits at low past MAX_LAMP_BITS (a zero config
+    then spans the writes alone)."""
     if not digits:
         return
     shift = digit_shift(n)
     lo = low + (((digits & -digits).bit_length() - 1) >> shift)
     hi = low + ((digits.bit_length() - 1) >> shift)
-    span = max(hi, index) - min(lo, index) + 1
+    span = max(hi, index if last is None else last) - min(lo, index) + 1
     if span << shift > MAX_LAMP_BITS:
         raise _span_error(span, shift)
 
@@ -301,46 +303,46 @@ def lamp_split(cfg: LampConfig, index: int) -> tuple[LampConfig, LampConfig]:
     return packed_lamp(n, d & ((1 << cut) - 1), cfg.low), packed_lamp(n, d >> cut, at)
 
 
-@dataclass(frozen=True)
-class SuppGap:
-    """Endpoints of the disagreement interval of two configurations.
+def window_digits(cfg: LampConfig, width: int) -> int:
+    """cfg's digits at indices 0..width-1, packed with field i at index i; a
+    config wholly outside the window reads 0 without being aligned to it."""
+    if (low := cfg.low) >= width:
+        return 0
+    shift = digit_shift(cfg.n)
+    d = cfg.digits >> (-low << shift) if low <= 0 else cfg.digits << (low << shift)
+    return d & ((1 << (width << shift)) - 1)
 
-    ``l_plus`` is the smallest index where the configs differ, ``l_minus``
-    the largest, and ``gap = l_minus - l_plus`` (the interval-length
-    convention; the number of indices in the interval is ``gap + 1``).
-    """
 
-    l_plus: int
-    l_minus: int
-    gap: int
-
-    def __post_init__(self):
-        if self.gap != self.l_minus - self.l_plus or self.gap < 0:
-            raise DomainError("inconsistent SuppGap")
-
-    @property
-    def index_count(self) -> int:
-        return self.gap + 1
+def rewrite_window(cfg: LampConfig, s: int, t: int) -> LampConfig:
+    """cfg, whose fields from index 0 on read s, with them rewritten to t
+    (both packed as by window_digits).  DomainError, as in lamp_add, when
+    cfg and the fields where s and t differ span more than MAX_LAMP_BITS."""
+    n, d, low = cfg.n, cfg.digits, cfg.low
+    shift = digit_shift(n)
+    x = s ^ t
+    check_write(n, d, low, ((x & -x).bit_length() - 1) >> shift, (x.bit_length() - 1) >> shift)
+    lo = min(low, 0)
+    return packed_lamp(n, (d << ((low - lo) << shift)) + ((t - s) << (-lo << shift)), lo)
 
 
 def diff_span(p: LampConfig, q: LampConfig) -> tuple[int, int] | None:
     """First and last index where two configs of one modulus differ, or
-    None: the lowest and highest nonzero field of their aligned XOR."""
-    a, b, low = lamp_align(p, q)
+    None: the lowest and highest nonzero field of their XOR, aligned at the
+    lower low as in lamp_align (DomainError past MAX_LAMP_BITS)."""
+    a, b, low = p.digits, q.digits, p.low
+    if a and b and low != q.low:
+        if q.low < low:
+            a, low = digits_at(p, q.low), q.low
+        else:
+            b = digits_at(q, low)
+    elif not a:
+        low = q.low
     if not (d := a ^ b):
         return None
+    if p.n == 2:
+        return low + (d & -d).bit_length() - 1, low + d.bit_length() - 1
     shift = digit_shift(p.n)
     return low + (((d & -d).bit_length() - 1) >> shift), low + ((d.bit_length() - 1) >> shift)
-
-
-def supp_gap(p: LampConfig, q: LampConfig) -> SuppGap | None:
-    """Disagreement interval of p and q, or None when p == q."""
-    _check_same_modulus(p, q)
-    span = diff_span(p, q)
-    if span is None:
-        return None
-    lo, hi = span
-    return SuppGap(lo, hi, hi - lo)
 
 
 def lamp_delta(p: LampConfig, q: LampConfig) -> tuple[int, int | None]:

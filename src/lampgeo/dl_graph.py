@@ -263,18 +263,17 @@ def dl_distance(u: DLVertex, v: DLVertex) -> int:
 
     Left-tree confluence c = min(k_u, k_v, first disagreement index); right-tree
     confluence c' = max(k_u, k_v, last disagreement index + 1); the result is
-    d_left + d_right - |k_u - k_v|.  Correctness is pinned to the BFS oracle
-    by the acceptance suite rather than rederived here.
+    d_left + d_right - |k_u - k_v| = 2 (c' - c) - |k_u - k_v|.  Correctness
+    is pinned to the BFS oracle by the acceptance suite rather than
+    rederived here.
     """
     if u.n != v.n:
         raise DomainError(f"modulus mismatch: {u.n} != {v.n}")
     ku, kv = u.cursor, v.cursor
     span = diff_span(u.config, v.config)
-    c = min(ku, kv) if span is None else min(ku, kv, span[0])
-    cp = max(ku, kv) if span is None else max(ku, kv, span[1] + 1)
-    d_left = (ku - c) + (kv - c)
-    d_right = (cp - ku) + (cp - kv)
-    return d_left + d_right - abs(ku - kv)
+    if span is None:
+        return abs(ku - kv)
+    return 2 * (max(ku, kv, span[1] + 1) - min(ku, kv, span[0])) - abs(ku - kv)
 
 
 def coset_of(v: DLVertex) -> LampConfig:

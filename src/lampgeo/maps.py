@@ -17,7 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .base_groups import LampConfig, digit_shift, digits_at, lamp_delta, lamp_dl, lamp_du, packed_lamp
+from .base_groups import (LampConfig, digit_shift, digits_at, field_bit, lamp_delta, lamp_dl, lamp_du,
+                          packed_lamp, rewrite_window, window_digits)
 from .dl_graph import DLVertex, ball, ball_graph, identity_vertex
 from .errors import DomainError, InternalError
 
@@ -93,11 +94,12 @@ class BlockPerm(BaseMap):
         return self.n
 
     @cached_property
-    def _lookup(self) -> dict[str, str]:
-        return dict(self.table)
-
-    def image_string(self, s: str) -> str:
-        return self._lookup.get(s, s)
+    def _packed_table(self) -> dict[int, int]:
+        """{packed source: packed image} over the entries that move, with
+        index i's digit in field i as window_digits reads the window."""
+        def pack(s: str) -> int:
+            return sum(int(ch) << field_bit(self.n, i, 0) for i, ch in enumerate(s))
+        return {pack(src): pack(dst) for src, dst in self.table if src != dst}
 
     def is_table_bijection(self) -> bool:
         dsts = [dst for _, dst in self.table]
@@ -137,12 +139,9 @@ def apply(m: BaseMap, x: LampConfig) -> LampConfig:
     if isinstance(m, Inversion):
         return LampConfig(x.n, tuple(sorted((-i, v) for i, v in x.entries)))
     if isinstance(m, BlockPerm):
-        s = "".join(str(x.value_at(i)) for i in range(m.m))
-        t = m.image_string(s)
-        if t == s:
-            return x
-        # x agrees with s on the window, so adding t - s there writes t
-        return x + LampConfig.of(x.n, [(i, int(b) - int(a)) for i, (a, b) in enumerate(zip(s, t))])
+        s = window_digits(x, m.m)
+        t = m._packed_table.get(s)
+        return x if t is None else rewrite_window(x, s, t)
     if isinstance(m, Compose):
         for part in reversed(m.maps):
             x = apply(part, x)
@@ -585,9 +584,6 @@ def isometry_search(
         return tuple(sig)
 
     sigs = [signature(i) for i in range(nverts)]
-    pools: dict[tuple, list[int]] = {}
-    for i in range(nverts):
-        pools.setdefault(sigs[i], []).append(i)
 
     inner_set = [i for i in range(nverts) if dcenter[i] <= radius - 1]
     geodesic = [i for i, v in enumerate(verts) if v.config.is_zero()] if fix_identity_coset else []
@@ -625,12 +621,17 @@ def isometry_search(
 
     def candidates(i: int):
         # identity-coset vertices may only map to themselves, but still have
-        # to pass every consistency check like any other assignment
+        # to pass every consistency check like any other assignment.  A vertex
+        # with an assigned neighbour maps next to its image (the mask test
+        # forces it), so its pool is that image's neighbours of its signature;
+        # only the first vertex of the order has none, and scans the ball
+        req = nbr_img_req[i]
+        sig = sigs[i]
         if fix_identity_coset and verts[i].config.is_zero():
             pool = (i,)
         else:
-            pool = pools[sigs[i]]
-        req = nbr_img_req[i]
+            pool = [w for w in (adj_sets[(req & -req).bit_length() - 1] if req else range(nverts))
+                    if sigs[w] == sig]
         out = []
         for w in pool:
             if used[w]:

@@ -792,8 +792,7 @@ def _lamp_generates_window(sigma: GeneratorSet, window: tuple[int, int]) -> int 
         raise DomainError(f"n = {sigma.family.n} is above the factoring bound {MAX_LAMP_MODULUS}")
     lo, hi = window
     width = hi - lo
-    lamps = [dict(p.entries) for p in sigma.elements]
-    vecs = [[row.get(i, 0) for i in range(lo, hi)] for row in lamps]
+    vecs = [[p.value_at(i) for i in range(lo, hi)] for p in sigma.elements]
     primes, m, d = [], sigma.family.n, 2
     while d * d <= m:
         if m % d == 0:

@@ -17,8 +17,8 @@ from lampgeo import (
     lamp_du,
     sol_delta,
     sol_invariant_form,
-    supp_gap,
 )
+from lampgeo.base_groups import diff_span
 
 L = LampConfig.of
 
@@ -88,12 +88,12 @@ def test_lamp_add_commutes_hypothesis(d1, d2):
 
 
 def test_supp_gap_examples():
-    sg = supp_gap(L(2, {0: 1}), L(2, {}))
-    assert (sg.l_plus, sg.l_minus, sg.gap) == (0, 0, 0)
-    sg = supp_gap(L(2, {0: 1, 3: 1}), L(2, {}))
-    assert (sg.l_plus, sg.l_minus, sg.gap) == (0, 3, 3)
-    assert sg.index_count == 4
-    assert supp_gap(L(2, {1: 1}), L(2, {1: 1})) is None
+    # the disagreement interval (l_plus, l_minus) and its gap l_minus - l_plus
+    assert diff_span(L(2, {0: 1}), L(2, {})) == (0, 0)
+    assert lamp_delta(L(2, {0: 1}), L(2, {}))[1] == 0
+    assert diff_span(L(2, {0: 1, 3: 1}), L(2, {})) == (0, 3)
+    assert lamp_delta(L(2, {0: 1, 3: 1}), L(2, {}))[1] == 3
+    assert diff_span(L(2, {1: 1}), L(2, {1: 1})) is None
 
 
 @given(st.sampled_from([2, 3, 5, 10]), st.data())
@@ -103,11 +103,11 @@ def test_supp_gap_matches_difference_oracle(n, data):
     p = L(n, data.draw(configs))
     q = data.draw(st.one_of(st.just(p), configs.map(lambda d: L(n, d))))
     diff = lg.lamp_add(p, lg.lamp_neg(q)).entries
-    sg = supp_gap(p, q)
+    span = diff_span(p, q)
     if not diff:
-        assert sg is None
+        assert span is None
     else:
-        assert (sg.l_plus, sg.l_minus) == (diff[0][0], diff[-1][0])
+        assert span == (diff[0][0], diff[-1][0])
 
 
 def test_lamp_delta_examples():

@@ -1,7 +1,7 @@
 """The packed LampConfig core against the tuple code it replaced.
 
 LampConfig holds one packed int of digit fields; lamp_add, lamp_neg,
-supp_gap, neighbors, dl_mul, dl_inv, tree_coords and dl_distance work on
+diff_span, neighbors, dl_mul, dl_inv, tree_coords and dl_distance work on
 those fields.  The oracles below are the earlier implementations on sorted
 (index, value) tuples: the merge sum, the two-ended disagreement scan, the
 tuple-splicing digit write and the tuple dl_distance.  The second half pins
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import lampgeo as lg
 from lampgeo import DLVertex, DomainError, LampConfig
-from lampgeo.base_groups import MAX_LAMP_BITS, digit_shift, lamp_align, packed_lamp
+from lampgeo.base_groups import MAX_LAMP_BITS, diff_span, digit_shift, lamp_align, packed_lamp
 
 MODULI = [2, 3, 4, 5, 10]
 
@@ -134,8 +134,7 @@ def test_lamp_add_neg_and_supp_gap_match_tuple_oracles(pq):
     assert neg.entries == tuple_neg(p.entries, n)
     assert_canonical(neg)
     span = disagreement(p.entries, q.entries)
-    sg = lg.supp_gap(p, q)
-    assert (None if sg is None else (sg.l_plus, sg.l_minus)) == span
+    assert diff_span(p, q) == span
     assert lg.lamp_delta(p, q) == ((0, None) if span is None
                                    else (n ** (span[1] - span[0]), span[1] - span[0]))
 
@@ -179,6 +178,52 @@ def test_lamp_align_keeps_both_configs(pq):
     assert packed_lamp(p.n, a, low) == p and packed_lamp(q.n, b, low) == q
     lows = [cfg.low for cfg in (p, q) if not cfg.is_zero()]
     assert low == min(lows, default=0)
+
+
+def aligned_span(p, q):
+    # the earlier diff_span: the nonzero fields of the XOR of lamp_align's pair
+    a, b, low = lamp_align(p, q)
+    if not (d := a ^ b):
+        return None
+    shift = digit_shift(p.n)
+    return low + (((d & -d).bit_length() - 1) >> shift), low + ((d.bit_length() - 1) >> shift)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as e:
+        return "DomainError", str(e)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_diff_span_and_dl_distance_at_unequal_lows_and_zero_configs(n):
+    zero = LampConfig.zero(n)
+    configs = [zero, LampConfig.of(n, {-4: 1}), LampConfig.of(n, {-4: n - 1, 3: 1}),
+               LampConfig.of(n, {2: 1, 9: n - 1}), LampConfig.of(n, {2: 1}), LampConfig.of(n, {30: 1})]
+    for p in configs:
+        for q in configs:
+            span = disagreement(p.entries, q.entries)
+            assert diff_span(p, q) == span == aligned_span(p, q)
+            for ku in (-5, 0, 4, 40):
+                for kv in (-1, 3, 11):
+                    assert lg.dl_distance(DLVertex(p, ku), DLVertex(q, kv)) \
+                        == tuple_dl_distance(ku, p.entries, kv, q.entries)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_diff_span_refuses_past_the_budget_as_before(n):
+    top = (MAX_LAMP_BITS >> digit_shift(n)) - 1
+    near, edge, beyond = (LampConfig.of(n, {i: 1}) for i in (0, top, top + 1))
+    low = LampConfig.of(n, {-1: 1, 0: 1})
+    assert diff_span(near, edge) == (0, top) == diff_span(edge, near)
+    for p, q in ((near, beyond), (beyond, near), (low, edge), (edge, low)):
+        got = _outcome(diff_span, p, q)
+        assert got == _outcome(aligned_span, p, q)
+        assert got == ("DomainError", f"a configuration spanning {top + 2} indices of "
+                       f"{1 << digit_shift(n)} bits each is above the budget of "
+                       f"MAX_LAMP_BITS = {MAX_LAMP_BITS} bits")
+        assert _outcome(lg.dl_distance, DLVertex(p, 0), DLVertex(q, 0)) == got
 
 
 @pytest.mark.parametrize("n", MODULI)
@@ -276,18 +321,18 @@ def test_a_config_spans_at_most_the_budget(n):
 def test_an_aligned_pair_spans_at_most_the_budget(n):
     top = (MAX_LAMP_BITS >> digit_shift(n)) - 1
     near, far = LampConfig(n, ((0, 1),)), LampConfig(n, ((top, 1),))
-    assert lg.supp_gap(near, far).gap == top
+    assert diff_span(near, far) == (0, top)
     assert (near + far).support() == (0, top)
     assert (far + near - far).entries == ((0, 1),)
     beyond = LampConfig(n, ((10 ** 15, 1),))
-    for op in (lg.lamp_add, lg.supp_gap):
+    for op in (lg.lamp_add, diff_span):
         with pytest.raises(DomainError, match="MAX_LAMP_BITS"):
             op(near, beyond)
     with pytest.raises(DomainError, match="MAX_LAMP_BITS"):
         lg.dl_distance(DLVertex(near, 0), DLVertex(beyond, 0))
     # the zero config and moved lows cost nothing
     zero = LampConfig.zero(n)
-    assert lg.supp_gap(zero, beyond).l_plus == 10 ** 15 and beyond + zero == beyond
+    assert diff_span(zero, beyond) == (10 ** 15, 10 ** 15) and beyond + zero == beyond
     assert lg.dl_inv(DLVertex(beyond, -10 ** 15)).config.support() == (2 * 10 ** 15,)
 
 

@@ -121,8 +121,8 @@ def test_lamp_claim_relaxed_finds_spec_witness():
     assert witness in quads
     # independently validate a violation against the boundary metrics
     a, b, d, c = witness
-    assert lg.supp_gap(b, a).gap < 2 and lg.supp_gap(c, a).gap < 2
-    assert lg.supp_gap(d, a).gap > 4 and lg.supp_gap(b, c).gap > 4
+    assert lg.lamp_delta(b, a)[1] < 2 and lg.lamp_delta(c, a)[1] < 2
+    assert lg.lamp_delta(d, a)[1] > 4 and lg.lamp_delta(b, c)[1] > 4
     assert a + d != b + c
 
 
