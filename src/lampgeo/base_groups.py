@@ -7,10 +7,9 @@ Three base groups B are supported exactly:
   ``low`` differ exactly at the nonzero fields of their XOR, and for n = 2
   the sum is that XOR.  The field layout is read and written only here
   (``lamp_align``, ``digits_at``, ``diff_span``, ``lamp_rewrites``,
-  ``lamp_split``, ``window_digits``, ``rewrite_window``, and the int-level
-  ``field_bit``, ``field_rewrites`` and ``check_write``), and
-  the packed int of a config or an aligned pair has at most
-  ``MAX_LAMP_BITS`` bits,
+  ``window_digits``, ``rewrite_window``, and the int-level ``field_bit``,
+  ``field_rewrites`` and ``check_write``), and the packed int of a config
+  or an aligned pair has at most ``MAX_LAMP_BITS`` bits,
 * ``Z[1/n]`` in normalized form ``r * n^k`` with ``n ∤ r``,
 * ``Z^2`` carrying the quadratic form left invariant by a hyperbolic
   ``A ∈ SL(2,Z)``.
@@ -291,16 +290,6 @@ def lamp_rewrites(cfg: LampConfig, index: int) -> list[LampConfig]:
     if not digits or index < low:
         digits, low = digits_at(cfg, index), index
     return [packed_lamp(n, d, low) for d in field_rewrites(digits, field_bit(n, index, low), n)]
-
-
-def lamp_split(cfg: LampConfig, index: int) -> tuple[LampConfig, LampConfig]:
-    """The parts of cfg below index and from index on."""
-    n, d = cfg.n, cfg.digits
-    at = max(index, cfg.low)
-    cut = (at - cfg.low) << digit_shift(n)
-    if cut >= d.bit_length():
-        return cfg, packed_lamp(n, 0, 0)
-    return packed_lamp(n, d & ((1 << cut) - 1), cfg.low), packed_lamp(n, d >> cut, at)
 
 
 def window_digits(cfg: LampConfig, width: int) -> int:

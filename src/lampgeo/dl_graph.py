@@ -12,10 +12,8 @@ API, and the tests pin the kernel to a BFS over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .base_groups import (MAX_LAMP_BITS, Frozen, LampConfig, check_write, diff_span, field_bit,
-                          field_rewrites, lamp_neg, lamp_rewrites, lamp_split, packed_lamp)
+                          field_rewrites, lamp_neg, lamp_rewrites, packed_lamp)
 from .errors import DomainError
 
 
@@ -49,29 +47,6 @@ _set_config, _set_cursor, _set_hash = (getattr(DLVertex, name).__set__ for name 
 
 def identity_vertex(n: int) -> DLVertex:
     return DLVertex(LampConfig.zero(n), 0)
-
-
-@dataclass(frozen=True)
-class TreeCoord:
-    """Projection of a vertex to one tree factor of the horocyclic product.
-
-    The left tree sees the configuration germ below the cursor at height k;
-    the right tree sees the germ at indices >= k, at height -k.
-    """
-
-    side: str  # "left" | "right"
-    germ: LampConfig
-    height: int
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise DomainError(f"side must be 'left' or 'right', got {self.side!r}")
-
-
-def tree_coords(v: DLVertex) -> tuple[TreeCoord, TreeCoord]:
-    k = v.cursor
-    left, right = lamp_split(v.config, k)
-    return (TreeCoord("left", left, k), TreeCoord("right", right, -k))
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +305,3 @@ def export_dot(
         lines.append(f'  "{a}" -- "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def ball_edges(vertices: set[DLVertex]) -> set[tuple[DLVertex, DLVertex]]:
-    """Edges of the subgraph induced by a vertex set (each undirected edge once)."""
-    out: set[tuple[DLVertex, DLVertex]] = set()
-    for v in vertices:
-        for w in neighbors(v):
-            if w in vertices:
-                key = (v, w) if (v.cursor, v.config.entries) <= (w.cursor, w.config.entries) else (w, v)
-                out.add(key)
-    return out

@@ -60,12 +60,13 @@ class Inversion(BaseMap):
 
 @dataclass(frozen=True)
 class BlockPerm(BaseMap):
-    """Rewrite the window [0, m) through a string table; identity elsewhere.
+    """Rewrite the window [0, m) by a table; identity elsewhere.
 
     ``table`` lists (source, image) window strings with index 0 as the
-    leftmost character; unlisted strings map to themselves.  The table is
-    expected to be a bijection but that is only enforced by the operations
-    that need it (`is_bijection_on_window` exists to check it).
+    leftmost character; unlisted strings map to themselves.  `apply` reads
+    the window as one packed field and looks it up in the packed form of
+    the table.  The table is expected to be a bijection, which
+    `map_is_bijective` checks and the operations that need it enforce.
     """
 
     m: int
@@ -177,24 +178,6 @@ def window_configs(n: int, window: Window) -> list[LampConfig]:
         raise DomainError(f"window of width {width} over Z_{n} is too large to enumerate")
     return [LampConfig(n, tuple((lo + i, v) for i, v in enumerate(digits) if v))
             for digits in itertools.product(range(n), repeat=width)]
-
-
-def is_bijection_on_window(m: BaseMap, window: Window) -> bool:
-    """Exhaustively check injectivity on configs supported in the window.
-
-    Raises DomainError if the map moves some window config out of the
-    window (it is then not window-confined and the check is meaningless).
-    """
-    n = m.modulus() or 2
-    lo, hi = window
-    configs = window_configs(n, window)
-    images = set()
-    for x in configs:
-        y = apply(m, x)
-        if any(not lo <= i < hi for i in y.support()):
-            raise DomainError(f"map is not confined to the window [{lo}, {hi})")
-        images.add(y)
-    return len(images) == len(configs)
 
 
 # ---------------------------------------------------------------------------

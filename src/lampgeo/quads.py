@@ -234,11 +234,6 @@ def classify(q: Quad, params: QuadParams) -> ClassifyResult:
     return ClassifyResult(Classification.QUADRILATERAL)
 
 
-def rotate(q: Quad) -> Quad:
-    """Cyclic shift (p1,p2,p3,p4) -> (p2,p3,p4,p1); classification-invariant."""
-    return Quad(q.family, q.p2, q.p3, q.p4, q.p1)
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
     """Finite list of base-group points used to telescope parallelograms."""
@@ -324,6 +319,12 @@ def _packed_with_gap(n: int, width: int, shift: int, gmin: int, gmax: int):
             interiors = [x | v << ((g - 1) << shift) for v in range(n) for x in interiors]
 
 
+# relaxed mode records almost every tuple it checks as a witness: window 10
+# at S = 2 checks 109,440, and its CLI run takes about 3.3 s on a 2-vCPU VM,
+# writes 9 MB of JSON and peaks at 125 MB, so 2^17 is about 4 s, 11 MB and 150 MB
+MAX_RELAXED_TUPLES = 1 << 17
+
+
 def verify_lamp_claim(
     S: int,
     window_width: int,
@@ -370,15 +371,29 @@ def verify_lamp_claim(
     sides = list(_packed_with_gap(n, window_width, shift, 0, S - 1))
     min_diag = 2 * S + 1  # strict: |supp| > 2S
     piece = (1 << (S << shift)) - 1  # S consecutive fields
-    # only relaxed mode reads the large points, so only it lists them
-    large = (list(_packed_with_gap(n, window_width, shift, min_diag, window_width - 1))
-             if hypotheses == "relaxed" else [])
     violations = []
     checked = 0
     enumerated = 0
 
-    for b in sides:
-        if hypotheses == "full":
+    if hypotheses == "relaxed":
+        # every (b, c, d) with b, c far apart and d large is checked, so the
+        # count is known first; each list stops once the product is past the
+        # budget, so the count is exact up to it and the lists stay small
+        large = list(itertools.islice(
+            _packed_with_gap(n, window_width, shift, min_diag, window_width - 1),
+            MAX_RELAXED_TUPLES + 1))
+        far = list(itertools.islice(
+            ((b, c) for b in sides for c in sides if c != b and gap(b ^ c) >= min_diag),  # diagonal (b, c)
+            MAX_RELAXED_TUPLES // max(len(large), 1) + 1))
+        enumerated = checked = len(far) * len(large)
+        if checked > MAX_RELAXED_TUPLES:
+            raise DomainError(f"relaxed mode would check more than MAX_RELAXED_TUPLES = "
+                              f"{MAX_RELAXED_TUPLES} tuples (b, c, d) at S = {S}, window {window_width}")
+        for b, c in far:
+            bc = add(b, c)
+            violations.extend((b, c, d) for d in large if d != bc)
+    else:
+        for b in sides:
             for u in sides:
                 d = add(b, u)
                 if not d:
@@ -398,13 +413,6 @@ def verify_lamp_claim(
                     checked += 1
                     if d != add(b, c):  # corner relation a + d = b + c
                         violations.append((b, c, d))
-        else:
-            far = [c for c in sides if c != b and gap(b ^ c) >= min_diag]  # diagonal (b, c)
-            for c in far:
-                bc = add(b, c)
-                enumerated += len(large)
-                checked += len(large)
-                violations.extend((b, c, d) for d in large if d != bc)
 
     zero = LampConfig.zero(n)
     viol_quads = sorted(
@@ -427,8 +435,54 @@ def verify_lamp_claim(
 
 
 # ---------------------------------------------------------------------------
-# Baumslag-Solitar verifier
+# Baumslag-Solitar verifier, and the corner index it shares with SOL
 # ---------------------------------------------------------------------------
+
+# One corner index may examine at most this many (q, s) candidates and
+# pairs {p2, p4} in all.  A Schwartz pair costs about 1 us on a 2-vCPU VM,
+# so 2^22 is about 4 s: eps 30 at box 100 (215,712 candidates, 3,842,100
+# pairs) is admitted, and larger inputs exit 2 before the first pair.
+MAX_CORNER_PAIRS = 1 << 22
+
+
+def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -> dict:
+    """near[p3] = the points q of d_eps one step from p3, for each p3 in the space.
+
+    The corners p2 and p4 of a quadrilateral (0, p2, p3, p4) with small
+    sides are two entries of near[p3], distinct as q = p3 - s with s != 0.
+    The index is built as add(q, s); the steps are closed under negation,
+    so p3 - q is a step exactly when q - p3 is.  in_space runs once per p3,
+    and only the p3 that pass get entries.  Callers decide each unordered
+    pair {p2, p4} once and emit both orders: the mirror (0, p4, p3, p2)
+    walks the same sides backwards.
+
+    The work is the |d_eps| * |steps| candidates plus the pairs, the sum of
+    C(|near[p3]|, 2) counted while the index is built.  Past
+    MAX_CORNER_PAIRS it raises DomainError before any pair is decided.
+    """
+    candidates = len(d_eps) * len(steps)
+    if candidates > MAX_CORNER_PAIRS:
+        raise DomainError(f"{len(d_eps)} side points times {len(steps)} steps pass "
+                          f"the corner budget MAX_CORNER_PAIRS = {MAX_CORNER_PAIRS}")
+    near: dict = {}
+    outside = set()
+    pairs = 0
+    for q in d_eps:
+        for p3 in map(add, itertools.repeat(q), steps):
+            corners = near.get(p3)
+            if corners is not None:
+                pairs += len(corners)
+                corners.append(q)
+            elif p3 not in outside:
+                if in_space(p3):
+                    near[p3] = [q]
+                else:
+                    outside.add(p3)
+        if candidates + pairs > MAX_CORNER_PAIRS:
+            raise DomainError(f"{candidates} index candidates and their corner pairs pass "
+                              f"the corner budget MAX_CORNER_PAIRS = {MAX_CORNER_PAIRS}")
+    return near
+
 
 def _ceil_log(x: int, n: int) -> int:
     """The least j >= 0 with n^j >= x; a float log misses near powers of n."""
@@ -453,14 +507,9 @@ def verify_taback(
     parallelogram side relations k1=k3, k2=k4, r1=-r3, r2=-r4 are checked
     for every quadrilateral found.
 
-    One index, near[p3] = the points of D_eps one step from p3, holds both
-    corners p2 and p4, which are the ordered pairs of distinct entries of
-    near[p3].  It is built as q + s over q in D_eps and steps s; the step
-    list is closed under negation, so p3 - q is a step exactly when
-    q - p3 is.  It holds every side at p3, because |p3 - q| <=
-    (bound + eps) * n^kmax keeps the side's exponent within its range.
-    Each pair {p2, p4} is decided once; its mirror (0, p4, p3, p2) walks
-    the same sides backwards, negated.
+    The corners come from _corner_index over D_eps and the steps s * n^j;
+    the steps hold every side at p3, because |p3 - q| <= (bound + eps) *
+    n^kmax keeps the side's exponent within its range.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -482,23 +531,19 @@ def verify_taback(
     jmax = kmax + max(1, _ceil_log(numerator_bound + eps, n))
     steps = sorted(s * n ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
                    for j in range(jmax - kmin + 1))
-    near: dict[int, list[int]] = {}
-    for q in d_eps:
-        for s in steps:
-            near.setdefault(q + s, []).append(q)  # s != 0, so q != p3
+
+    def in_space(p3: int) -> bool:
+        # p3 in the space (r3 = 0 is not, as M > 0), with diagonal (p1, p3) long
+        r3, v3 = nadic_split(p3, n)
+        return M <= abs(r3) <= numerator_bound and v3 <= span
 
     quads = []  # (quad, its four sides (r, v))
-    for p3, corners in near.items():
-        r3, v3 = nadic_split(p3, n)
-        # p3 outside the space (r3 = 0 included, as M > 0), or diagonal (p1, p3) short
-        if not M <= abs(r3) <= numerator_bound or v3 > span:
-            continue
-        for i, p2 in enumerate(corners):  # corners are distinct: q = p3 - s
-            for p4 in corners[i + 1:]:
-                if abs(nadic_split(p2 - p4, n)[0]) >= M:  # diagonal (p2, p4)
-                    sides = [nadic_split(x, n) for x in (p2, p3 - p2, p4 - p3, -p4)]
-                    quads += [((0, p2, p3, p4), sides),
-                              ((0, p4, p3, p2), [(-r, v) for r, v in sides[::-1]])]
+    for p3, corners in _corner_index(d_eps, steps, operator.add, in_space).items():
+        for p2, p4 in itertools.combinations(corners, 2):
+            if abs(nadic_split(p2 - p4, n)[0]) >= M:  # diagonal (p2, p4)
+                sides = [nadic_split(x, n) for x in (p2, p3 - p2, p4 - p3, -p4)]
+                quads += [((0, p2, p3, p4), sides),
+                          ((0, p4, p3, p2), [(-r, v) for r, v in sides[::-1]])]
     quads.sort()  # the quads are distinct, so their sides are never compared
 
     violations = []
@@ -580,29 +625,21 @@ def _sol_scan(ctx: SolContext, eps: int, box: int):
     unordered pair {p2, p4}; callers count its mirror (0, p4, p3, p2),
     which has the same diagonals and verdict.  Every corner lies in the
     box, so both sides at p3, p3 - p2 and p3 - p4, range over the small
-    points of the doubled box.  One index, near[p3] = the small points of
-    the box one side from p3, holds both corners p2 and p4.  It is built
-    as q + s over q in D_eps and small s in the doubled box; f(-s) = f(s)
-    and the box is symmetric, so p3 - q is such an s exactly when q - p3 is.
+    points of the doubled box, the steps of _corner_index; f(-s) = f(s)
+    and the box is symmetric, so they are closed under negation.
     """
     a, b, c = ctx.form  # |f(x, y)| = |a x^2 + b x y + c y^2| is the delta from 0
     sides = _sol_small_points(ctx.form, eps, 2 * box)
     d_eps = [(x, y) for x, y in sides if -box <= x <= box and -box <= y <= box]
-    near: dict[SolVector, list[SolVector]] = {}
-    for x, y in d_eps:
-        for sx, sy in sides:
-            x3, y3 = x + sx, y + sy
-            # f(s) != 0, so q != p3; p3 = 0 would repeat p1
-            if (x3 or y3) and -box <= x3 <= box and -box <= y3 <= box:
-                near.setdefault((x3, y3), []).append((x, y))
+    in_box = lambda p: p != (0, 0) and -box <= p[0] <= box and -box <= p[1] <= box  # p3 = 0 is p1
+    near = _corner_index(d_eps, sides, lambda q, s: (q[0] + s[0], q[1] + s[1]), in_box)
     for (x3, y3), corners in near.items():
         diag1 = abs(a * x3 * x3 + b * x3 * y3 + c * y3 * y3)
-        for i, (x2, y2) in enumerate(corners):  # corners are distinct: q = p3 - s
-            for x4, y4 in corners[i + 1:]:
-                dx, dy = x2 - x4, y2 - y4
-                diag2 = abs(a * dx * dx + b * dx * dy + c * dy * dy)
-                yield ((x2, y2), (x3, y3), (x4, y4), min(diag1, diag2),
-                       x3 == x2 + x4 and y3 == y2 + y4)
+        for (x2, y2), (x4, y4) in itertools.combinations(corners, 2):
+            dx, dy = x2 - x4, y2 - y4
+            diag2 = abs(a * dx * dx + b * dx * dy + c * dy * dy)
+            yield ((x2, y2), (x3, y3), (x4, y4), min(diag1, diag2),
+                   x3 == x2 + x4 and y3 == y2 + y4)
 
 
 def _schwartz_report(ctx: SolContext, eps: int, M: int, box_halfwidth: int,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,12 @@ from lampgeo.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, run
 from lampgeo.dl_graph import (
     MAX_BALL_VERTICES,
     ball,
-    ball_edges,
     bfs_distance,
     distances_from,
     dl_distance,
     export_dot,
     identity_vertex,
+    neighbors,
 )
 from lampgeo.formats import format_vertex, parse_vertex
 
@@ -57,6 +58,16 @@ def test_delta_families():
                   "--format", "text") == (EXIT_OK, "3\n")
     assert invoke("delta", "--family", "sol", "--matrix", "2,1,1,1",
                   "--p", "1,2", "--q", "0,0", "--format", "text") == (EXIT_OK, "5\n")
+
+
+def ball_edges(vertices):
+    """Edges of the subgraph induced by a vertex set, each once, from neighbors."""
+    out = set()
+    for v in vertices:
+        for w in neighbors(v):
+            if w in vertices:
+                out.add((v, w) if (v.cursor, v.config.entries) <= (w.cursor, w.config.entries) else (w, v))
+    return out
 
 
 @pytest.mark.parametrize("n, center, radii", [
@@ -309,6 +320,24 @@ def test_verify_schwartz_past_box_budget_exits_2_quickly():
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr and "box_halfwidth" in proc.stderr
     assert seconds < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "schwartz", "--matrix", "2,1,1,1", "--eps", "100", "--box", "100", "--calibrate"),
+    ("verify", "taback", "--n", "2", "--eps", "3", "--M", "64", "--bound", "1024",
+     "--kmin", "-3000", "--kmax", "3000"),
+    ("verify", "taback", "--n", "2", "--eps", "2000", "--M", "4000001", "--bound", "1024",
+     "--kmin", "-5", "--kmax", "5"),
+    ("verify", "lamp-claim", "--S", "2", "--window", "14", "--relaxed"),
+], ids=["schwartz-eps", "taback-exponents", "taback-eps", "lamp-claim-relaxed"])
+def test_verifiers_past_work_budgets_exit_2_quickly(argv):
+    # without the corner and relaxed-tuple budgets each ran for more than 15 s
+    start = time.perf_counter()
+    proc, _ = _run_child(argv)
+    assert time.perf_counter() - start < 2.0  # interpreter start included
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_sigma_obstruct_precondition_follows_n():

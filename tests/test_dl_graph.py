@@ -182,21 +182,15 @@ def test_cosets_meet_level_sets_once():
         assert len(cursors) == len(set(cursors))
 
 
-def test_tree_coords():
-    left, right = lg.tree_coords(V("-1:1,0:1,2:1|1"))
-    assert left.side == "left" and right.side == "right"
-    assert left.height == 1 and right.height == -1
-    assert left.germ == L(2, {-1: 1, 0: 1})  # indices below the cursor
-    assert right.germ == L(2, {2: 1})  # indices at or above it
-    assert all(i < 1 for i in left.germ.support())
-    assert all(i >= 1 for i in right.germ.support())
-    # germs partition the configuration
-    assert left.germ + right.germ == L(2, {-1: 1, 0: 1, 2: 1})
+def ball_and_edges(radius):
+    # the ball around E2 and its induced edges, from ball_graph's adjacency
+    verts, _, adj = lg.ball_graph(E2, radius)
+    return verts, [(verts[i], verts[j]) for i, js in enumerate(adj) for j in js if i < j]
 
 
 def test_export_dot_radius1():
-    verts = lg.ball(E2, 1)
-    dot = lg.export_dot(verts, lg.ball_edges(verts))
+    verts, edges = ball_and_edges(1)
+    dot = lg.export_dot(verts, edges)
     assert dot.startswith("graph dl {")
     assert dot.count(" [label=") == 5
     assert dot.count(" -- ") == 4
@@ -208,8 +202,8 @@ def test_export_dot_empty():
 
 
 def test_export_dot_coset_colors():
-    verts = lg.ball(E2, 2)
-    dot = lg.export_dot(verts, lg.ball_edges(verts), coset_colors=True)
+    verts, edges = ball_and_edges(2)
+    dot = lg.export_dot(verts, edges, coset_colors=True)
     n_classes = len({v.config.entries for v in verts})
     # one fill color per coset class, reused deterministically
     colors = {line.split('fillcolor="')[1].split('"')[0]
@@ -223,8 +217,7 @@ def test_export_dot_rejects_dangling_edges():
 
 
 def test_export_dot_deterministic():
-    verts = lg.ball(E2, 2)
-    edges = lg.ball_edges(verts)
+    verts, edges = ball_and_edges(2)
     assert lg.export_dot(verts, edges) == lg.export_dot(set(verts), set(edges))
 
 

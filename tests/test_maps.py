@@ -74,15 +74,6 @@ def test_blockperm_table_validation():
     assert not map_is_bijective(BlockPerm.from_pairs(3, [("100", "111")]))
 
 
-def test_is_bijection_on_window():
-    assert lg.is_bijection_on_window(PI0, (0, 3)) is True
-    bad = BlockPerm.from_pairs(3, [("100", "111")])
-    assert lg.is_bijection_on_window(bad, (0, 3)) is False
-    with pytest.raises(DomainError):
-        lg.is_bijection_on_window(Shift(1), (0, 3))
-    assert lg.is_bijection_on_window(Inversion(), (-2, 3)) is True
-
-
 # ---------------------------------------------------------------------------
 # biLipschitz constants
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The packed LampConfig core against the tuple code it replaced.
 
 LampConfig holds one packed int of digit fields; lamp_add, lamp_neg,
-diff_span, neighbors, dl_mul, dl_inv, tree_coords and dl_distance work on
+diff_span, neighbors, dl_mul, dl_inv and dl_distance work on
 those fields.  The oracles below are the earlier implementations on sorted
 (index, value) tuples: the merge sum, the two-ended disagreement scan, the
 tuple-splicing digit write and the tuple dl_distance.  The second half pins
@@ -163,10 +163,7 @@ def test_dl_graph_operations_match_tuple_oracles(pq, ku, kv):
     inv = lg.dl_inv(u)
     assert inv.cursor == -ku
     assert inv.config.entries == shifted(tuple_neg(p.entries, n), -ku)
-    left, right = lg.tree_coords(u)
-    assert left.germ.entries == tuple(e for e in p.entries if e[0] < ku)
-    assert right.germ.entries == tuple(e for e in p.entries if e[0] >= ku)
-    for cfg in (prod.config, inv.config, left.germ, right.germ):
+    for cfg in (prod.config, inv.config):
         assert_canonical(cfg)
 
 
@@ -344,5 +341,3 @@ def test_a_write_far_from_the_config_is_refused(n):
     for cursor in (far, -far):
         with pytest.raises(DomainError, match="MAX_LAMP_BITS"):
             lg.neighbors(DLVertex(LampConfig(n, ((0, 1),)), cursor))
-    left, right = lg.tree_coords(DLVertex(LampConfig(n, ((0, 1),)), far))
-    assert left.germ.support() == (0,) and right.germ.is_zero()

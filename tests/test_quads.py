@@ -21,7 +21,6 @@ from lampgeo import (
     QuadParams,
     SolFamily,
     classify,
-    rotate,
 )
 
 L = LampConfig.of
@@ -74,20 +73,6 @@ def test_classify_genuine_quadrilateral_not_parallelogram():
     q = lamp_quad({}, {0: 1}, {0: 1, 1: 1, 2: 1}, {2: 1})
     res = classify(q, QuadParams(2, 4))
     assert res.kind is Classification.QUADRILATERAL
-
-
-def test_rotate():
-    q = lamp_quad({}, {0: 1}, {0: 1, 9: 1}, {9: 1})
-    params = QuadParams(2, 2 ** 8)
-    base = classify(q, params).kind
-    r = q
-    for _ in range(4):
-        r = rotate(r)
-        assert classify(r, params).kind is base or classify(r, params).kind is Classification.PARALLELOGRAM
-    assert r == q  # rotate^4 = identity
-    bad = lamp_quad({}, {0: 1}, {1: 1}, {5: 1})
-    assert classify(bad, params).kind is Classification.NOT_QUADRILATERAL
-    assert classify(rotate(bad), params).kind is Classification.NOT_QUADRILATERAL
 
 
 def test_classify_translation_invariant():
@@ -225,6 +210,39 @@ def test_lamp_claim_full_mode_lists_no_points():
             tracemalloc.stop()
         assert rep.count_checked > 0
         assert peak < sys.getsizeof([None] * n ** width) // 16
+
+
+def test_corner_budget_is_exact(monkeypatch):
+    # the corner work of an input is its |D_eps| * |steps| index candidates
+    # plus the pairs {p2, p4} that its index holds
+    ctx = lg.sol_invariant_form(((2, 1), (1, 1)))
+    cases = [
+        # criterion 7: 44 side points times 88 steps, then 240 pairs
+        (lambda: lg.verify_taback(2, 3, 64, 1024, (-5, 5)), 44 * 88, 240),
+        # criterion 8: 36 side points times 44 steps, then 1344 pairs
+        (lambda: lg.calibrate_schwartz(ctx, 1, 50), 36 * 44, 1344),
+    ]
+    for run, candidates, pairs in cases:
+        want = run().to_jsonable()
+        monkeypatch.setattr(quads, "MAX_CORNER_PAIRS", candidates + pairs)
+        assert run().to_jsonable() == want
+        monkeypatch.setattr(quads, "MAX_CORNER_PAIRS", candidates + pairs - 1)
+        with pytest.raises(DomainError, match="index candidates"):  # while the index is built
+            run()
+        monkeypatch.setattr(quads, "MAX_CORNER_PAIRS", candidates - 1)
+        with pytest.raises(DomainError, match="steps pass"):  # before it is built
+            run()
+        monkeypatch.undo()
+
+
+def test_relaxed_lamp_claim_budget_is_exact(monkeypatch):
+    want = lg.verify_lamp_claim(2, 10, hypotheses="relaxed").to_jsonable()
+    assert want["count_checked"] == 109_440
+    monkeypatch.setattr(quads, "MAX_RELAXED_TUPLES", 109_440)
+    assert lg.verify_lamp_claim(2, 10, hypotheses="relaxed").to_jsonable() == want
+    monkeypatch.setattr(quads, "MAX_RELAXED_TUPLES", 109_439)
+    with pytest.raises(DomainError, match="MAX_RELAXED_TUPLES"):
+        lg.verify_lamp_claim(2, 10, hypotheses="relaxed")
 
 
 def test_report_jsonable_shape():

@@ -193,5 +193,5 @@ def test_identity_on_sol_and_lamp_chains():
         sigma = GeneratorSet(fam, (target,))
         chain = lg.telescope_decompose(q, sigma)
         assert lg.telescoping_identity_holds(q, chain) and counter_identity_holds(q, chain)
-        rotated = [lg.rotate(c) for c in chain]
+        rotated = [Quad(c.family, c.p2, c.p3, c.p4, c.p1) for c in chain]
         assert lg.telescoping_identity_holds(q, rotated) == counter_identity_holds(q, rotated)
