@@ -5,11 +5,11 @@ Three base groups B are supported exactly:
 * the lamplighter base ``⊕_Z Z_n`` (finitely supported configurations),
   packed into digit fields of one int: two configurations aligned at one
   ``low`` differ exactly at the nonzero fields of their XOR, and for n = 2
-  the sum is that XOR.  The field layout is read and written only here
-  (``lamp_align``, ``digits_at``, ``diff_span``, ``lamp_rewrites``,
-  ``window_digits``, ``rewrite_window``, and the int-level ``field_bit``,
-  ``field_rewrites`` and ``check_write``), and the packed int of a config
-  or an aligned pair has at most ``MAX_LAMP_BITS`` bits,
+  the sum is that XOR.  The field layout lives here (``lamp_align``,
+  ``digits_at``, ``diff_span``, ``window_digits``, ``rewrite_window``,
+  ``field_bit``, ``field_rewrites``, ``check_write``); for speed,
+  ``maps.qi_distortion`` and ``quads.verify_lamp_claim`` read packed fields
+  inline.  A config or an aligned pair packs into at most ``MAX_LAMP_BITS`` bits,
 * ``Z[1/n]`` in normalized form ``r * n^k`` with ``n ∤ r``,
 * ``Z^2`` carrying the quadratic form left invariant by a hyperbolic
   ``A ∈ SL(2,Z)``.
@@ -260,10 +260,8 @@ def field_bit(n: int, index: int, low: int) -> int:
 
 def field_rewrites(d: int, pos: int, n: int) -> list[int]:
     """The n - 1 ints that differ from d in the digit field at bit pos
-    alone, with s added to that digit mod n for s = 1..n-1: for n = 2 the
-    one XOR.  The bits below pos may hold anything; no write reaches them."""
-    if n == 2:
-        return [d ^ 1 << pos]
+    alone, with s added to that digit mod n for s = 1..n-1.  The bits below
+    pos may hold anything; no write reaches them."""
     x = d >> pos & ((1 << (1 << digit_shift(n))) - 1)
     return [d + (((x + s) % n - x) << pos) for s in range(1, n)]
 
@@ -280,16 +278,6 @@ def check_write(n: int, digits: int, low: int, index: int, last: int | None = No
     span = max(hi, index if last is None else last) - min(lo, index) + 1
     if span << shift > MAX_LAMP_BITS:
         raise _span_error(span, shift)
-
-
-def lamp_rewrites(cfg: LampConfig, index: int) -> list[LampConfig]:
-    """The n - 1 configs that differ from cfg at index alone, with s added
-    to its digit there for s = 1..n-1: one digit field written per config."""
-    n, digits, low = cfg.n, cfg.digits, cfg.low
-    check_write(n, digits, low, index)
-    if not digits or index < low:
-        digits, low = digits_at(cfg, index), index
-    return [packed_lamp(n, d, low) for d in field_rewrites(digits, field_bit(n, index, low), n)]
 
 
 def window_digits(cfg: LampConfig, width: int) -> int:

@@ -72,14 +72,13 @@ EXIT_INTERNAL = 3
 
 
 def _family(args):
-    name = getattr(args, "family", "lamp")
-    n = getattr(args, "n", 2)
+    name = args.family
     if name == "lamp":
-        return LampFamily(n)
+        return LampFamily(args.n)
     if name == "bs":
-        return BSFamily(n)
+        return BSFamily(args.n)
     if name == "sol":
-        if not getattr(args, "matrix", None):
+        if not args.matrix:
             raise DomainError("--matrix a,b,c,d is required for the sol family")
         return SolFamily(sol_invariant_form(formats.parse_matrix(args.matrix)))
     raise DomainError(f"unknown family {name!r}")

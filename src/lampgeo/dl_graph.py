@@ -6,14 +6,15 @@ by the 2n generators "move up, optionally writing at the cursor" and
 independent flavors: a closed form via tree confluence heights, and a
 breadth-first search.  `distances_from`, `ball` and `ball_graph` share one
 BFS kernel over int keys (packed digits above a cursor offset), which
-builds each ball vertex once, at the end; `neighbors` is the per-vertex
-API, and the tests pin the kernel to a BFS over it.
+builds each ball vertex once; `neighbors` multiplies by each generator
+through `dl_mul`, sharing no move code with the kernel, which the tests
+pin to a BFS over it.
 """
 
 from __future__ import annotations
 
 from .base_groups import (MAX_LAMP_BITS, Frozen, LampConfig, check_write, diff_span, field_bit,
-                          field_rewrites, lamp_neg, lamp_rewrites, packed_lamp)
+                          field_rewrites, lamp_add, lamp_neg, packed_lamp)
 from .errors import DomainError
 
 
@@ -54,11 +55,10 @@ def identity_vertex(n: int) -> DLVertex:
 # ---------------------------------------------------------------------------
 
 def dl_mul(g: DLVertex, h: DLVertex) -> DLVertex:
-    """Group law ((x), k) * ((y), l) = ((x_i + y_{i-k}), k + l)."""
-    if g.n != h.n:
-        raise DomainError(f"modulus mismatch: {g.n} != {h.n}")
+    """Group law ((x), k) * ((y), l) = ((x_i + y_{i-k}), k + l); lamp_add
+    refuses a modulus mismatch."""
     y = h.config
-    return DLVertex(g.config + packed_lamp(y.n, y.digits, y.low + g.cursor), g.cursor + h.cursor)
+    return DLVertex(lamp_add(g.config, packed_lamp(y.n, y.digits, y.low + g.cursor)), g.cursor + h.cursor)
 
 
 def dl_inv(g: DLVertex) -> DLVertex:
@@ -71,19 +71,14 @@ def dl_inv(g: DLVertex) -> DLVertex:
 # ---------------------------------------------------------------------------
 
 def neighbors(v: DLVertex) -> set[DLVertex]:
-    """The 2n vertices reachable by one generator (DomainError if 2n > MAX_BALL_VERTICES).
-
-    Up-moves write s at the cursor index and step to k+1; down-moves write s
-    at index k-1 and step to k-1 (s ranges over Z_n, s = 0 writes nothing).
-    """
-    cfg, k = v.config, v.cursor
-    if 2 * cfg.n > MAX_BALL_VERTICES:
-        raise DomainError(f"{2 * cfg.n} neighbours per vertex pass MAX_BALL_VERTICES = {MAX_BALL_VERTICES}")
-    out = {DLVertex(cfg, k + 1), DLVertex(cfg, k - 1)}
-    for up, down in zip(lamp_rewrites(cfg, k), lamp_rewrites(cfg, k - 1)):
-        out.add(DLVertex(up, k + 1))
-        out.add(DLVertex(down, k - 1))
-    return out
+    """The 2n products v * g, inserted as up-s, down-s for s = 0..n-1: the
+    generator up-s is s at index 0 with cursor 1, down-s is s at index -1
+    with cursor -1.  DomainError first if 2n > MAX_BALL_VERTICES."""
+    n = v.n
+    if 2 * n > MAX_BALL_VERTICES:
+        raise DomainError(f"{2 * n} neighbours per vertex pass MAX_BALL_VERTICES = {MAX_BALL_VERTICES}")
+    return {dl_mul(v, g) for s in range(n)
+            for g in (DLVertex(packed_lamp(n, s, 0), 1), DLVertex(packed_lamp(n, s, -1), -1))}
 
 
 MAX_BALL_VERTICES = 1 << 16

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .base_groups import BSNumber, LampConfig
+from .dl_graph import DLVertex
 from .errors import ParseError
 from .maps import BaseMap, BlockPerm, Compose, Inversion, Shift, Translate
 
@@ -57,7 +58,6 @@ def format_vertex(v) -> str:
 
 
 def parse_vertex(text: str, n: int):
-    from .dl_graph import DLVertex
     if "|" not in text:
         raise ParseError("vertex literal needs '<config>|<k>'", 0)
     cfg_s, _, k_s = text.rpartition("|")

@@ -34,6 +34,7 @@ from .base_groups import (
     sol_delta,
 )
 from .errors import DecompositionError, DomainError, InternalError
+from .formats import format_bs, format_config, format_vector
 
 Scalar = int | Fraction
 
@@ -67,7 +68,6 @@ class LampFamily:
         return p.entries
 
     def fmt(self, p: LampConfig) -> str:
-        from .formats import format_config
         return format_config(p)
 
     def fits(self, v: LampConfig, residual: LampConfig) -> bool:
@@ -104,7 +104,6 @@ class BSFamily:
         return p.value()
 
     def fmt(self, p: BSNumber) -> str:
-        from .formats import format_bs
         return format_bs(p)
 
     def fits(self, v: BSNumber, residual: BSNumber) -> bool:
@@ -146,7 +145,6 @@ class SolFamily:
         return p
 
     def fmt(self, p: SolVector) -> str:
-        from .formats import format_vector
         return format_vector(p)
 
     def fits(self, v: SolVector, residual: SolVector) -> bool:
@@ -324,6 +322,11 @@ def _packed_with_gap(n: int, width: int, shift: int, gmin: int, gmax: int):
 # writes 9 MB of JSON and peaks at 125 MB, so 2^17 is about 4 s, 11 MB and 150 MB
 MAX_RELAXED_TUPLES = 1 << 17
 
+# full mode visits every side pair (b, u): on a 2-vCPU VM, S = 8 at window
+# 28 (2,815 sides) takes 2.7 s and window 30 (3,071 sides) about 4 s, so
+# 2^23 pairs (2,896 sides) is about 3 s
+MAX_SIDE_PAIRS = 1 << 23
+
 
 def verify_lamp_claim(
     S: int,
@@ -368,7 +371,12 @@ def verify_lamp_claim(
     def to_config(p: int) -> LampConfig:
         return packed_lamp(n, p, 0)
 
-    sides = list(_packed_with_gap(n, window_width, shift, 0, S - 1))
+    # full mode lists at most one side more than its pair budget admits
+    cap = math.isqrt(MAX_SIDE_PAIRS) + 1 if hypotheses == "full" else None
+    sides = list(itertools.islice(_packed_with_gap(n, window_width, shift, 0, S - 1), cap))
+    if cap and len(sides) ** 2 > MAX_SIDE_PAIRS:
+        raise DomainError(f"full mode would visit more than MAX_SIDE_PAIRS = {MAX_SIDE_PAIRS} "
+                          f"side pairs (b, u) at S = {S}, window {window_width}")
     min_diag = 2 * S + 1  # strict: |supp| > 2S
     piece = (1 << (S << shift)) - 1  # S consecutive fields
     violations = []
@@ -595,6 +603,18 @@ def _check_box(box_halfwidth: int) -> None:
         raise DomainError(f"box_halfwidth must be in 1..{MAX_SOL_BOX}, got {box_halfwidth}")
 
 
+def _sol_row(form: tuple[int, int, int], eps: int, box: int, x: int) -> list[SolVector]:
+    """Row x of _sol_small_points, sorted by y."""
+    a, b, c = form
+    root = math.isqrt((b * b - 4 * a * c) * x * x)
+    reach = math.isqrt(eps) + 2
+    ys = set()
+    for num in (-b * x - root, -b * x + root):
+        mid = num // (2 * c)
+        ys.update(range(max(mid - reach, -box), min(mid + reach, box) + 1))
+    return [(x, y) for y in sorted(ys) if 0 < abs(a * x * x + b * x * y + c * y * y) <= eps]
+
+
 def _sol_small_points(form: tuple[int, int, int], eps: int, box: int) -> list[SolVector]:
     """The points (x, y) with |x|, |y| <= box and 0 < |f(x, y)| <= eps, sorted.
 
@@ -604,18 +624,7 @@ def _sol_small_points(form: tuple[int, int, int], eps: int, box: int) -> list[So
     integer estimates (-bx +- isqrt(disc x^2)) // 2c, which are within
     1.5 of the roots: O(box) work instead of the (2 box + 1)^2 grid.
     """
-    a, b, c = form
-    disc = b * b - 4 * a * c
-    reach = math.isqrt(eps) + 2
-    out = []
-    for x in range(-box, box + 1):
-        root = math.isqrt(disc * x * x)
-        ys = set()
-        for num in (-b * x - root, -b * x + root):
-            mid = num // (2 * c)
-            ys.update(range(max(mid - reach, -box), min(mid + reach, box) + 1))
-        out.extend((x, y) for y in sorted(ys) if 0 < abs(a * x * x + b * x * y + c * y * y) <= eps)
-    return out
+    return [p for x in range(-box, box + 1) for p in _sol_row(form, eps, box, x)]
 
 
 def _sol_scan(ctx: SolContext, eps: int, box: int):
@@ -627,12 +636,19 @@ def _sol_scan(ctx: SolContext, eps: int, box: int):
     box, so both sides at p3, p3 - p2 and p3 - p4, range over the small
     points of the doubled box, the steps of _corner_index; f(-s) = f(s)
     and the box is symmetric, so they are closed under negation.
+    The rows are listed from x = 0 outwards, the box's first, and the
+    lister stops once |D_eps| * |steps| passes the corner budget: the
+    counts only grow, so _corner_index refuses exactly as on the whole lists.
     """
     a, b, c = ctx.form  # |f(x, y)| = |a x^2 + b x y + c y^2| is the delta from 0
-    sides = _sol_small_points(ctx.form, eps, 2 * box)
-    d_eps = [(x, y) for x, y in sides if -box <= x <= box and -box <= y <= box]
+    d_eps, steps = [], []
+    for x in sorted(range(-2 * box, 2 * box + 1), key=abs):
+        steps += (row := _sol_row(ctx.form, eps, 2 * box, x))
+        d_eps += [(x, y) for x, y in row if -box <= x <= box and -box <= y <= box]
+        if len(d_eps) * len(steps) > MAX_CORNER_PAIRS:
+            break  # _corner_index refuses the lists as they stand
     in_box = lambda p: p != (0, 0) and -box <= p[0] <= box and -box <= p[1] <= box  # p3 = 0 is p1
-    near = _corner_index(d_eps, sides, lambda q, s: (q[0] + s[0], q[1] + s[1]), in_box)
+    near = _corner_index(sorted(d_eps), sorted(steps), lambda q, s: (q[0] + s[0], q[1] + s[1]), in_box)
     for (x3, y3), corners in near.items():
         diag1 = abs(a * x3 * x3 + b * x3 * y3 + c * y3 * y3)
         for (x2, y2), (x4, y4) in itertools.combinations(corners, 2):

@@ -124,3 +124,18 @@ def test_kernel_does_not_call_neighbors(monkeypatch):
     lg.ball_graph(lg.identity_vertex(3), 2)
     assert len(lg.isometry_search(4)) == 1
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_neighbors_share_no_move_code_with_the_kernel(monkeypatch, n):
+    # the oracle multiplies by the generators through dl_mul; the kernel's
+    # field writes and span checks are not on its path
+    def refuse(*args):
+        raise AssertionError("neighbors called a kernel move helper")
+
+    for name in ("field_rewrites", "check_write"):
+        monkeypatch.setattr(lg.base_groups, name, refuse)
+    for text in _sources(n):
+        source = parse_vertex(text, n)
+        ring = {v for v, d in lg.distances_from(source, 1).items() if d == 1}
+        assert lg.neighbors(source) == ring, text

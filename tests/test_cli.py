@@ -329,9 +329,11 @@ def test_verify_schwartz_past_box_budget_exits_2_quickly():
     ("verify", "taback", "--n", "2", "--eps", "2000", "--M", "4000001", "--bound", "1024",
      "--kmin", "-5", "--kmax", "5"),
     ("verify", "lamp-claim", "--S", "2", "--window", "14", "--relaxed"),
-], ids=["schwartz-eps", "taback-exponents", "taback-eps", "lamp-claim-relaxed"])
+    ("verify", "lamp-claim", "--S", "10", "--window", "40"),
+], ids=["schwartz-eps", "taback-exponents", "taback-eps", "lamp-claim-relaxed", "lamp-claim-full"])
 def test_verifiers_past_work_budgets_exit_2_quickly(argv):
-    # without the corner and relaxed-tuple budgets each ran for more than 15 s
+    # without the corner, relaxed-tuple and side-pair budgets each ran for
+    # more than 15 s
     start = time.perf_counter()
     proc, _ = _run_child(argv)
     assert time.perf_counter() - start < 2.0  # interpreter start included

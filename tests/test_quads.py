@@ -245,6 +245,34 @@ def test_relaxed_lamp_claim_budget_is_exact(monkeypatch):
         lg.verify_lamp_claim(2, 10, hypotheses="relaxed")
 
 
+def test_full_lamp_claim_budget_is_exact(monkeypatch):
+    want = lg.verify_lamp_claim(2, 10).to_jsonable()
+    sides = want["search_space"]["side_candidates"]
+    assert sides == 19
+    monkeypatch.setattr(quads, "MAX_SIDE_PAIRS", sides * sides)
+    assert lg.verify_lamp_claim(2, 10).to_jsonable() == want
+    monkeypatch.setattr(quads, "MAX_SIDE_PAIRS", sides * sides - 1)
+    with pytest.raises(DomainError, match="MAX_SIDE_PAIRS"):
+        lg.verify_lamp_claim(2, 10)
+    # relaxed mode is bounded by its tuple budget, not by the side pairs
+    monkeypatch.setattr(quads, "MAX_SIDE_PAIRS", 0)
+    assert lg.verify_lamp_claim(1, 6, hypotheses="relaxed").count_checked > 0
+
+
+def test_sol_corner_refusal_stops_the_step_lister():
+    # listed whole, the steps at eps 10^6 and box 300 are 1,442,400 points,
+    # about 145 MB; the lister stops a few rows in, once the budget is passed
+    ctx = lg.sol_invariant_form(((2, 1), (1, 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="steps pass"):
+            lg.verify_schwartz(ctx, 10 ** 6, 5, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_report_jsonable_shape():
     rep = lg.verify_lamp_claim(1, 6)
     payload = rep.to_jsonable()
