@@ -101,7 +101,7 @@ def _parse_scalar(text: str):
 
 
 def emit_report(payload, fmt: str, out) -> None:
-    """Serialize a jsonable payload with a stable field order."""
+    """Serialize a report payload with a stable field order."""
     if fmt == "json":
         out.write(json.dumps(payload, indent=2, sort_keys=False))
         out.write("\n")

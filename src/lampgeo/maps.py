@@ -522,6 +522,11 @@ def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
 # finite-ball isometry search
 # ---------------------------------------------------------------------------
 
+# one node is one assignment; the search assigns about 300k nodes/s on a
+# 2-vCPU VM, so 2^20 is about 3.5 s
+MAX_SEARCH_NODES = 1 << 20
+
+
 def isometry_search(
     radius: int,
     height_preserving: bool = True,
@@ -539,7 +544,8 @@ def isometry_search(
     coset fibers mapped to coset fibers.  Each surviving bijection is
     returned restricted to the radius-1 smaller ball (deduplicated), so
     boundary artifacts do not inflate the count.  With every constraint on,
-    the expected result is exactly the identity map.
+    the expected result is exactly the identity map.  A search that would
+    assign more than MAX_SEARCH_NODES nodes raises DomainError.
     """
     if radius < 2:
         raise DomainError("radius must be >= 2")
@@ -550,7 +556,6 @@ def isometry_search(
     adj_mask = [sum(1 << w for w in ws) for ws in adj_sets]
     height = [v.cursor for v in verts]
     updeg = [sum(1 for w in ws if height[w] == height[i] + 1) for i, ws in enumerate(adj_sets)]
-    downdeg = [len(ws) - u for ws, u in zip(adj_sets, updeg)]
 
     cfg_ids: dict[LampConfig, int] = {}
     cls = [cfg_ids.setdefault(v.config, len(cfg_ids)) for v in verts]
@@ -563,7 +568,7 @@ def isometry_search(
         if fix_identity_coset:
             sig.append(dcenter[i])
         if height_preserving:
-            sig += [height[i], updeg[i], downdeg[i]]
+            sig += [height[i], updeg[i]]  # with the degree, updeg fixes the down-degree
         return tuple(sig)
 
     sigs = [signature(i) for i in range(nverts)]
@@ -671,6 +676,7 @@ def isometry_search(
     # candidates of order[pos]; on return to a frame its current candidate,
     # if any, is unassigned before the next one is tried
     stack = [iter(candidates(order[0]))]
+    nodes = 0
     while stack:
         pos = len(stack) - 1
         i = order[pos]
@@ -680,6 +686,10 @@ def isometry_search(
         if w is None:
             stack.pop()
             continue
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise DomainError(f"the radius-{radius} search passes MAX_SEARCH_NODES = "
+                              f"{MAX_SEARCH_NODES} nodes")
         assign(i, w)
         if pos + 1 < nverts:
             stack.append(iter(candidates(order[pos + 1])))

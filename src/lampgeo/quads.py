@@ -251,17 +251,6 @@ class GeneratorSet:
 # reports
 # ---------------------------------------------------------------------------
 
-def jsonable(value):
-    """Recursively convert report values to JSON-safe types; Fractions go to strings."""
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
-
-
 @dataclass
 class VerifyReport:
     """Outcome of an exhaustive verifier run.
@@ -283,8 +272,8 @@ class VerifyReport:
 
     def to_jsonable(self, include_timing: bool = False) -> dict:
         out = {
-            "params": jsonable(self.params),
-            "search_space": jsonable(self.search_space),
+            "params": self.params,
+            "search_space": self.search_space,
             "count_checked": self.count_checked,
             "violations": [[self.point_fmt(p) for p in quad] for quad in self.violations],
             "vacuous": self.vacuous,
@@ -292,7 +281,7 @@ class VerifyReport:
         if include_timing:
             out["elapsed_ms"] = self.elapsed_ms
         if self.extras:
-            out["extras"] = jsonable(self.extras)
+            out["extras"] = self.extras
         out["family"] = self.family
         return out
 
@@ -303,18 +292,16 @@ class VerifyReport:
 
 def _packed_with_gap(n: int, width: int, shift: int, gmin: int, gmax: int):
     """Packed points of a width-digit window, index i's digit at bit i << shift,
-    whose support spans a gap (last minus first nonzero index) in gmin..gmax."""
-    interiors = [0]  # every packed string of max(g - 1, 0) digits
-    for g in range(min(gmax, width - 1) + 1):
-        if g >= gmin:
-            ends = (range(1, n) if g == 0 else
-                    [a | b << (g << shift) for a in range(1, n) for b in range(1, n)])
-            for lo in range(width - g):
-                for e in ends:
-                    for x in interiors:
-                        yield (e | x << (1 << shift)) << (lo << shift)
-        if g:
-            interiors = [x | v << ((g - 1) << shift) for v in range(n) for x in interiors]
+    whose support spans a gap (last minus first nonzero index) in gmin..gmax.
+    The interior digits 1..g-1 are drawn lazily, the highest one slowest."""
+    for g in range(gmin, min(gmax, width - 1) + 1):
+        ends = (range(1, n) if g == 0 else
+                [a | b << (g << shift) for a in range(1, n) for b in range(1, n)])
+        places = [[v << (j << shift) for v in range(n)] for j in range(g - 1, 0, -1)]
+        for lo in range(width - g):
+            for e in ends:
+                for digits in itertools.product(*places):
+                    yield (e | sum(digits)) << (lo << shift)
 
 
 # relaxed mode records almost every tuple it checks as a witness: window 10
@@ -390,9 +377,10 @@ def verify_lamp_claim(
         large = list(itertools.islice(
             _packed_with_gap(n, window_width, shift, min_diag, window_width - 1),
             MAX_RELAXED_TUPLES + 1))
+        # with no large d nothing is checked, and the scan is skipped
         far = list(itertools.islice(
             ((b, c) for b in sides for c in sides if c != b and gap(b ^ c) >= min_diag),  # diagonal (b, c)
-            MAX_RELAXED_TUPLES // max(len(large), 1) + 1))
+            MAX_RELAXED_TUPLES // len(large) + 1)) if large else []
         enumerated = checked = len(far) * len(large)
         if checked > MAX_RELAXED_TUPLES:
             raise DomainError(f"relaxed mode would check more than MAX_RELAXED_TUPLES = "
@@ -511,9 +499,9 @@ def verify_taback(
 
     The search space is {r * n^k : |r| <= numerator_bound, k in exp_range}
     with p1 pinned to 0.  Requires M > eps^2 (the separation the valuation
-    argument needs); side decompositions (r_i, k_i) are recorded and the
-    parallelogram side relations k1=k3, k2=k4, r1=-r3, r2=-r4 are checked
-    for every quadrilateral found.
+    argument needs).  The first five quadrilaterals are reported with their
+    side decompositions (r_i, k_i); the parallelogram side relations
+    k1=k3, k2=k4, r1=-r3, r2=-r4 fail exactly where the corner relation does.
 
     The corners come from _corner_index over D_eps and the steps s * n^j;
     the steps hold every side at p3, because |p3 - q| <= (bound + eps) *
@@ -545,27 +533,16 @@ def verify_taback(
         r3, v3 = nadic_split(p3, n)
         return M <= abs(r3) <= numerator_bound and v3 <= span
 
-    quads = []  # (quad, its four sides (r, v))
+    quads = []
     for p3, corners in _corner_index(d_eps, steps, operator.add, in_space).items():
         for p2, p4 in itertools.combinations(corners, 2):
             if abs(nadic_split(p2 - p4, n)[0]) >= M:  # diagonal (p2, p4)
-                sides = [nadic_split(x, n) for x in (p2, p3 - p2, p4 - p3, -p4)]
-                quads += [((0, p2, p3, p4), sides),
-                          ((0, p4, p3, p2), [(-r, v) for r, v in sides[::-1]])]
-    quads.sort()  # the quads are distinct, so their sides are never compared
-
-    violations = []
-    side_relation_failures = []
-    samples = []
-    for quad, sides in quads:
-        _, p2, p3, p4 = quad
-        if len(samples) < 5:
-            samples.append((quad, sides))
-        (r1, v1), (r2, v2), (r3s, v3s), (r4, v4) = sides
-        if not (v1 == v3s and v2 == v4 and r1 == -r3s and r2 == -r4):
-            side_relation_failures.append(quad)
-        if p3 != p2 + p4:  # corner relation
-            violations.append(quad)
+                quads += [(0, p2, p3, p4), (0, p4, p3, p2)]
+    quads.sort()
+    # The side relations are the corner relation p3 = p2 + p4, as nadic_split
+    # is canonical: k1 = k3, r1 = -r3 say p2 = p3 - p4, and k2 = k4, r2 = -r4
+    # say p3 - p2 = p4.  So the violations are the side relation failures.
+    violations = [quad for quad in quads if quad[2] != quad[1] + quad[3]]
 
     fam = BSFamily(n)
     to_bs = lambda x: bs_normalize(x, kmin, n)
@@ -580,11 +557,11 @@ def verify_taback(
         elapsed_ms=int((time.perf_counter() - start) * 1000),
         family=fam.name,
         extras={"sample_decompositions": [
-                    {"points": [to_str(x) for x in quad],
-                     "sides_rk": [(r, v + kmin) for r, v in sides]}
-                    for quad, sides in samples],
-                "side_relation_failures": [[to_str(x) for x in quad]
-                                           for quad in side_relation_failures]},
+                    {"points": [to_str(x) for x in (0, p2, p3, p4)],
+                     "sides_rk": [(r, v + kmin) for r, v in
+                                  (nadic_split(x, n) for x in (p2, p3 - p2, p4 - p3, -p4))]}
+                    for _, p2, p3, p4 in quads[:5]],
+                "side_relation_failures": [[to_str(x) for x in quad] for quad in violations]},
         point_fmt=fam.fmt,
     )
 

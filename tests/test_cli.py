@@ -330,16 +330,29 @@ def test_verify_schwartz_past_box_budget_exits_2_quickly():
      "--kmin", "-5", "--kmax", "5"),
     ("verify", "lamp-claim", "--S", "2", "--window", "14", "--relaxed"),
     ("verify", "lamp-claim", "--S", "10", "--window", "40"),
-], ids=["schwartz-eps", "taback-exponents", "taback-eps", "lamp-claim-relaxed", "lamp-claim-full"])
+    ("verify", "lamp-claim", "--S", "13", "--window", "28", "--relaxed"),
+], ids=["schwartz-eps", "taback-exponents", "taback-eps", "lamp-claim-relaxed", "lamp-claim-full",
+        "lamp-claim-relaxed-wide"])
 def test_verifiers_past_work_budgets_exit_2_quickly(argv):
     # without the corner, relaxed-tuple and side-pair budgets each ran for
-    # more than 15 s
+    # more than 15 s; the wide relaxed input built 2^26 interiors, several GB
     start = time.perf_counter()
     proc, _ = _run_child(argv)
     assert time.perf_counter() - start < 2.0  # interpreter start included
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_relaxed_lamp_claim_without_large_points_skips_its_scan():
+    # window 24 <= 2S + 1 holds no large point, so nothing is checked; the
+    # scan over its 28,671^2 side pairs ran for more than 120 s
+    proc, seconds = _run_child(["verify", "lamp-claim", "--S", "12", "--window", "24", "--relaxed"])
+    assert proc.returncode == EXIT_OK and seconds < 2.0
+    code, out = invoke("verify", "lamp-claim", "--S", "12", "--window", "24", "--relaxed")
+    data = json.loads(out)
+    assert data["vacuous"] and data["count_checked"] == 0
+    assert data["search_space"]["side_candidates"] == 28_671
 
 
 def test_sigma_obstruct_precondition_follows_n():
@@ -403,6 +416,20 @@ def test_isometry_search_cli_radius_8(capsys):
     data = json.loads(out)
     assert code == EXIT_OK and data["maps_found"] == 1 and data["all_identity"]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("isometry-search", "--radius", "4", "--no-fix-identity-coset", "--no-pattern-preserving"),
+    ("isometry-search", "--n", "3", "--radius", "5"),
+], ids=["free-r4", "n3-r5"])
+def test_isometry_search_past_node_budget_exits_2(argv):
+    # 3,757,316 nodes (65,536 maps, 10-14 s) and more than 6 M nodes (20 s)
+    # without the budget; 2^20 nodes take about 3.5 s
+    proc, seconds = _run_child(argv)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "MAX_SEARCH_NODES" in proc.stderr
+    assert seconds < 10.0
 
 
 @pytest.mark.parametrize("exc", [InternalError("bound escaped"), RuntimeError("boom")],

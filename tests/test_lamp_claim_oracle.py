@@ -12,7 +12,8 @@ import pytest
 
 import lampgeo as lg
 from lampgeo import LampConfig, LampFamily
-from lampgeo.quads import VerifyReport
+from lampgeo.base_groups import digit_shift
+from lampgeo.quads import VerifyReport, _packed_with_gap
 
 
 def _mask_gap(d):
@@ -162,3 +163,30 @@ def test_lamp_claim_relaxed_matches_reference(n, S, W):
     want = reference_lamp_claim(S, W, n=n, hypotheses="relaxed")
     assert want.violations  # the comparison covers witnesses
     assert got.to_jsonable() == want.to_jsonable()
+
+
+def _eager_packed_with_gap(n, width, shift, gmin, gmax):
+    # reference lister: it builds every interior string of g - 1 digits up
+    # front, for every gap below gmin too, with its own digit packing
+    interiors = [0]
+    for g in range(min(gmax, width - 1) + 1):
+        if g >= gmin:
+            ends = (range(1, n) if g == 0 else
+                    [a | b << (g << shift) for a in range(1, n) for b in range(1, n)])
+            for lo in range(width - g):
+                for e in ends:
+                    for x in interiors:
+                        yield (e | x << (1 << shift)) << (lo << shift)
+        if g:
+            interiors = [x | v << ((g - 1) << shift) for v in range(n) for x in interiors]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lazy_gap_lister_matches_eager_lister(n):
+    shift = digit_shift(n)
+    for width in range(1, 9):
+        for gmin in range(9):
+            for gmax in range(gmin, 9):
+                got = _packed_with_gap(n, width, shift, gmin, gmax)
+                assert list(got) == list(_eager_packed_with_gap(n, width, shift, gmin, gmax)), \
+                    (width, gmin, gmax)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lampgeo as lg
-from lampgeo import DomainError, LampConfig
+from lampgeo import DomainError, LampConfig, maps
 from lampgeo.base_groups import diff_span, digit_shift, digits_at
 from lampgeo.maps import (
     BlockPerm,
@@ -501,6 +501,16 @@ def test_isometry_search_max_results():
     assert all(m in full for m in res)
     assert lg.isometry_search(3, pattern_preserving=False, max_results=len(full) + 1) == full
     assert lg.isometry_search(3, pattern_preserving=False, max_results=0) == []
+
+
+@pytest.mark.parametrize("radius, nodes", [(4, 92), (5, 208), (6, 452), (7, 964)])
+def test_isometry_search_node_budget_is_exact(monkeypatch, radius, nodes):
+    # the strict search assigns this many nodes, one per assignment tried
+    monkeypatch.setattr(maps, "MAX_SEARCH_NODES", nodes)
+    assert len(lg.isometry_search(radius)) == 1
+    monkeypatch.setattr(maps, "MAX_SEARCH_NODES", nodes - 1)
+    with pytest.raises(DomainError, match="MAX_SEARCH_NODES"):
+        lg.isometry_search(radius)
 
 
 def test_isometry_search_radius_validation():

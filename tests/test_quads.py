@@ -259,6 +259,19 @@ def test_full_lamp_claim_budget_is_exact(monkeypatch):
     assert lg.verify_lamp_claim(1, 6, hypotheses="relaxed").count_checked > 0
 
 
+def test_relaxed_lamp_claim_refusal_draws_interiors_lazily():
+    # the large points of window 28 have 2^26 interiors; drawn lazily, the
+    # refusal holds the 69,631 sides and about 2^17 large points at most
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="MAX_RELAXED_TUPLES"):
+            lg.verify_lamp_claim(13, 28, hypotheses="relaxed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_sol_corner_refusal_stops_the_step_lister():
     # listed whole, the steps at eps 10^6 and box 300 are 1,442,400 points,
     # about 145 MB; the lister stops a few rows in, once the budget is passed

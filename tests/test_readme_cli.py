@@ -8,6 +8,7 @@ Regenerate the data (only when a report is meant to change) with
     PYTHONPATH=src python tests/test_readme_cli.py
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -87,6 +88,19 @@ def test_removed_options_are_usage_errors(argv):
     assert got["exit"] == EXIT_USAGE and got["stdout"] == ""
     assert got["stderr"].startswith("usage: lampgeo")
     assert "Traceback" not in got["stderr"]
+
+
+def test_readme_documents_every_budget():
+    # every module-level MAX_* budget of src/lampgeo is named in the README
+    names = []
+    for path in sorted((ROOT / "src" / "lampgeo").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                names += [t.id for t in node.targets
+                          if isinstance(t, ast.Name) and re.fullmatch(r"MAX_[A-Z_]+", t.id)]
+    assert len(names) >= 10
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in names if name not in readme] == []
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ it shares no arithmetic with the integer-only verifier.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -212,3 +213,22 @@ def test_exact_exponent_bound_changes_only_the_step_count(n, eps, M, bound):
     want = ordered_pair_taback(n, eps, M, bound, (-2, 2)).to_jsonable()
     assert got["search_space"].pop("step_candidates") != want["search_space"].pop("step_candidates")
     assert got == want and got["count_checked"] > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_side_relations_hold_exactly_at_the_corner_relation(n):
+    # verify_taback holds each point as an integer and reports the quads that
+    # fail p3 = p2 + p4 as its side relation failures: k1 = k3, k2 = k4,
+    # r1 = -r3, r2 = -r4 of (0, p2, p3, p4), by the reference normalizer, must
+    # hold exactly when the corner relation does
+    rng = random.Random(f"taback-sides:{n}")
+    draw = lambda: rng.randint(-99, 99) * n ** rng.randint(0, 5)
+    holds = 0
+    for _ in range(2000):
+        p2, p4 = draw(), draw()
+        p3 = p2 + p4 if rng.random() < 0.5 else draw()
+        (r1, k1), (r2, k2), (r3, k3), (r4, k4) = (_nadic(Fraction(x), n)
+                                                  for x in (p2, p3 - p2, p4 - p3, -p4))
+        assert (k1 == k3 and k2 == k4 and r1 == -r3 and r2 == -r4) == (p3 == p2 + p4), (p2, p3, p4)
+        holds += p3 == p2 + p4
+    assert 0 < holds < 2000  # non-parallelograms included
