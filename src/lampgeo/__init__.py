@@ -25,11 +25,11 @@ from .dl_graph import (
     dl_distance,
     dl_inv,
     dl_mul,
-    export_dot,
     identity_vertex,
     neighbors,
 )
 from .errors import DecompositionError, DomainError, InternalError, ParseError
+from .formats import export_dot
 from .maps import (
     BaseMap,
     BilipReport,

@@ -31,10 +31,9 @@ from .dl_graph import (
     dl_distance,
     dl_inv,
     dl_mul,
-    export_dot,
     identity_vertex,
 )
-from .errors import DecompositionError, DomainError, InternalError, ParseError
+from .errors import DomainError, InternalError, ParseError
 from .maps import (
     BlockPerm,
     apply,
@@ -72,24 +71,25 @@ EXIT_INTERNAL = 3
 
 
 def _family(args):
-    name = args.family
-    if name == "lamp":
+    if args.family == "lamp":
         return LampFamily(args.n)
-    if name == "bs":
+    if args.family == "bs":
         return BSFamily(args.n)
-    if name == "sol":
-        if not args.matrix:
-            raise DomainError("--matrix a,b,c,d is required for the sol family")
-        return SolFamily(sol_invariant_form(formats.parse_matrix(args.matrix)))
-    raise DomainError(f"unknown family {name!r}")
+    if not args.matrix:
+        raise DomainError("--matrix a,b,c,d is required for the sol family")
+    return SolFamily(sol_invariant_form(formats.parse_matrix(args.matrix)))
 
 
-def _parse_point(family, text: str):
-    if isinstance(family, LampFamily):
-        return formats.parse_config(text, family.n)
-    if isinstance(family, BSFamily):
-        return formats.parse_bs(text, family.n)
-    return formats.parse_vector(text)
+def _parse_points(fam, text: str, option: str | None = None) -> list:
+    """The points of a ';'-list; with an option name, exactly four of them."""
+    parts = text.split(";")
+    if option and len(parts) != 4:
+        raise DomainError(f"{option} needs 'p1;p2;p3;p4'")
+    return [fam.parse(p.strip()) for p in parts]
+
+
+def _parse_center(args):
+    return formats.parse_vertex(args.center, args.n) if args.center else identity_vertex(args.n)
 
 
 def _parse_scalar(text: str):
@@ -100,20 +100,16 @@ def _parse_scalar(text: str):
     return int(value) if value.denominator == 1 else value
 
 
-def emit_report(payload, fmt: str, out) -> None:
-    """Serialize a report payload with a stable field order."""
+def emit_report(payload, fmt: str | None) -> str:
+    """Serialize a command's payload with a stable field order; a string
+    payload (a one-line text answer, a DOT graph) is written as it is."""
+    if isinstance(payload, str):
+        return payload
     if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=False))
-        out.write("\n")
-    elif fmt == "text":
-        for key, value in payload.items():
-            out.write(f"{key}: {json.dumps(value)}\n")
-    elif fmt == "csv":
-        out.write(",".join(payload["header"]) + "\n")
-        for row in payload["rows"]:
-            out.write(",".join(str(x) for x in row) + "\n")
-    else:
-        raise DomainError(f"unsupported format {fmt!r}")
+        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    if fmt == "text":
+        return "".join(f"{key}: {json.dumps(value)}\n" for key, value in payload.items())
+    return "".join(",".join(map(str, row)) + "\n" for row in [payload["header"], *payload["rows"]])
 
 
 def _report_out(args, report):
@@ -122,13 +118,13 @@ def _report_out(args, report):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommands: each returns (payload, exit code), and run writes the payload
 # ---------------------------------------------------------------------------
 
-def cmd_delta(args, out):
+def cmd_delta(args):
     fam = _family(args)
-    p = _parse_point(fam, args.p)
-    q = _parse_point(fam, args.q)
+    p = fam.parse(args.p)
+    q = fam.parse(args.q)
     if isinstance(fam, LampFamily):
         value, gap = lamp_delta(p, q)
         payload = {"delta": value, "gap": gap}
@@ -137,13 +133,11 @@ def cmd_delta(args, out):
     else:
         payload = {"delta": sol_delta(fam.ctx, p, q), "form": list(fam.ctx.form)}
     if args.format == "text":
-        out.write(f"{payload['delta']}\n")
-        return EXIT_OK
-    emit_report(payload, args.format, out)
-    return EXIT_OK
+        return f"{payload['delta']}\n", EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_dist(args, out):
+def cmd_dist(args):
     n = args.n
     if args.u is not None and args.v is not None:
         if args.format == "csv":
@@ -152,16 +146,16 @@ def cmd_dist(args, out):
         v = formats.parse_vertex(args.v, n)
         closed = dl_distance(u, v)
         if args.format == "text":
-            out.write(f"{closed}\n")
-            return EXIT_OK
+            return f"{closed}\n", EXIT_OK
         payload = {"u": formats.format_vertex(u), "v": formats.format_vertex(v),
                    "closed_form": closed}
         if args.check_bfs:
             payload["bfs"] = bfs_distance(u, v, closed + 1)
-        emit_report(payload, args.format, out)
-        return EXIT_OK
+        return payload, EXIT_OK
     if args.radius is None:
         raise DomainError("dist needs either --u and --v, or --radius for a table")
+    if args.format == "text":
+        raise DomainError("dist --radius prints a table; use csv or json")
     if args.radius < 0:
         raise DomainError("radius must be >= 0")
     # the metric is left-invariant, d(u, v) = d(e, u^-1 v), and u^-1 v lies
@@ -177,39 +171,28 @@ def cmd_dist(args, out):
     inverses = [dl_inv(w) for w in verts]
     rows = [(names[i], names[j], dl_distance(u, v), table[dl_mul(inverses[i], v)])
             for i, u in enumerate(verts) for j, v in enumerate(verts[i + 1:], i + 1)]
-    payload = {"header": ["u", "v", "closed_form", "bfs"], "rows": rows}
-    emit_report(payload, "csv" if args.format == "text" else args.format, out)
-    return EXIT_OK
+    return {"header": ["u", "v", "closed_form", "bfs"], "rows": rows}, EXIT_OK
 
 
-def cmd_ball(args, out):
-    n = args.n
-    center = formats.parse_vertex(args.center, n) if args.center else identity_vertex(n)
-    verts = sorted(ball(center, args.radius), key=lambda w: (w.cursor, w.config.entries))
-    payload = {"center": formats.format_vertex(center), "radius": args.radius,
-               "size": len(verts),
-               "vertices": [formats.format_vertex(v) for v in verts]}
+def cmd_ball(args):
+    center = _parse_center(args)
+    names = [formats.format_vertex(v)
+             for v in sorted(ball(center, args.radius), key=lambda w: (w.cursor, w.config.entries))]
     if args.format == "csv":
-        payload = {"header": ["vertex"], "rows": [(formats.format_vertex(v),) for v in verts]}
-    emit_report(payload, args.format if args.format != "text" else "json", out)
-    return EXIT_OK
+        return {"header": ["vertex"], "rows": [(name,) for name in names]}, EXIT_OK
+    return {"center": formats.format_vertex(center), "radius": args.radius,
+            "size": len(names), "vertices": names}, EXIT_OK
 
 
-def cmd_export_dot(args, out):
-    n = args.n
-    center = formats.parse_vertex(args.center, n) if args.center else identity_vertex(n)
-    verts, _, adj = ball_graph(center, args.radius)
+def cmd_export_dot(args):
+    verts, _, adj = ball_graph(_parse_center(args), args.radius)
     edges = [(verts[i], verts[j]) for i, js in enumerate(adj) for j in js if i < j]
-    out.write(export_dot(verts, edges, coset_colors=args.coset_colors))
-    return EXIT_OK
+    return formats.export_dot(verts, edges, coset_colors=args.coset_colors), EXIT_OK
 
 
-def cmd_quad_classify(args, out):
+def cmd_quad_classify(args):
     fam = _family(args)
-    pts = [p.strip() for p in args.points.split(";")]
-    if len(pts) != 4:
-        raise DomainError("--points needs 'p1;p2;p3;p4'")
-    p1, p2, p3, p4 = (_parse_point(fam, p) for p in pts)
+    p1, p2, p3, p4 = _parse_points(fam, args.points, "--points")
     quad = Quad(fam, p1, p2, p3, p4)
     params = QuadParams(_parse_scalar(args.eps), _parse_scalar(args.M))
     res = classify(quad, params)
@@ -220,121 +203,92 @@ def cmd_quad_classify(args, out):
         sides = ((p1, p2), (p2, p3), (p3, p4), (p4, p1))
         payload["side_deltas"] = [str(fam.delta(x, y)) for x, y in sides]
         payload["diagonal_deltas"] = [str(fam.delta(p1, p3)), str(fam.delta(p2, p4))]
-    emit_report(payload, args.format, out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_verify_lamp_claim(args, out):
-    report = verify_lamp_claim(args.S, args.window_width, n=args.n,
-                               hypotheses="relaxed" if args.relaxed else "full")
-    payload, code = _report_out(args, report)
-    emit_report(payload, args.format, out)
-    return code
+def cmd_verify_lamp_claim(args):
+    return _report_out(args, verify_lamp_claim(args.S, args.window_width, n=args.n,
+                                               hypotheses="relaxed" if args.relaxed else "full"))
 
 
-def cmd_verify_taback(args, out):
-    report = verify_taback(args.n, args.eps, args.M, args.bound, (args.kmin, args.kmax))
-    payload, code = _report_out(args, report)
-    emit_report(payload, args.format, out)
-    return code
+def cmd_verify_taback(args):
+    return _report_out(args, verify_taback(args.n, args.eps, args.M, args.bound, (args.kmin, args.kmax)))
 
 
-def cmd_verify_schwartz(args, out):
+def cmd_verify_schwartz(args):
     ctx = sol_invariant_form(formats.parse_matrix(args.matrix))
     if args.calibrate:
-        report = calibrate_schwartz(ctx, args.eps, args.box)
-    else:
-        if args.M is None:
-            raise DomainError("verify schwartz needs --M unless --calibrate is given")
-        report = verify_schwartz(ctx, args.eps, args.M, args.box)
-    payload, code = _report_out(args, report)
-    emit_report(payload, args.format, out)
-    return code
+        return _report_out(args, calibrate_schwartz(ctx, args.eps, args.box))
+    if args.M is None:
+        raise DomainError("verify schwartz needs --M unless --calibrate is given")
+    return _report_out(args, verify_schwartz(ctx, args.eps, args.M, args.box))
 
 
-def cmd_telescope(args, out):
+def cmd_telescope(args):
     fam = _family(args)
-    pts = [p.strip() for p in args.quad.split(";")]
-    if len(pts) != 4:
-        raise DomainError("--quad needs 'p1;p2;p3;p4'")
-    quad = Quad(fam, *(_parse_point(fam, p) for p in pts))
-    sigma = GeneratorSet(fam, tuple(_parse_point(fam, s.strip())
-                                    for s in args.sigma.split(";")))
-    chain = telescope_decompose(quad, sigma)
-    payload = {
+    quad = Quad(fam, *_parse_points(fam, args.quad, "--quad"))
+    chain = telescope_decompose(quad, GeneratorSet(fam, tuple(_parse_points(fam, args.sigma))))
+    return {
         "steps": len(chain),
         "chain": [[fam.fmt(p) for p in (q.p1, q.p2, q.p3, q.p4)] for q in chain],
         "corner_relations_exact": all(q.corner_holds() for q in chain),
         "telescoping_identity": telescoping_identity_holds(quad, chain),
-    }
-    emit_report(payload, args.format, out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_sigma_check(args, out):
+def cmd_sigma_check(args):
     fam = _family(args)
-    sigma = GeneratorSet(fam, tuple(_parse_point(fam, s.strip())
-                                    for s in args.sigma.split(";")))
+    sigma = GeneratorSet(fam, tuple(_parse_points(fam, args.sigma)))
     params = QuadParams(_parse_scalar(args.eps), _parse_scalar(args.M))
     result = sigma_admissible(sigma, params)
     if result is True:
-        emit_report({"admissible": True}, args.format, out)
-        return EXIT_OK
+        return {"admissible": True}, EXIT_OK
     v, w = result
-    emit_report({"admissible": False, "witness": [fam.fmt(v), fam.fmt(w)]}, args.format, out)
-    return EXIT_VIOLATIONS
+    return {"admissible": False, "witness": [fam.fmt(v), fam.fmt(w)]}, EXIT_VIOLATIONS
 
 
-def cmd_sigma_obstruct(args, out):
+def cmd_sigma_obstruct(args):
     fam = LampFamily(args.n)
-    sigma = GeneratorSet(fam, tuple(formats.parse_config(s.strip(), args.n)
-                                    for s in args.sigma.split(";")))
+    sigma = GeneratorSet(fam, tuple(_parse_points(fam, args.sigma)))
     params = QuadParams(_parse_scalar(args.eps), _parse_scalar(args.M))
     v, w = lamp_sigma_obstruction(sigma, params, formats.parse_window(args.window))
-    emit_report({"witness": [fam.fmt(v), fam.fmt(w)]}, args.format, out)
-    return EXIT_VIOLATIONS
+    return {"witness": [fam.fmt(v), fam.fmt(w)]}, EXIT_VIOLATIONS
 
 
-def cmd_map_apply(args, out):
+def cmd_map_apply(args):
     m = formats.parse_map(args.map, args.n)
     x = formats.parse_config(args.x, args.n)
     y = apply(m, x)
     if args.format == "text":
-        out.write(formats.format_config(y) + "\n")
-        return EXIT_OK
-    emit_report({"map": formats.format_map(m), "input": formats.format_config(x),
-                 "output": formats.format_config(y)}, args.format, out)
-    return EXIT_OK
+        return formats.format_config(y) + "\n", EXIT_OK
+    return {"map": formats.format_map(m), "input": formats.format_config(x),
+            "output": formats.format_config(y)}, EXIT_OK
 
 
-def cmd_map_bilip(args, out):
+def cmd_map_bilip(args):
     m = formats.parse_map(args.map, args.n)
     if not isinstance(m, BlockPerm):
         raise DomainError("bilip constants are measured for blockperm maps")
     rep = bilip_constants(m, m.m if args.padding is None else args.padding)
-    emit_report({"K_lower": str(rep.K_lower), "K_upper": str(rep.K_upper),
-                 "exhaustive": rep.exhaustive, "window": list(rep.window)},
-                args.format, out)
-    return EXIT_OK
+    return {"K_lower": str(rep.K_lower), "K_upper": str(rep.K_upper),
+            "exhaustive": rep.exhaustive, "window": list(rep.window)}, EXIT_OK
 
 
-def cmd_map_ppq(args, out):
+def cmd_map_ppq(args):
     m = formats.parse_map(args.map, args.n)
     window = formats.parse_window(args.window)
     result = parallelogram_preserving(m, window)
     if result is True:
         strict_affine = is_generalized_affine(m, window)
         affine_up_to_inv = strict_affine or is_generalized_affine(m, window, up_to_inversion=True)
-        emit_report({"parallelogram_preserving": True,
-                     "generalized_affine": strict_affine,
-                     "generalized_affine_up_to_inversion": affine_up_to_inv},
-                    args.format, out)
-        return EXIT_OK
+        return {"parallelogram_preserving": True,
+                "generalized_affine": strict_affine,
+                "generalized_affine_up_to_inversion": affine_up_to_inv}, EXIT_OK
     # a map that breaks a parallelogram is not generalized affine either way
     a, v, w = result
     lhs = apply(m, a + v) + apply(m, a + w)
     rhs = apply(m, a + v + w) + apply(m, a)
-    emit_report({
+    return {
         "parallelogram_preserving": False,
         "generalized_affine": False,
         "generalized_affine_up_to_inversion": False,
@@ -342,35 +296,32 @@ def cmd_map_ppq(args, out):
                     "w": formats.format_config(w)},
         "psi(a+v)+psi(a+w)": formats.format_config(lhs),
         "psi(a+v+w)+psi(a)": formats.format_config(rhs),
-    }, args.format, out)
-    return EXIT_VIOLATIONS
+    }, EXIT_VIOLATIONS
 
 
-def cmd_map_delta_distortion(args, out):
+def cmd_map_delta_distortion(args):
     m = formats.parse_map(args.map, args.n)
     if not isinstance(m, BlockPerm):
         raise DomainError("delta distortion is measured for blockperm maps")
     rep = delta_distortion(m, formats.parse_window(args.window))
-    emit_report({
+    return {
         "min_ratio": str(rep.min_ratio),
         "max_ratio": str(rep.max_ratio),
         "K": str(rep.K),
         "bounds": [str(1 / (rep.K * rep.K)), str(rep.K * rep.K)],
         "min_pair": [formats.format_config(p) for p in rep.min_pair],
         "max_pair": [formats.format_config(p) for p in rep.max_pair],
-    }, args.format, out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_map_qi_distortion(args, out):
+def cmd_map_qi_distortion(args):
     m = formats.parse_map(args.map, args.n)
     vm = induced_vertex_map(m)
     value = qi_distortion(vm, args.radius, n=args.n)
-    emit_report({"radius": args.radius, "additive_distortion": value}, args.format, out)
-    return EXIT_OK
+    return {"radius": args.radius, "additive_distortion": value}, EXIT_OK
 
 
-def cmd_isometry_search(args, out):
+def cmd_isometry_search(args):
     maps_found = isometry_search(
         args.radius,
         height_preserving=not args.no_height_preserving,
@@ -391,8 +342,7 @@ def cmd_isometry_search(args, out):
                 m.items(), key=lambda kv: (kv[0].cursor, kv[0].config.entries))}
             for m in maps_found
         ]
-    emit_report(payload, args.format, out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("ball", help="enumerate a metric ball")
-    _add_common(p, format_choices=("json", "csv", "text"))
+    _add_common(p, format_choices=("json", "csv"))
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--center", default=None)
     p.set_defaults(func=cmd_ball)
@@ -546,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None, stdout=None) -> int:
-    """Entry point returning the exit code; output goes to stdout or --out."""
+    """Entry point returning the exit code.  The command returns its payload,
+    and only then is it written, to stdout or to --out."""
     stdout = stdout if stdout is not None else sys.stdout
     parser = build_parser()
     try:
@@ -554,11 +505,12 @@ def run(argv=None, stdout=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.out:
-            with open(args.out, "w") as fh:
-                return args.func(args, fh)
-        return args.func(args, stdout)
-    except (ParseError, DomainError, DecompositionError) as exc:
+        payload, code = args.func(args)
+        text = emit_report(payload, getattr(args, "format", None))
+        if not args.out:
+            stdout.write(text)
+            return code
+    except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalError as exc:
@@ -567,6 +519,13 @@ def run(argv=None, stdout=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 def main() -> None:

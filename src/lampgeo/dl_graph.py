@@ -249,54 +249,3 @@ def dl_distance(u: DLVertex, v: DLVertex) -> int:
 def coset_of(v: DLVertex) -> LampConfig:
     """The vertical geodesic through v, identified by its configuration."""
     return v.config
-
-
-# ---------------------------------------------------------------------------
-# DOT export
-# ---------------------------------------------------------------------------
-
-_PALETTE = (
-    "lightblue", "lightpink", "palegreen", "khaki", "plum", "lightsalmon",
-    "paleturquoise", "wheat", "lightgray", "thistle", "darkseagreen", "lightcyan",
-)
-
-
-def _node_id(v: DLVertex) -> str:
-    from .formats import format_vertex
-    return format_vertex(v)
-
-
-def export_dot(
-    vertices: set[DLVertex] | list[DLVertex],
-    edges: set[tuple[DLVertex, DLVertex]] | list[tuple[DLVertex, DLVertex]],
-    coset_colors: bool = False,
-) -> str:
-    """Render a vertex/edge set as a deterministic undirected DOT graph.
-
-    Node ids are "<config>|<k>"; with coset_colors, vertices on the same
-    vertical geodesic share a fill color.
-    """
-    vset = set(vertices)
-    for a, b in edges:
-        if a not in vset or b not in vset:
-            raise DomainError(f"edge endpoint {_node_id(a if a not in vset else b)} not in vertex set")
-    order = sorted(vset, key=lambda v: (v.cursor, v.config.entries))
-    color_for: dict[tuple, str] = {}
-    if coset_colors:
-        for cfg in sorted({v.config.entries for v in order}):
-            color_for[cfg] = _PALETTE[len(color_for) % len(_PALETTE)]
-    lines = ["graph dl {"]
-    for v in order:
-        nid = _node_id(v)
-        attrs = [f'label="{nid}"']
-        if coset_colors:
-            attrs.append(f'fillcolor="{color_for[v.config.entries]}"')
-            attrs.append('style="filled"')
-        lines.append(f'  "{nid}" [{", ".join(attrs)}];')
-    canon = sorted(
-        {tuple(sorted((_node_id(a), _node_id(b)))) for a, b in edges}
-    )
-    for a, b in canon:
-        lines.append(f'  "{a}" -- "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ Configurations are ``index:value`` pairs joined by commas (empty string =
 identity); vertices are ``<config>|<k>``; Z[1/n] elements are ``r*n^k`` or
 plain integer/rational/decimal literals; vectors are ``x,y``.  Map
 descriptions compose with ``;`` in left-to-right application order.
-Parse errors carry the offending column.
+Parse errors carry the offending column.  DOT export names nodes by vertex.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .base_groups import BSNumber, LampConfig
 from .dl_graph import DLVertex
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .maps import BaseMap, BlockPerm, Compose, Inversion, Shift, Translate
 
 
@@ -209,3 +209,49 @@ def parse_map(text: str, n: int = 2) -> BaseMap:
     if len(parts) == 1:
         return parts[0]
     return Compose(tuple(reversed(parts)))
+
+
+# ---------------------------------------------------------------------------
+# DOT export
+# ---------------------------------------------------------------------------
+
+_PALETTE = (
+    "lightblue", "lightpink", "palegreen", "khaki", "plum", "lightsalmon",
+    "paleturquoise", "wheat", "lightgray", "thistle", "darkseagreen", "lightcyan",
+)
+
+
+def export_dot(
+    vertices: set[DLVertex] | list[DLVertex],
+    edges: set[tuple[DLVertex, DLVertex]] | list[tuple[DLVertex, DLVertex]],
+    coset_colors: bool = False,
+) -> str:
+    """Render a vertex/edge set as a deterministic undirected DOT graph.
+
+    Node ids are "<config>|<k>"; with coset_colors, vertices on the same
+    vertical geodesic share a fill color.
+    """
+    vset = set(vertices)
+    for a, b in edges:
+        if a not in vset or b not in vset:
+            raise DomainError(f"edge endpoint {format_vertex(a if a not in vset else b)} not in vertex set")
+    order = sorted(vset, key=lambda v: (v.cursor, v.config.entries))
+    color_for: dict[tuple, str] = {}
+    if coset_colors:
+        for cfg in sorted({v.config.entries for v in order}):
+            color_for[cfg] = _PALETTE[len(color_for) % len(_PALETTE)]
+    lines = ["graph dl {"]
+    for v in order:
+        nid = format_vertex(v)
+        attrs = [f'label="{nid}"']
+        if coset_colors:
+            attrs.append(f'fillcolor="{color_for[v.config.entries]}"')
+            attrs.append('style="filled"')
+        lines.append(f'  "{nid}" [{", ".join(attrs)}];')
+    canon = sorted(
+        {tuple(sorted((format_vertex(a), format_vertex(b)))) for a, b in edges}
+    )
+    for a, b in canon:
+        lines.append(f'  "{a}" -- "{b}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

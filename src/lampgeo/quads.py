@@ -34,7 +34,7 @@ from .base_groups import (
     sol_delta,
 )
 from .errors import DecompositionError, DomainError, InternalError
-from .formats import format_bs, format_config, format_vector
+from .formats import format_bs, format_config, format_vector, parse_bs, parse_config, parse_vector
 
 Scalar = int | Fraction
 
@@ -69,6 +69,9 @@ class LampFamily:
 
     def fmt(self, p: LampConfig) -> str:
         return format_config(p)
+
+    def parse(self, text: str) -> LampConfig:
+        return parse_config(text, self.n)
 
     def fits(self, v: LampConfig, residual: LampConfig) -> bool:
         # digitwise v <= residual, so subtraction never wraps mod n
@@ -105,6 +108,9 @@ class BSFamily:
 
     def fmt(self, p: BSNumber) -> str:
         return format_bs(p)
+
+    def parse(self, text: str) -> BSNumber:
+        return parse_bs(text, self.n)
 
     def fits(self, v: BSNumber, residual: BSNumber) -> bool:
         if v.is_zero() or residual.is_zero() or (v.r > 0) != (residual.r > 0):
@@ -146,6 +152,9 @@ class SolFamily:
 
     def fmt(self, p: SolVector) -> str:
         return format_vector(p)
+
+    def parse(self, text: str) -> SolVector:
+        return parse_vector(text)
 
     def fits(self, v: SolVector, residual: SolVector) -> bool:
         if v == (0, 0):
@@ -304,6 +313,13 @@ def _packed_with_gap(n: int, width: int, shift: int, gmin: int, gmax: int):
                     yield (e | sum(digits)) << (lo << shift)
 
 
+def _side_count(n: int, width: int, S: int) -> int:
+    """How many points _packed_with_gap lists for gaps 0..S-1: a gap g has
+    width - g positions, n - 1 nonzero values at each end (one end at g = 0)
+    and n^(g-1) interiors."""
+    return sum((width - g) * (n - 1) ** min(g + 1, 2) * n ** max(g - 1, 0) for g in range(min(S, width)))
+
+
 # relaxed mode records almost every tuple it checks as a witness: window 10
 # at S = 2 checks 109,440, and its CLI run takes about 3.3 s on a 2-vCPU VM,
 # writes 9 MB of JSON and peaks at 125 MB, so 2^17 is about 4 s, 11 MB and 150 MB
@@ -358,12 +374,10 @@ def verify_lamp_claim(
     def to_config(p: int) -> LampConfig:
         return packed_lamp(n, p, 0)
 
-    # full mode lists at most one side more than its pair budget admits
-    cap = math.isqrt(MAX_SIDE_PAIRS) + 1 if hypotheses == "full" else None
-    sides = list(itertools.islice(_packed_with_gap(n, window_width, shift, 0, S - 1), cap))
-    if cap and len(sides) ** 2 > MAX_SIDE_PAIRS:
-        raise DomainError(f"full mode would visit more than MAX_SIDE_PAIRS = {MAX_SIDE_PAIRS} "
-                          f"side pairs (b, u) at S = {S}, window {window_width}")
+    def side_points():
+        return _packed_with_gap(n, window_width, shift, 0, S - 1)
+
+    side_count = _side_count(n, window_width, S)
     min_diag = 2 * S + 1  # strict: |supp| > 2S
     piece = (1 << (S << shift)) - 1  # S consecutive fields
     violations = []
@@ -377,9 +391,11 @@ def verify_lamp_claim(
         large = list(itertools.islice(
             _packed_with_gap(n, window_width, shift, min_diag, window_width - 1),
             MAX_RELAXED_TUPLES + 1))
-        # with no large d nothing is checked, and the scan is skipped
+        # with no large d nothing is checked, and the scan is skipped; the
+        # sides are drawn afresh for each b, so none is listed unread
         far = list(itertools.islice(
-            ((b, c) for b in sides for c in sides if c != b and gap(b ^ c) >= min_diag),  # diagonal (b, c)
+            ((b, c) for b in side_points() for c in side_points()
+             if c != b and gap(b ^ c) >= min_diag),  # diagonal (b, c)
             MAX_RELAXED_TUPLES // len(large) + 1)) if large else []
         enumerated = checked = len(far) * len(large)
         if checked > MAX_RELAXED_TUPLES:
@@ -389,6 +405,10 @@ def verify_lamp_claim(
             bc = add(b, c)
             violations.extend((b, c, d) for d in large if d != bc)
     else:
+        if side_count ** 2 > MAX_SIDE_PAIRS:
+            raise DomainError(f"full mode would visit more than MAX_SIDE_PAIRS = {MAX_SIDE_PAIRS} "
+                              f"side pairs (b, u) at S = {S}, window {window_width}")
+        sides = list(side_points())
         for b in sides:
             for u in sides:
                 d = add(b, u)
@@ -398,7 +418,7 @@ def verify_lamp_claim(
                 hi = (d.bit_length() - 1) >> shift
                 if hi - lo < min_diag:  # diagonal (a, d); so d is no side
                     continue
-                enumerated += len(sides)
+                enumerated += side_count
                 low = d & piece << (lo << shift)
                 high = d & piece << ((hi - S + 1) << shift)
                 if low | high != d:  # d is nonzero between its two ends: no c fits
@@ -419,7 +439,7 @@ def verify_lamp_claim(
     return VerifyReport(
         params={"S": S, "n": n, "hypotheses": hypotheses,
                 "sides": f"|supp| < {S}", "diagonals": f"|supp| > {2 * S}"},
-        search_space={"window": [0, window_width], "side_candidates": len(sides),
+        search_space={"window": [0, window_width], "side_candidates": side_count,
                       "tuples_enumerated": enumerated},
         count_checked=checked,
         violations=viol_quads,

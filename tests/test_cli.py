@@ -18,11 +18,10 @@ from lampgeo.dl_graph import (
     bfs_distance,
     distances_from,
     dl_distance,
-    export_dot,
     identity_vertex,
     neighbors,
 )
-from lampgeo.formats import format_vertex, parse_vertex
+from lampgeo.formats import export_dot, format_vertex, parse_vertex
 
 
 def invoke(*argv):
@@ -89,6 +88,45 @@ def test_export_dot_equals_ball_edges_rendering(n, center, radii):
             verts = ball(c, radius)
             assert code == EXIT_OK
             assert out == export_dot(verts, ball_edges(verts), coset_colors=bool(colors))
+
+
+def test_dist_table_refuses_text_before_its_bfs(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("BFS run")
+
+    monkeypatch.setattr(cli, "distances_from", fail)
+    code, out = invoke("dist", "--radius", "1", "--format", "text")
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("export-dot", "--radius", "1"),
+    ("delta", "--family", "lamp", "--p", "0:1", "--q", "", "--format", "text"),
+    ("ball", "--radius", "1"),
+], ids=" ".join)
+def test_out_gets_exactly_what_stdout_gets(argv, tmp_path):
+    path = tmp_path / "out"
+    code, out = invoke(*argv)
+    assert invoke(*argv, "--out", str(path)) == (code, "")
+    assert code == EXIT_OK and path.read_text() == out
+
+
+def test_out_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
+    code, out = invoke("delta", "--p", "0:1", "--q", "", "--out", str(tmp_path / "missing" / "x.json"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_refused_command_leaves_out_untouched(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("kept\n")
+    code, out = invoke("verify", "lamp-claim", "--S", "0", "--window", "4", "--out", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert capsys.readouterr().err.startswith("error:")
+    assert path.read_text() == "kept\n"
 
 
 def test_ball_and_dot():
@@ -331,11 +369,14 @@ def test_verify_schwartz_past_box_budget_exits_2_quickly():
     ("verify", "lamp-claim", "--S", "2", "--window", "14", "--relaxed"),
     ("verify", "lamp-claim", "--S", "10", "--window", "40"),
     ("verify", "lamp-claim", "--S", "13", "--window", "28", "--relaxed"),
+    ("verify", "lamp-claim", "--S", "18", "--window", "38", "--relaxed"),
+    ("verify", "lamp-claim", "--S", "20", "--window", "42", "--relaxed"),
 ], ids=["schwartz-eps", "taback-exponents", "taback-eps", "lamp-claim-relaxed", "lamp-claim-full",
-        "lamp-claim-relaxed-wide"])
+        "lamp-claim-relaxed-wide", "lamp-claim-relaxed-s18", "lamp-claim-relaxed-s20"])
 def test_verifiers_past_work_budgets_exit_2_quickly(argv):
     # without the corner, relaxed-tuple and side-pair budgets each ran for
-    # more than 15 s; the wide relaxed input built 2^26 interiors, several GB
+    # more than 15 s; the wide relaxed input built 2^26 interiors, several GB;
+    # listing every side first took 1.2 s at S = 18 and 12.6 M sides at S = 20
     start = time.perf_counter()
     proc, _ = _run_child(argv)
     assert time.perf_counter() - start < 2.0  # interpreter start included
@@ -435,7 +476,7 @@ def test_isometry_search_past_node_budget_exits_2(argv):
 @pytest.mark.parametrize("exc", [InternalError("bound escaped"), RuntimeError("boom")],
                          ids=lambda e: type(e).__name__)
 def test_internal_errors_exit_3_in_one_line(exc, monkeypatch, capsys):
-    def fail(args, out):
+    def fail(args):
         raise exc
 
     monkeypatch.setattr(cli, "cmd_ball", fail)

@@ -13,7 +13,7 @@ import pytest
 import lampgeo as lg
 from lampgeo import LampConfig, LampFamily
 from lampgeo.base_groups import digit_shift
-from lampgeo.quads import VerifyReport, _packed_with_gap
+from lampgeo.quads import VerifyReport, _packed_with_gap, _side_count
 
 
 def _mask_gap(d):
@@ -190,3 +190,15 @@ def test_lazy_gap_lister_matches_eager_lister(n):
                 got = _packed_with_gap(n, width, shift, gmin, gmax)
                 assert list(got) == list(_eager_packed_with_gap(n, width, shift, gmin, gmax)), \
                     (width, gmin, gmax)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_side_count_matches_the_lister(n):
+    # relaxed mode reports the closed form as side_candidates, and lists no
+    # side to count it
+    shift = digit_shift(n)
+    for width in range(2, 11):
+        listed = 0
+        for S in range(1, 9):
+            listed += sum(1 for _ in _packed_with_gap(n, width, shift, S - 1, S - 1))
+            assert _side_count(n, width, S) == listed, (width, S)

@@ -272,6 +272,20 @@ def test_relaxed_lamp_claim_refusal_draws_interiors_lazily():
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize("S, W", [(18, 38), (20, 42)])
+def test_relaxed_lamp_claim_refusal_lists_no_sides(S, W):
+    # S = 18 at window 38 has 2,883,583 sides, which took about 115 MB of RSS
+    # listed, and S = 20 at window 42 has 12,582,911: the refusal draws a few
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="MAX_RELAXED_TUPLES"):
+            lg.verify_lamp_claim(S, W, hypotheses="relaxed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 def test_sol_corner_refusal_stops_the_step_lister():
     # listed whole, the steps at eps 10^6 and box 300 are 1,442,400 points,
     # about 145 MB; the lister stops a few rows in, once the budget is passed

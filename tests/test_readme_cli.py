@@ -8,6 +8,7 @@ Regenerate the data (only when a report is meant to change) with
     PYTHONPATH=src python tests/test_readme_cli.py
 """
 
+import argparse
 import ast
 import contextlib
 import hashlib
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from lampgeo.cli import EXIT_USAGE, run
+from lampgeo.cli import EXIT_USAGE, build_parser, run
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "readme_cli.json"
@@ -81,6 +82,7 @@ def test_cli_output_matches_golden(argv):
     ["dist", "--u", "|0", "--v", "0:1|0", "--seed", "1"],
     ["verify", "lamp-claim", "--S", "2", "--window", "10", "--chunks", "2"],
     ["ball", "--radius", "2", "--format", "dot"],
+    ["ball", "--radius", "2", "--format", "text"],
     ["export-dot", "--radius", "2", "--format", "json"],
 ], ids=" ".join)
 def test_removed_options_are_usage_errors(argv):
@@ -88,6 +90,20 @@ def test_removed_options_are_usage_errors(argv):
     assert got["exit"] == EXIT_USAGE and got["stdout"] == ""
     assert got["stderr"].startswith("usage: lampgeo")
     assert "Traceback" not in got["stderr"]
+
+
+def _leaf_commands(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [path]
+    return [leaf for name, sub in subs[0].choices.items() for leaf in _leaf_commands(sub, path + (name,))]
+
+
+def test_readme_runs_every_subcommand():
+    leaves = _leaf_commands(build_parser())
+    assert len(leaves) == 17
+    documented = {tuple(argv[:len(leaf)]) for argv in readme_commands() for leaf in leaves}
+    assert [" ".join(leaf) for leaf in leaves if leaf not in documented] == []
 
 
 def test_readme_documents_every_budget():
