@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .base_groups import (LampConfig, digit_shift, digits_at, field_bit, lamp_delta, lamp_dl, lamp_du,
                           packed_lamp, rewrite_window, window_digits)
 from .dl_graph import DLVertex, ball, ball_graph, identity_vertex
@@ -236,6 +234,8 @@ def _mod2_deviations(img: np.ndarray, width: int) -> tuple[int, int]:
     last-disagreement table ld holds b on [2^b, 2^(b+1)), and the first
     disagreement of x is the last one of its lowest set bit, x & -x.
     """
+    import numpy as np  # only the n = 2 scan needs it, so `import lampgeo` does not
+
     configs = np.arange(1 << width, dtype=np.uint32)
     ld = np.zeros(1 << width, dtype=np.int16)
     for b in range(width):
@@ -263,6 +263,8 @@ def _blockperm_image_table(bp: BlockPerm, padding: int) -> np.ndarray:
     Bit b of a mask is the lamp at index b - padding; the block window
     occupies bits [padding, padding + m).
     """
+    import numpy as np
+
     width = bp.m + 2 * padding
     wmask = (1 << bp.m) - 1
     perm = np.arange(1 << bp.m, dtype=np.uint32)

@@ -320,6 +320,11 @@ def _side_count(n: int, width: int, S: int) -> int:
     return sum((width - g) * (n - 1) ** min(g + 1, 2) * n ** max(g - 1, 0) for g in range(min(S, width)))
 
 
+# the side count is below 2W * n^W, so a window of at most 2^13 packed bits
+# keeps it, and every other count of the report, under 2,500 decimal digits,
+# inside Python's 4,300-digit int-to-string limit
+MAX_LAMP_WINDOW_BITS = 1 << 13
+
 # relaxed mode records almost every tuple it checks as a witness: window 10
 # at S = 2 checks 109,440, and its CLI run takes about 3.3 s on a 2-vCPU VM,
 # writes 9 MB of JSON and peaks at 125 MB, so 2^17 is about 4 s, 11 MB and 150 MB
@@ -359,10 +364,13 @@ def verify_lamp_claim(
         raise DomainError("window_width must be >= 2")
     if hypotheses not in ("full", "relaxed"):
         raise DomainError(f"unknown hypotheses mode {hypotheses!r}")
-    start = time.perf_counter()
     # Points are packed ints, index i's digit at bit i << shift: two points
     # differ exactly at the fields where their XOR is nonzero.
     shift = digit_shift(n)
+    if window_width << shift > MAX_LAMP_WINDOW_BITS:
+        raise DomainError(f"a window of {window_width} fields of {1 << shift} bits each is above "
+                          f"the budget of MAX_LAMP_WINDOW_BITS = {MAX_LAMP_WINDOW_BITS} bits")
+    start = time.perf_counter()
 
     def gap(d: int) -> int:
         # d != 0; width of the disagreement interval of a packed difference
@@ -379,28 +387,28 @@ def verify_lamp_claim(
 
     side_count = _side_count(n, window_width, S)
     min_diag = 2 * S + 1  # strict: |supp| > 2S
-    piece = (1 << (S << shift)) - 1  # S consecutive fields
     violations = []
     checked = 0
     enumerated = 0
 
     if hypotheses == "relaxed":
         # every (b, c, d) with b, c far apart and d large is checked, so the
-        # count is known first; each list stops once the product is past the
-        # budget, so the count is exact up to it and the lists stay small
-        large = list(itertools.islice(
-            _packed_with_gap(n, window_width, shift, min_diag, window_width - 1),
-            MAX_RELAXED_TUPLES + 1))
+        # count is known first: the large points are counted in closed form
+        # (every nonzero point has some gap), the far pairs are listed only
+        # until the product passes the budget, and the large points only once
+        # the budget admits them
+        large_count = n ** window_width - 1 - _side_count(n, window_width, min_diag)
         # with no large d nothing is checked, and the scan is skipped; the
         # sides are drawn afresh for each b, so none is listed unread
         far = list(itertools.islice(
             ((b, c) for b in side_points() for c in side_points()
              if c != b and gap(b ^ c) >= min_diag),  # diagonal (b, c)
-            MAX_RELAXED_TUPLES // len(large) + 1)) if large else []
-        enumerated = checked = len(far) * len(large)
+            MAX_RELAXED_TUPLES // large_count + 1)) if large_count else []
+        enumerated = checked = len(far) * large_count
         if checked > MAX_RELAXED_TUPLES:
             raise DomainError(f"relaxed mode would check more than MAX_RELAXED_TUPLES = "
                               f"{MAX_RELAXED_TUPLES} tuples (b, c, d) at S = {S}, window {window_width}")
+        large = list(_packed_with_gap(n, window_width, shift, min_diag, window_width - 1)) if far else []
         for b, c in far:
             bc = add(b, c)
             violations.extend((b, c, d) for d in large if d != bc)
@@ -408,6 +416,8 @@ def verify_lamp_claim(
         if side_count ** 2 > MAX_SIDE_PAIRS:
             raise DomainError(f"full mode would visit more than MAX_SIDE_PAIRS = {MAX_SIDE_PAIRS} "
                               f"side pairs (b, u) at S = {S}, window {window_width}")
+        # S consecutive fields; none past the window is read
+        piece = (1 << (min(S, window_width) << shift)) - 1
         sides = list(side_points())
         for b in sides:
             for u in sides:
@@ -461,6 +471,13 @@ def verify_lamp_claim(
 MAX_CORNER_PAIRS = 1 << 22
 
 
+def _check_corner_candidates(sides: int, steps: int) -> None:
+    """Raise DomainError when sides * steps index candidates pass MAX_CORNER_PAIRS."""
+    if sides * steps > MAX_CORNER_PAIRS:
+        raise DomainError(f"{sides} side points times {steps} steps pass "
+                          f"the corner budget MAX_CORNER_PAIRS = {MAX_CORNER_PAIRS}")
+
+
 def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -> dict:
     """near[p3] = the points q of d_eps one step from p3, for each p3 in the space.
 
@@ -476,10 +493,8 @@ def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -
     C(|near[p3]|, 2) counted while the index is built.  Past
     MAX_CORNER_PAIRS it raises DomainError before any pair is decided.
     """
+    _check_corner_candidates(len(d_eps), len(steps))
     candidates = len(d_eps) * len(steps)
-    if candidates > MAX_CORNER_PAIRS:
-        raise DomainError(f"{len(d_eps)} side points times {len(steps)} steps pass "
-                          f"the corner budget MAX_CORNER_PAIRS = {MAX_CORNER_PAIRS}")
     near: dict = {}
     outside = set()
     pairs = 0
@@ -498,6 +513,11 @@ def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -
             raise DomainError(f"{candidates} index candidates and their corner pairs pass "
                               f"the corner budget MAX_CORNER_PAIRS = {MAX_CORNER_PAIRS}")
     return near
+
+
+def _nonmultiples(e: int, n: int) -> int:
+    """How many r with 0 < |r| <= e are not multiples of n."""
+    return 2 * (e - e // n) if e > 0 else 0
 
 
 def _ceil_log(x: int, n: int) -> int:
@@ -525,7 +545,9 @@ def verify_taback(
 
     The corners come from _corner_index over D_eps and the steps s * n^j;
     the steps hold every side at p3, because |p3 - q| <= (bound + eps) *
-    n^kmax keeps the side's exponent within its range.
+    n^kmax keeps the side's exponent within its range.  Both lists are
+    counted in closed form, and refused on the corner budget, before either
+    is built.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -540,13 +562,17 @@ def verify_taback(
     # integer x standing for x * n^kmin: sums, differences, equality and
     # order are exact integer operations, and nadic_split(x) = (r, k - kmin).
     span = kmax - kmin
+    # p3 - q ranges over s * n^j; j is bounded because p3 must lie in the space
+    jmax = kmax + max(1, _ceil_log(numerator_bound + eps, n))
+    side_count = _nonmultiples(min(eps, numerator_bound), n) * (span + 1)
+    step_count = _nonmultiples(eps, n) * (jmax - kmin + 1)
+    _check_corner_candidates(side_count, step_count)
     small_rs = [r for r in range(-min(eps, numerator_bound), min(eps, numerator_bound) + 1)
                 if r and r % n]
     d_eps = sorted(r * n ** k for r in small_rs for k in range(span + 1))
-    # p3 - q ranges over s * n^j; j is bounded because p3 must lie in the space
-    jmax = kmax + max(1, _ceil_log(numerator_bound + eps, n))
+    # with no side point there is no corner, so the steps are not listed
     steps = sorted(s * n ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
-                   for j in range(jmax - kmin + 1))
+                   for j in range(jmax - kmin + 1)) if d_eps else []
 
     def in_space(p3: int) -> bool:
         # p3 in the space (r3 = 0 is not, as M > 0), with diagonal (p1, p3) long
@@ -570,7 +596,7 @@ def verify_taback(
     return VerifyReport(
         params={"n": n, "epsilon": eps, "M": M},
         search_space={"numerator_bound": numerator_bound, "exp_range": list(exp_range),
-                      "side_candidates": len(d_eps), "step_candidates": len(steps)},
+                      "side_candidates": side_count, "step_candidates": step_count},
         count_checked=len(quads),
         violations=[tuple(map(to_bs, quad)) for quad in violations],
         vacuous=not quads,

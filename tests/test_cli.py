@@ -213,21 +213,39 @@ def test_map_ppq_scan_count(argv, scans, monkeypatch):
     assert len(calls) == scans
 
 
-def _run_child(argv):
+def _run_child(argv, traced=False):
     # run in a child process, so that a command with no budget is killed at
-    # the timeout instead of running on; returns the process and its seconds
-    script = ("import io, sys, time\n"
+    # the timeout instead of running on; returns the process and its seconds.
+    # Its stdout holds the seconds, the output lines, whether numpy was
+    # loaded after the import and after the run, and the tracemalloc peak in
+    # bytes of the run when traced (0 otherwise)
+    script = ("import io, sys, time, tracemalloc\n"
               "from lampgeo.cli import run\n"
+              "imported = 'numpy' in sys.modules\n"
+              + ("tracemalloc.start()\n" if traced else "") +
               "start = time.perf_counter()\n"
               "out = io.StringIO()\n"
               f"code = run({list(argv)!r}, stdout=out)\n"
-              "print(time.perf_counter() - start, out.getvalue().count('\\n'))\n"
+              "print(time.perf_counter() - start, out.getvalue().count('\\n'), imported,\n"
+              "      'numpy' in sys.modules, tracemalloc.get_traced_memory()[1])\n"
               "sys.exit(code)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=20)
     return proc, float(proc.stdout.split()[0])
+
+
+@pytest.mark.parametrize("argv, numpy_after", [
+    (("ball", "--radius", "2"), "False"),
+    (("map", "bilip", "--map", "blockperm:m=3:100>111,111>100"), "True"),
+], ids=["ball", "bilip-n2"])
+def test_numpy_loads_only_for_the_n2_bilipschitz_scan(argv, numpy_after):
+    # importing numpy costs 40-115 ms and about 13 MB, and only the packed n = 2
+    # scan of bilip_constants uses it
+    proc, _ = _run_child(argv)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.split()[2:4] == ["False", numpy_after]
 
 
 def test_ball_past_vertex_budget_exits_2_quickly():
@@ -383,6 +401,27 @@ def test_verifiers_past_work_budgets_exit_2_quickly(argv):
     assert proc.returncode == EXIT_USAGE
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "taback", "--eps", "3", "--M", "64", "--bound", "1024", "--kmin", "-10000", "--kmax", "10000"),
+    ("verify", "taback", "--eps", "1000000", "--M", "1000000000001", "--bound", "0",
+     "--kmin", "-5", "--kmax", "5"),
+    ("verify", "lamp-claim", "--S", "100000000", "--window", "3"),
+    ("verify", "lamp-claim", "--S", "15000", "--window", "30001", "--relaxed"),
+    ("verify", "lamp-claim", "--S", "1", "--window", "8192", "--relaxed"),
+], ids=["taback-lists", "taback-no-sides", "lamp-claim-piece", "lamp-claim-count-digits",
+        "lamp-claim-large-points"])
+def test_verifiers_allocate_nothing_large_before_they_answer(argv):
+    # before their budgets looked first, these took 2 s and 241 MB of RSS to
+    # exit 2, 6.7 s and 1.3 GB to print a vacuous report, 56 MB to print one,
+    # exited 3 on a 4,520-digit side count, and took 90 MB to exit 2
+    proc, seconds = _run_child(argv, traced=True)
+    assert proc.returncode in (EXIT_OK, EXIT_USAGE) and seconds < 1.0
+    assert int(proc.stdout.split()[4]) < 16 << 20
+    if proc.returncode == EXIT_USAGE:
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 def test_relaxed_lamp_claim_without_large_points_skips_its_scan():

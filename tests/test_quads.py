@@ -300,6 +300,69 @@ def test_sol_corner_refusal_stops_the_step_lister():
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_taback_counts_its_lists_in_closed_form(n):
+    # the report's counts are read before the lists are built; they are the
+    # lengths of the lists the index is built from
+    for e in range(-3, 12):
+        assert quads._nonmultiples(e, n) == sum(1 for r in range(-e, e + 1) if r and r % n)
+    for eps, M, bound, exp_range in ((1, 2, 7, (0, 0)), (2, 5, 1, (-2, 2)), (3, 64, 300, (-5, 5)),
+                                     (3, 10, 64, (3, 4))):
+        space = lg.verify_taback(n, eps, M, bound, exp_range).search_space
+        kmin, kmax = exp_range
+        small_rs = [r for r in range(-min(eps, bound), min(eps, bound) + 1) if r and r % n]
+        jmax = kmax + max(1, quads._ceil_log(bound + eps, n))
+        steps = [r for r in range(-eps, eps + 1) if r and r % n]
+        assert space["side_candidates"] == len(small_rs) * (kmax - kmin + 1)
+        assert space["step_candidates"] == len(steps) * (jmax - kmin + 1)
+
+
+@pytest.mark.parametrize("args, error", [
+    # listed first, these lists traced about 210 MB before the same refusal
+    ((2, 3, 64, 1024, (-10_000, 10_000)), "80004 side points times 80048 steps pass"),
+    # no side point, so nothing to refuse: its 22 M steps traced 1.25 GB listed
+    ((2, 10 ** 6, 10 ** 12 + 1, 0, (-5, 5)), None),
+], ids=["refused", "no-sides"])
+def test_taback_lists_nothing_it_cannot_use(args, error):
+    tracemalloc.start()
+    try:
+        if error:
+            with pytest.raises(DomainError, match=error):
+                lg.verify_taback(*args)
+        else:
+            rep = lg.verify_taback(*args)
+            assert rep.vacuous and rep.search_space["side_candidates"] == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n, width", [(2, 8192), (3, 4096), (2 ** 4096 - 1, 2)],
+                         ids=["n2", "n3", "n-of-4096-bits"])
+def test_lamp_claim_window_budget_prints_every_admitted_count(n, width):
+    # a window of MAX_LAMP_WINDOW_BITS bits is admitted, and its side count
+    # (thousands of digits) prints; one field more is refused
+    assert width << quads.digit_shift(n) == quads.MAX_LAMP_WINDOW_BITS
+    rep = lg.verify_lamp_claim(width, width, n=n, hypotheses="relaxed")
+    assert rep.vacuous and len(json.dumps(rep.to_jsonable())) > 1000
+    with pytest.raises(DomainError, match="MAX_LAMP_WINDOW_BITS"):
+        lg.verify_lamp_claim(width + 1, width + 1, n=n, hypotheses="relaxed")
+
+
+def test_relaxed_lamp_claim_refusal_lists_no_large_points():
+    # the first 2^17 large points of window 8192 are ints of up to 8192 bits,
+    # which took about 60 MB to list before the tuple budget refused them
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="MAX_RELAXED_TUPLES"):
+            lg.verify_lamp_claim(1, 8192, hypotheses="relaxed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_report_jsonable_shape():
     rep = lg.verify_lamp_claim(1, 6)
     payload = rep.to_jsonable()
