@@ -9,6 +9,7 @@ quadruple that fails the corner relation.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -330,11 +331,6 @@ MAX_LAMP_WINDOW_BITS = 1 << 13
 # writes 9 MB of JSON and peaks at 125 MB, so 2^17 is about 4 s, 11 MB and 150 MB
 MAX_RELAXED_TUPLES = 1 << 17
 
-# full mode visits every side pair (b, u): on a 2-vCPU VM, S = 8 at window
-# 28 (2,815 sides) takes 2.7 s and window 30 (3,071 sides) about 4 s, so
-# 2^23 pairs (2,896 sides) is about 3 s
-MAX_SIDE_PAIRS = 1 << 23
-
 
 def verify_lamp_claim(
     S: int,
@@ -352,11 +348,11 @@ def verify_lamp_claim(
     four cyclic side conditions; ``"relaxed"`` imposes only the two on
     (b-a) and (c-a), the literal printed form, which admits witnesses.
 
-    Full mode lists d = b + u over side pairs (b, u) and finds c from d
-    alone: c and d - c both have gap < S, while lo(d) and hi(d) lie at
-    least 2S+1 apart, so one of them holds lo(d) and the other hi(d).
-    Hence c is d restricted to the fields [lo, lo+S) or to (hi-S, hi],
-    and either is a valid side exactly when d is zero between the two.
+    Full mode runs on _corner_index with the sides as both lists, refused
+    on the corner budget before any is listed: near[d] holds every side b
+    with d - b a side, for each large d, and each pair {b, c} of near[d]
+    with a long diagonal (b, c) is checked once and counted in both orders.
+    ``tuples_enumerated`` is the sum of |near[d]| * side_count.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
@@ -413,32 +409,28 @@ def verify_lamp_claim(
             bc = add(b, c)
             violations.extend((b, c, d) for d in large if d != bc)
     else:
-        if side_count ** 2 > MAX_SIDE_PAIRS:
-            raise DomainError(f"full mode would visit more than MAX_SIDE_PAIRS = {MAX_SIDE_PAIRS} "
-                              f"side pairs (b, u) at S = {S}, window {window_width}")
-        # S consecutive fields; none past the window is read
-        piece = (1 << (min(S, window_width) << shift)) - 1
+        # the corners of (a = 0, b, d, c) are d and two entries b, c of near[d]
+        _check_corner_candidates(side_count, side_count)
         sides = list(side_points())
-        for b in sides:
-            for u in sides:
-                d = add(b, u)
-                if not d:
-                    continue
-                lo = ((d & -d).bit_length() - 1) >> shift
-                hi = (d.bit_length() - 1) >> shift
-                if hi - lo < min_diag:  # diagonal (a, d); so d is no side
-                    continue
-                enumerated += side_count
-                low = d & piece << (lo << shift)
-                high = d & piece << ((hi - S + 1) << shift)
-                if low | high != d:  # d is nonzero between its two ends: no c fits
-                    continue
-                for c in (low, high):
-                    if c == b or gap(b ^ c) < min_diag:  # diagonal (b, c)
-                        continue
-                    checked += 1
+        large = lambda d: d != 0 and gap(d) >= min_diag  # diagonal (a, d)
+        if window_width << shift <= 61:
+            near = _corner_index(sides, sides, add, large).items()
+        else:
+            # an int hashes modulo 2^61 - 1: keyed by ints, points whose lamps
+            # agree mod 61 share one slot, and S = 1 at window 1024 took 8 s
+            # on a 2-vCPU VM
+            size = ((window_width << shift) + 7) >> 3
+            point = functools.partial(int.from_bytes, byteorder="little")
+            near = ((point(k), corners) for k, corners in _corner_index(
+                sides, sides, lambda q, s: add(q, s).to_bytes(size, "little"),
+                lambda k: large(point(k))).items())
+        for d, corners in near:
+            enumerated += len(corners) * side_count
+            for b, c in itertools.combinations(corners, 2):
+                if gap(b ^ c) >= min_diag:  # diagonal (b, c)
+                    checked += 2
                     if d != add(b, c):  # corner relation a + d = b + c
-                        violations.append((b, c, d))
+                        violations += [(b, c, d), (c, b, d)]
 
     zero = LampConfig.zero(n)
     viol_quads = sorted(
@@ -461,13 +453,14 @@ def verify_lamp_claim(
 
 
 # ---------------------------------------------------------------------------
-# Baumslag-Solitar verifier, and the corner index it shares with SOL
+# the corner index of all three verifiers, and the Baumslag-Solitar verifier
 # ---------------------------------------------------------------------------
 
 # One corner index may examine at most this many (q, s) candidates and
-# pairs {p2, p4} in all.  A Schwartz pair costs about 1 us on a 2-vCPU VM,
-# so 2^22 is about 4 s: eps 30 at box 100 (215,712 candidates, 3,842,100
-# pairs) is admitted, and larger inputs exit 2 before the first pair.
+# pairs {p2, p4} in all; larger inputs exit 2 before the first pair.  Near
+# it, on a 2-vCPU VM, Schwartz eps 30 at box 100 takes 1.7 s and 26 MB of
+# RSS, and full lamp-claim S = 1 at window 1671 4.4 s and 583 MB, as its
+# index holds every large d; the README lists the Taback inputs
 MAX_CORNER_PAIRS = 1 << 22
 
 
@@ -484,10 +477,11 @@ def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -
     The corners p2 and p4 of a quadrilateral (0, p2, p3, p4) with small
     sides are two entries of near[p3], distinct as q = p3 - s with s != 0.
     The index is built as add(q, s); the steps are closed under negation,
-    so p3 - q is a step exactly when q - p3 is.  in_space runs once per p3,
-    and only the p3 that pass get entries.  Callers decide each unordered
-    pair {p2, p4} once and emit both orders: the mirror (0, p4, p3, p2)
-    walks the same sides backwards.
+    so p3 - q is a step exactly when q - p3 is.  in_space runs on every
+    candidate p3 that is not yet a key, so it must be cheap; nothing is
+    kept for the p3 it rejects.  Callers decide each unordered pair
+    {p2, p4} once and emit both orders: the mirror (0, p4, p3, p2) walks
+    the same sides backwards.
 
     The work is the |d_eps| * |steps| candidates plus the pairs, the sum of
     C(|near[p3]|, 2) counted while the index is built.  Past
@@ -496,7 +490,6 @@ def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -
     _check_corner_candidates(len(d_eps), len(steps))
     candidates = len(d_eps) * len(steps)
     near: dict = {}
-    outside = set()
     pairs = 0
     for q in d_eps:
         for p3 in map(add, itertools.repeat(q), steps):
@@ -504,11 +497,8 @@ def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -
             if corners is not None:
                 pairs += len(corners)
                 corners.append(q)
-            elif p3 not in outside:
-                if in_space(p3):
-                    near[p3] = [q]
-                else:
-                    outside.add(p3)
+            elif in_space(p3):
+                near[p3] = [q]
         if candidates + pairs > MAX_CORNER_PAIRS:
             raise DomainError(f"{candidates} index candidates and their corner pairs pass "
                               f"the corner budget MAX_CORNER_PAIRS = {MAX_CORNER_PAIRS}")
@@ -574,10 +564,19 @@ def verify_taback(
     steps = sorted(s * n ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
                    for j in range(jmax - kmin + 1)) if d_eps else []
 
+    # |r3| <= bound needs v3 >= k, the least k with bound * n^k >= |p3|, so
+    # one bisection and one division leave a quotient of at most bound to
+    # split; with no side point, no candidate is tested
+    powers = [n ** k for k in range(span + 1)] if d_eps else []
+    caps = [numerator_bound * power for power in powers]
+
     def in_space(p3: int) -> bool:
         # p3 in the space (r3 = 0 is not, as M > 0), with diagonal (p1, p3) long
-        r3, v3 = nadic_split(p3, n)
-        return M <= abs(r3) <= numerator_bound and v3 <= span
+        k = bisect.bisect_left(caps, abs(p3))
+        if k > span or p3 % powers[k]:
+            return False
+        r3, v = nadic_split(p3 // powers[k], n)
+        return M <= abs(r3) <= numerator_bound and k + v <= span
 
     quads = []
     for p3, corners in _corner_index(d_eps, steps, operator.add, in_space).items():

@@ -392,7 +392,7 @@ def test_verify_schwartz_past_box_budget_exits_2_quickly():
 ], ids=["schwartz-eps", "taback-exponents", "taback-eps", "lamp-claim-relaxed", "lamp-claim-full",
         "lamp-claim-relaxed-wide", "lamp-claim-relaxed-s18", "lamp-claim-relaxed-s20"])
 def test_verifiers_past_work_budgets_exit_2_quickly(argv):
-    # without the corner, relaxed-tuple and side-pair budgets each ran for
+    # without the corner and relaxed-tuple budgets each ran for
     # more than 15 s; the wide relaxed input built 2^26 interiors, several GB;
     # listing every side first took 1.2 s at S = 18 and 12.6 M sides at S = 20
     start = time.perf_counter()
@@ -407,21 +407,47 @@ def test_verifiers_past_work_budgets_exit_2_quickly(argv):
     ("verify", "taback", "--eps", "3", "--M", "64", "--bound", "1024", "--kmin", "-10000", "--kmax", "10000"),
     ("verify", "taback", "--eps", "1000000", "--M", "1000000000001", "--bound", "0",
      "--kmin", "-5", "--kmax", "5"),
+    ("verify", "taback", "--eps", "3", "--M", "64", "--bound", "0",
+     "--kmin", "-100000", "--kmax", "100000"),
     ("verify", "lamp-claim", "--S", "100000000", "--window", "3"),
     ("verify", "lamp-claim", "--S", "15000", "--window", "30001", "--relaxed"),
     ("verify", "lamp-claim", "--S", "1", "--window", "8192", "--relaxed"),
-], ids=["taback-lists", "taback-no-sides", "lamp-claim-piece", "lamp-claim-count-digits",
-        "lamp-claim-large-points"])
+    ("verify", "lamp-claim", "--S", "8", "--window", "28"),
+], ids=["taback-lists", "taback-no-sides", "taback-no-sides-wide", "lamp-claim-piece",
+        "lamp-claim-count-digits", "lamp-claim-large-points", "lamp-claim-corner-budget"])
 def test_verifiers_allocate_nothing_large_before_they_answer(argv):
     # before their budgets looked first, these took 2 s and 241 MB of RSS to
     # exit 2, 6.7 s and 1.3 GB to print a vacuous report, 56 MB to print one,
-    # exited 3 on a 4,520-digit side count, and took 90 MB to exit 2
+    # exited 3 on a 4,520-digit side count, and took 90 MB to exit 2; full
+    # lamp-claim at S = 8, window 28 (2,815^2 side pairs) ran for 1.5 s
+    # before its side count was refused on the corner budget, and Taback
+    # with no side point must not build its exponent tables either
     proc, seconds = _run_child(argv, traced=True)
     assert proc.returncode in (EXIT_OK, EXIT_USAGE) and seconds < 1.0
     assert int(proc.stdout.split()[4]) < 16 << 20
     if proc.returncode == EXIT_USAGE:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+def test_taback_space_test_costs_no_division_per_exponent():
+    # the space test split each index candidate by n one exponent at a time
+    # and kept every rejected one, so exponents -160..160 took 7.6 s and
+    # 104 MB of RSS on a 2-vCPU VM
+    argv = ("verify", "taback", "--eps", "3", "--M", "64", "--bound", "1024",
+            "--kmin", "-160", "--kmax", "160")
+    proc, seconds = _run_child(argv)
+    assert proc.returncode == EXIT_OK and seconds < 2.0
+    proc, _ = _run_child(argv, traced=True)
+    assert proc.returncode == EXIT_OK and int(proc.stdout.split()[4]) < 32 << 20
+
+
+def test_full_lamp_claim_wide_window_hashes_every_bit():
+    # an int hashes modulo 2^61 - 1, so keyed by packed ints the index put
+    # points of window 896 whose lamps agree mod 61 in one slot, and the run
+    # took 4.7 s on a 2-vCPU VM
+    proc, seconds = _run_child(["verify", "lamp-claim", "--S", "1", "--window", "896"])
+    assert proc.returncode == EXIT_OK and seconds < 2.5
 
 
 def test_relaxed_lamp_claim_without_large_points_skips_its_scan():

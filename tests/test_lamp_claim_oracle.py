@@ -139,8 +139,8 @@ def reference_lamp_claim(S, window_width, n=2, hypotheses="full"):
     )
 
 
-# S >= 3 pins the verifier's two-piece choice of c (d restricted to its
-# lowest S fields or to its highest S fields) beyond one-digit pieces
+# S >= 3 gives sides of several fields, so the corners that the index
+# pairs at each large d are more than one digit wide
 FULL_CASES = [(2, 1, 6), (2, 2, 10), (2, 3, 12), (2, 4, 11), (3, 1, 6), (3, 2, 8),
               (3, 3, 8), (4, 2, 8), (5, 1, 7), (10, 1, 4)]
 # relaxed mode lists every window point and reports every witness; among the

@@ -221,6 +221,8 @@ def test_corner_budget_is_exact(monkeypatch):
         (lambda: lg.verify_taback(2, 3, 64, 1024, (-5, 5)), 44 * 88, 240),
         # criterion 8: 36 side points times 44 steps, then 1344 pairs
         (lambda: lg.calibrate_schwartz(ctx, 1, 50), 36 * 44, 1344),
+        # full lamp-claim: 19 sides as both lists, then 60 pairs
+        (lambda: lg.verify_lamp_claim(2, 10), 19 * 19, 60),
     ]
     for run, candidates, pairs in cases:
         want = run().to_jsonable()
@@ -246,17 +248,26 @@ def test_relaxed_lamp_claim_budget_is_exact(monkeypatch):
 
 
 def test_full_lamp_claim_budget_is_exact(monkeypatch):
-    want = lg.verify_lamp_claim(2, 10).to_jsonable()
-    sides = want["search_space"]["side_candidates"]
-    assert sides == 19
-    monkeypatch.setattr(quads, "MAX_SIDE_PAIRS", sides * sides)
-    assert lg.verify_lamp_claim(2, 10).to_jsonable() == want
-    monkeypatch.setattr(quads, "MAX_SIDE_PAIRS", sides * sides - 1)
-    with pytest.raises(DomainError, match="MAX_SIDE_PAIRS"):
+    # full mode's budget is the corner budget (its exact boundary is a case
+    # of test_corner_budget_is_exact); relaxed mode is bounded by its tuple
+    # budget, not by the corner budget
+    assert lg.verify_lamp_claim(2, 10).search_space["side_candidates"] == 19
+    monkeypatch.setattr(quads, "MAX_CORNER_PAIRS", 0)
+    with pytest.raises(DomainError, match="steps pass"):
         lg.verify_lamp_claim(2, 10)
-    # relaxed mode is bounded by its tuple budget, not by the side pairs
-    monkeypatch.setattr(quads, "MAX_SIDE_PAIRS", 0)
     assert lg.verify_lamp_claim(1, 6, hypotheses="relaxed").count_checked > 0
+
+
+@pytest.mark.parametrize("n, W", [(2, 70), (3, 40)])
+def test_full_lamp_claim_wide_window_in_closed_form(n, W):
+    # past 61 packed bits the index keys points by their bytes; at S = 1 the
+    # sides are the single lamps, and each large d holds two of them, at
+    # fields at least 3 apart: one pair {b, c}, checked in both orders
+    far = (n - 1) ** 2 * (W - 3) * (W - 2) // 2  # the large d
+    rep = lg.verify_lamp_claim(1, W, n=n)
+    assert rep.search_space["side_candidates"] == (n - 1) * W
+    assert rep.count_checked == 2 * far and not rep.violations
+    assert rep.search_space["tuples_enumerated"] == 2 * far * (n - 1) * W
 
 
 def test_relaxed_lamp_claim_refusal_draws_interiors_lazily():
