@@ -429,11 +429,15 @@ class BSNumber:
 
 
 def nadic_split(x: int, n: int) -> tuple[int, int]:
-    """(r, v) with x = r * n^v and n ∤ r; (0, 0) for x = 0."""
+    """(r, v) with x = r * n^v and n ∤ r; (0, 0) for x = 0.  Past 8 factors n,
+    the rest is split by n^2, so the steps number about 8 log2 v, not v."""
     if x == 0:
         return 0, 0
     v = 0
     while x % n == 0:
+        if v == 8:
+            r, w = nadic_split(x, n * n)
+            return (r, v + 2 * w) if r % n else (r // n, v + 2 * w + 1)
         x //= n
         v += 1
     return x, v

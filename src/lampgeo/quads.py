@@ -348,11 +348,11 @@ def verify_lamp_claim(
     four cyclic side conditions; ``"relaxed"`` imposes only the two on
     (b-a) and (c-a), the literal printed form, which admits witnesses.
 
-    Full mode runs on _corner_index with the sides as both lists, refused
-    on the corner budget before any is listed: near[d] holds every side b
-    with d - b a side, for each large d, and each pair {b, c} of near[d]
-    with a long diagonal (b, c) is checked once and counted in both orders.
-    ``tuples_enumerated`` is the sum of |near[d]| * side_count.
+    Full mode runs on _corner_index with the sides as both lists, its work
+    refused on the corner budget before any is listed: near[d] holds every
+    side b with d - b a side, for each large d, and each pair {b, c} of
+    near[d] with a long diagonal (b, c) is checked once and counted in both
+    orders.  ``tuples_enumerated`` is the sum of |near[d]| * side_count.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
@@ -409,21 +409,31 @@ def verify_lamp_claim(
             bc = add(b, c)
             violations.extend((b, c, d) for d in large if d != bc)
     else:
-        # the corners of (a = 0, b, d, c) are d and two entries b, c of near[d]
-        _check_corner_candidates(side_count, side_count)
+        # the corners of (a = 0, b, d, c) are d and two entries b, c of near[d];
+        # the side count is refused alone first, as its square can pass
+        # Python's 4,300-digit int-to-string limit
+        _check_corner_work(side_count ** 2, f"{side_count} side points times {side_count} side points")
+        # b + s is large iff the sides b, s lie 2S + 1 fields or more apart end
+        # to end: m (m + 1) placements, m = W - 2S - 1, of each pair of the
+        # (n - 1) n^(S - 1) side shapes at a lowest field.  Each large d holds
+        # b and s (no more, by the support lemma), so the index counts at least
+        # half as many pairs, and no input it would admit is refused on them
+        m = max(window_width - min_diag, 0)
+        pairs = m * (m + 1) // 2 * ((n - 1) * n ** (S - 1)) ** 2 if m else 0
+        _check_corner_work(side_count ** 2 + pairs, f"{side_count ** 2} index candidates and {pairs} corner pairs")
         sides = list(side_points())
         large = lambda d: d != 0 and gap(d) >= min_diag  # diagonal (a, d)
         if window_width << shift <= 61:
             near = _corner_index(sides, sides, add, large).items()
         else:
-            # an int hashes modulo 2^61 - 1: keyed by ints, points whose lamps
-            # agree mod 61 share one slot, and S = 1 at window 1024 took 8 s
-            # on a 2-vCPU VM
+            # an int hashes modulo 2^61 - 1, so keyed by ints the points whose
+            # lamps agree mod 61 share a slot (S = 1 at window 1024: 8 s, not
+            # 1.3 s); bytes at every width make quad_verify's lamp jobs, at
+            # windows 16..20, 1.8 times as slow
             size = ((window_width << shift) + 7) >> 3
-            point = functools.partial(int.from_bytes, byteorder="little")
-            near = ((point(k), corners) for k, corners in _corner_index(
+            near = ((int.from_bytes(k, "little"), corners) for k, corners in _corner_index(
                 sides, sides, lambda q, s: add(q, s).to_bytes(size, "little"),
-                lambda k: large(point(k))).items())
+                lambda k: large(int.from_bytes(k, "little"))).items())
         for d, corners in near:
             enumerated += len(corners) * side_count
             for b, c in itertools.combinations(corners, 2):
@@ -459,16 +469,15 @@ def verify_lamp_claim(
 # One corner index may examine at most this many (q, s) candidates and
 # pairs {p2, p4} in all; larger inputs exit 2 before the first pair.  Near
 # it, on a 2-vCPU VM, Schwartz eps 30 at box 100 takes 1.7 s and 26 MB of
-# RSS, and full lamp-claim S = 1 at window 1671 4.4 s and 583 MB, as its
+# RSS, and full lamp-claim S = 1 at window 1671 4.2 s and 583 MB, as its
 # index holds every large d; the README lists the Taback inputs
 MAX_CORNER_PAIRS = 1 << 22
 
 
-def _check_corner_candidates(sides: int, steps: int) -> None:
-    """Raise DomainError when sides * steps index candidates pass MAX_CORNER_PAIRS."""
-    if sides * steps > MAX_CORNER_PAIRS:
-        raise DomainError(f"{sides} side points times {steps} steps pass "
-                          f"the corner budget MAX_CORNER_PAIRS = {MAX_CORNER_PAIRS}")
+def _check_corner_work(work: int, what: str) -> None:
+    """Raise DomainError, saying what the work is, when it passes MAX_CORNER_PAIRS."""
+    if work > MAX_CORNER_PAIRS:
+        raise DomainError(f"{what} pass the corner budget MAX_CORNER_PAIRS = {MAX_CORNER_PAIRS}")
 
 
 def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -> dict:
@@ -485,10 +494,11 @@ def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -
 
     The work is the |d_eps| * |steps| candidates plus the pairs, the sum of
     C(|near[p3]|, 2) counted while the index is built.  Past
-    MAX_CORNER_PAIRS it raises DomainError before any pair is decided.
+    MAX_CORNER_PAIRS it raises DomainError before any pair is decided;
+    callers that count the work in closed form refuse it before listing.
     """
-    _check_corner_candidates(len(d_eps), len(steps))
     candidates = len(d_eps) * len(steps)
+    _check_corner_work(candidates, f"{len(d_eps)} side points times {len(steps)} steps")
     near: dict = {}
     pairs = 0
     for q in d_eps:
@@ -500,8 +510,7 @@ def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -
             elif in_space(p3):
                 near[p3] = [q]
         if candidates + pairs > MAX_CORNER_PAIRS:
-            raise DomainError(f"{candidates} index candidates and their corner pairs pass "
-                              f"the corner budget MAX_CORNER_PAIRS = {MAX_CORNER_PAIRS}")
+            _check_corner_work(candidates + pairs, f"{candidates} index candidates and their corner pairs")
     return near
 
 
@@ -556,7 +565,7 @@ def verify_taback(
     jmax = kmax + max(1, _ceil_log(numerator_bound + eps, n))
     side_count = _nonmultiples(min(eps, numerator_bound), n) * (span + 1)
     step_count = _nonmultiples(eps, n) * (jmax - kmin + 1)
-    _check_corner_candidates(side_count, step_count)
+    _check_corner_work(side_count * step_count, f"{side_count} side points times {step_count} steps")
     small_rs = [r for r in range(-min(eps, numerator_bound), min(eps, numerator_bound) + 1)
                 if r and r % n]
     d_eps = sorted(r * n ** k for r in small_rs for k in range(span + 1))

@@ -18,7 +18,7 @@ from lampgeo import (
     sol_delta,
     sol_invariant_form,
 )
-from lampgeo.base_groups import diff_span
+from lampgeo.base_groups import diff_span, nadic_split
 
 L = LampConfig.of
 
@@ -162,6 +162,32 @@ def test_bs_normalize_examples():
     assert bs_normalize(12, 0, 2) == BSNumber(3, 2, 2)
     assert bs_normalize(3, -2, 2) == BSNumber(3, -2, 2)
     assert bs_normalize(0, 5, 2) == BSNumber(0, 0, 2)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 300), st.sampled_from([2, 3, 4, 6, 10, 2 ** 31 + 1]))
+@settings(max_examples=300)
+def test_nadic_split_matches_one_division_at_a_time(r, v, n):
+    x, want_v = r * n ** v, 0
+    while x and x % n == 0:
+        x, want_v = x // n, want_v + 1
+    assert nadic_split(r * n ** v, n) == ((x, want_v) if x else (0, 0))
+
+
+def test_nadic_split_divides_about_8_log_v_times():
+    # one factor n at a time, 3^5000 * 7 took 5,001 reductions mod 3
+    reductions = 0
+
+    class Counted(int):
+        def __mod__(self, other):
+            nonlocal reductions
+            reductions += 1
+            return int(self) % other
+
+        def __floordiv__(self, other):
+            return Counted(int(self) // other)
+
+    assert nadic_split(Counted(7 * 3 ** 5000), 3) == (7, 5000)
+    assert reductions < 200
 
 
 def test_bs_invariants_enforced():

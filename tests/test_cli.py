@@ -413,15 +413,21 @@ def test_verifiers_past_work_budgets_exit_2_quickly(argv):
     ("verify", "lamp-claim", "--S", "15000", "--window", "30001", "--relaxed"),
     ("verify", "lamp-claim", "--S", "1", "--window", "8192", "--relaxed"),
     ("verify", "lamp-claim", "--S", "8", "--window", "28"),
+    ("verify", "lamp-claim", "--S", "1", "--window", "1800"),
+    ("verify", "lamp-claim", "--S", "8192", "--window", "8192"),
 ], ids=["taback-lists", "taback-no-sides", "taback-no-sides-wide", "lamp-claim-piece",
-        "lamp-claim-count-digits", "lamp-claim-large-points", "lamp-claim-corner-budget"])
+        "lamp-claim-count-digits", "lamp-claim-large-points", "lamp-claim-corner-budget",
+        "lamp-claim-corner-pairs", "lamp-claim-full-count-digits"])
 def test_verifiers_allocate_nothing_large_before_they_answer(argv):
     # before their budgets looked first, these took 2 s and 241 MB of RSS to
     # exit 2, 6.7 s and 1.3 GB to print a vacuous report, 56 MB to print one,
     # exited 3 on a 4,520-digit side count, and took 90 MB to exit 2; full
     # lamp-claim at S = 8, window 28 (2,815^2 side pairs) ran for 1.5 s
-    # before its side count was refused on the corner budget, and Taback
-    # with no side point must not build its exponent tables either
+    # before its side count was refused on the corner budget, at window
+    # 1,800 it built part of its index, 3.1 s and 661 MB, before its corner
+    # pairs were; the widest full window must not print its squared side
+    # count (4,933 digits), and Taback with no side point must not build its
+    # exponent tables either
     proc, seconds = _run_child(argv, traced=True)
     assert proc.returncode in (EXIT_OK, EXIT_USAGE) and seconds < 1.0
     assert int(proc.stdout.split()[4]) < 16 << 20

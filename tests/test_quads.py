@@ -214,27 +214,48 @@ def test_lamp_claim_full_mode_lists_no_points():
 
 def test_corner_budget_is_exact(monkeypatch):
     # the corner work of an input is its |D_eps| * |steps| index candidates
-    # plus the pairs {p2, p4} that its index holds
+    # plus the pairs {p2, p4} that its index holds; Taback and full
+    # lamp-claim count their candidates in closed form, and lamp-claim its
+    # pairs too, so they refuse before any list is built
     ctx = lg.sol_invariant_form(((2, 1), (1, 1)))
     cases = [
         # criterion 7: 44 side points times 88 steps, then 240 pairs
-        (lambda: lg.verify_taback(2, 3, 64, 1024, (-5, 5)), 44 * 88, 240),
+        (lambda: lg.verify_taback(2, 3, 64, 1024, (-5, 5)), 44 * 88, 240,
+         "44 side points times 88 steps pass"),
         # criterion 8: 36 side points times 44 steps, then 1344 pairs
-        (lambda: lg.calibrate_schwartz(ctx, 1, 50), 36 * 44, 1344),
+        (lambda: lg.calibrate_schwartz(ctx, 1, 50), 36 * 44, 1344,
+         "36 side points times 44 steps pass"),
         # full lamp-claim: 19 sides as both lists, then 60 pairs
-        (lambda: lg.verify_lamp_claim(2, 10), 19 * 19, 60),
+        (lambda: lg.verify_lamp_claim(2, 10), 19 * 19, 60,
+         "19 side points times 19 side points pass"),
     ]
-    for run, candidates, pairs in cases:
+    for run, candidates, pairs, refused in cases:
         want = run().to_jsonable()
         monkeypatch.setattr(quads, "MAX_CORNER_PAIRS", candidates + pairs)
         assert run().to_jsonable() == want
         monkeypatch.setattr(quads, "MAX_CORNER_PAIRS", candidates + pairs - 1)
-        with pytest.raises(DomainError, match="index candidates"):  # while the index is built
+        with pytest.raises(DomainError, match=f"{candidates} index candidates"):
             run()
         monkeypatch.setattr(quads, "MAX_CORNER_PAIRS", candidates - 1)
-        with pytest.raises(DomainError, match="steps pass"):  # before it is built
+        with pytest.raises(DomainError, match=refused):
             run()
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n, S, W", [(2, 1, 8), (2, 2, 12), (2, 3, 18), (2, 4, 20), (3, 2, 10),
+                                     (4, 1, 6), (5, 2, 9), (2, 1, 70)])
+def test_full_lamp_claim_counts_its_corner_pairs_in_closed_form(monkeypatch, n, S, W):
+    # every large d holds exactly two sides, each pair is checked in both
+    # orders, so count_checked / 2 is the index's pair count; the closed form
+    # refused first must equal it, or the budget would move
+    rep = lg.verify_lamp_claim(S, W, n=n)
+    sides, pairs = rep.search_space["side_candidates"], rep.count_checked // 2
+    assert pairs > 0
+    monkeypatch.setattr(quads, "MAX_CORNER_PAIRS", sides * sides + pairs)
+    assert lg.verify_lamp_claim(S, W, n=n).to_jsonable() == rep.to_jsonable()
+    monkeypatch.setattr(quads, "MAX_CORNER_PAIRS", sides * sides + pairs - 1)
+    with pytest.raises(DomainError, match=f"{sides * sides} index candidates and {pairs} corner pairs"):
+        lg.verify_lamp_claim(S, W, n=n)
 
 
 def test_relaxed_lamp_claim_budget_is_exact(monkeypatch):
@@ -253,7 +274,7 @@ def test_full_lamp_claim_budget_is_exact(monkeypatch):
     # budget, not by the corner budget
     assert lg.verify_lamp_claim(2, 10).search_space["side_candidates"] == 19
     monkeypatch.setattr(quads, "MAX_CORNER_PAIRS", 0)
-    with pytest.raises(DomainError, match="steps pass"):
+    with pytest.raises(DomainError, match="19 side points times 19 side points pass"):
         lg.verify_lamp_claim(2, 10)
     assert lg.verify_lamp_claim(1, 6, hypotheses="relaxed").count_checked > 0
 
