@@ -361,28 +361,29 @@ def digit_shift(n: int) -> int:
 # Z[1/n] in normalized form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BSNumber:
+class BSNumber(Frozen):
     """Element r * n^k of Z[1/n] with n ∤ r (r = 0 forces k = 0).
 
     Arithmetic stays on the integer pair (r, k): a sum aligns both terms at
-    the smaller exponent and strips factors of n with ``bs_normalize``.
+    the smaller exponent and strips factors of n with ``nadic_split``.
     ``Fraction`` appears only at the boundaries, in ``value`` and
-    ``from_fraction``.
+    ``from_fraction``.  The constructor checks the normal form; the
+    normalized results of arithmetic are built through ``_bs`` without
+    checking it again.  The hash is computed once.
     """
 
-    r: int
-    k: int
-    n: int
+    __slots__ = ("r", "k", "n", "_hash")
+    _fields = ("r", "k", "n")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"base must be >= 2, got {self.n}")
-        if self.r == 0:
-            if self.k != 0:
+    def __new__(cls, r: int, k: int, n: int):
+        if n < 2:
+            raise DomainError(f"base must be >= 2, got {n}")
+        if r == 0:
+            if k != 0:
                 raise DomainError("zero is normalized as r=0, k=0")
-        elif self.r % self.n == 0:
-            raise DomainError(f"{self.r} is divisible by {self.n}; not normalized")
+        elif r % n == 0:
+            raise DomainError(f"{r} is divisible by {n}; not normalized")
+        return _bs(r, k, n)
 
     @classmethod
     def normalize(cls, numerator: int, exponent: int, n: int) -> "BSNumber":
@@ -410,22 +411,47 @@ class BSNumber:
     def is_zero(self) -> bool:
         return self.r == 0
 
-    def _same_base(self, other: "BSNumber") -> None:
-        if self.n != other.n:
-            raise DomainError(f"base mismatch: {self.n} != {other.n}")
-
     def __add__(self, other: "BSNumber") -> "BSNumber":
-        self._same_base(other)
-        return _bs_sum(self, other.r, other.k)
+        return _bs_sum(self, other.r, other.k, other.n)
 
     def __sub__(self, other: "BSNumber") -> "BSNumber":
-        self._same_base(other)
-        return _bs_sum(self, -other.r, other.k)
+        return _bs_sum(self, -other.r, other.k, other.n)
 
     def __neg__(self) -> "BSNumber":
         if self.r == 0:
             return self
-        return BSNumber(-self.r, self.k, self.n)
+        return _bs(-self.r, self.k, self.n)
+
+    def __eq__(self, other):
+        if other.__class__ is not BSNumber:
+            return NotImplemented
+        return self.r == other.r and self.k == other.k and self.n == other.n
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+_set_bs_r, _set_bs_k, _set_bs_n, _set_bs_hash = (
+    getattr(BSNumber, name).__set__ for name in BSNumber.__slots__)
+
+
+def _bs_sum(p: BSNumber, r: int, k: int, n: int) -> BSNumber:
+    # p + r * n^k, with both terms written as integers at the smaller exponent
+    if n != p.n:
+        raise DomainError(f"base mismatch: {p.n} != {n}")
+    if p.k <= k:
+        return _bs_split(p.r + r * n ** (k - p.k), p.k, n)
+    return _bs_split(p.r * n ** (p.k - k) + r, k, n)
+
+
+def _bs(r: int, k: int, n: int) -> BSNumber:
+    # r * n^k, already in normal form
+    x = object.__new__(BSNumber)
+    _set_bs_r(x, r)
+    _set_bs_k(x, k)
+    _set_bs_n(x, n)
+    _set_bs_hash(x, hash((r, k, n)))
+    return x
 
 
 def nadic_split(x: int, n: int) -> tuple[int, int]:
@@ -447,16 +473,13 @@ def bs_normalize(numerator: int, exponent: int, n: int) -> BSNumber:
     """Canonical r * n^k with n ∤ r; zero normalizes to (0, 0)."""
     if n < 2:
         raise DomainError(f"base must be >= 2, got {n}")
+    return _bs_split(numerator, exponent, n)
+
+
+def _bs_split(numerator: int, exponent: int, n: int) -> BSNumber:
+    # bs_normalize for a base already checked
     r, v = nadic_split(numerator, n)
-    return BSNumber(r, exponent + v if r else 0, n)
-
-
-def _bs_sum(p: BSNumber, r: int, k: int) -> BSNumber:
-    # p + r * n^k, with both terms written as integers at the smaller exponent
-    n = p.n
-    if p.k <= k:
-        return bs_normalize(p.r + r * n ** (k - p.k), p.k, n)
-    return bs_normalize(p.r * n ** (p.k - k) + r, k, n)
+    return _bs(r, exponent + v if r else 0, n)
 
 
 def bs_delta(p: BSNumber, q: BSNumber) -> int:

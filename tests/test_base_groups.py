@@ -1,5 +1,8 @@
+import copy
 import itertools
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -281,6 +284,69 @@ def test_bs_arithmetic_examples():
     assert half == BSNumber(2, -1, 4) and half + half == BSNumber(1, 0, 4)
     with pytest.raises(DomainError):
         bs_normalize(1, 0, 2) + bs_normalize(1, 0, 3)
+
+
+def test_bs_constructor_keeps_its_checks_and_messages():
+    for args, message in (((1, 0, 1), "base must be >= 2, got 1"),
+                          ((0, 3, 2), "zero is normalized as r=0, k=0"),
+                          ((-12, 1, 3), "-12 is divisible by 3; not normalized")):
+        with pytest.raises(DomainError) as err:
+            BSNumber(*args)
+        assert str(err.value) == message
+    with pytest.raises(DomainError, match="base must be >= 2, got 0"):
+        bs_normalize(1, 0, 0)
+    with pytest.raises(DomainError, match="base mismatch: 2 != 3"):
+        bs_normalize(1, 0, 2) - bs_normalize(1, 0, 3)
+
+
+@pytest.mark.parametrize("n", BS_BASES)
+def test_bs_every_construction_is_equal_and_hashes_equal(n):
+    # the value 5 * n^-2 built each way the package builds a BSNumber
+    x = Fraction(5, n * n)
+    built = [BSNumber(5, -2, n), bs_normalize(5, -2, n), bs_normalize(5 * n ** 3, -5, n),
+             BSNumber.normalize(5 * n, -3, n), BSNumber.from_fraction(x, n),
+             BSNumber.from_fraction(x + 1, n) - bs_normalize(1, 0, n),
+             bs_normalize(2, -2, n) + bs_normalize(3, -2, n), -bs_normalize(-5, -2, n),
+             lg.BSFamily(n).parse("5/" + str(n * n))]
+    for v in built:
+        assert v == built[0] and hash(v) == hash(built[0]) == hash((5, -2, n))
+        assert (v.r, v.k, v.n) == (5, -2, n)
+    zeros = [BSNumber(0, 0, n), bs_normalize(0, 7, n), lg.BSFamily(n).zero,
+             built[0] - built[1], -BSNumber(0, 0, n), BSNumber.from_fraction(0, n)]
+    for z in zeros:
+        assert z == zeros[0] and hash(z) == hash(zeros[0]) and z.is_zero()
+    assert len({*built, *zeros}) == 2
+    assert BSNumber(1, 0, 2) != BSNumber(1, 0, 3) and BSNumber(1, 0, n) != BSNumber(1, 1, n)
+
+
+def test_bs_repr_keeps_the_dataclass_form():
+    assert repr(BSNumber(-3, -2, 2)) == "BSNumber(r=-3, k=-2, n=2)"
+    assert repr(bs_normalize(0, 4, 3)) == "BSNumber(r=0, k=0, n=3)"
+
+
+def test_bs_comparing_with_other_types_returns_not_implemented():
+    v = BSNumber(3, 1, 2)
+    for other in (None, 6, Fraction(6), (3, 1, 2), "6", L(2, {0: 1})):
+        assert v.__eq__(other) is NotImplemented
+        assert v != other
+    with pytest.raises(TypeError):
+        v < v  # noqa: B015 -- Z[1/n] elements are not ordered as objects
+
+
+def test_bs_attribute_assignment_raises():
+    v = BSNumber(3, 1, 2)
+    for name in ("r", "k", "n", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, name, 1)
+    with pytest.raises(FrozenInstanceError):
+        del v.r
+    assert v == BSNumber(3, 1, 2)
+
+
+def test_bs_copy_and_pickle_round_trip():
+    v = BSNumber(-7, -3, 10)
+    for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert w == v and hash(w) == hash(v) and repr(w) == repr(v)
 
 
 # ---------------------------------------------------------------------------

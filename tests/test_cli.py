@@ -265,6 +265,17 @@ def test_dist_table_past_ball_budget_exits_2():
     assert seconds < 5.0
 
 
+@pytest.mark.parametrize("eps", ["-3", "0"])
+def test_verify_schwartz_below_eps_1_exits_2(eps):
+    # a negative eps reached math.isqrt in the step lister and exited 3;
+    # eps 0 printed a vacuous report
+    for extra in (["--M", "4"], ["--calibrate"]):
+        proc, _ = _run_child(["verify", "schwartz", "--matrix", "2,1,1,1", "--eps", eps,
+                              "--box", "5", *extra])
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == f"error: epsilon must be >= 1, got {eps}\n"
+
+
 @pytest.mark.parametrize("radius", [7, 9])
 def test_dist_table_refusal_names_the_radius_asked_for(radius, capsys):
     # the table is read from a radius-2r BFS; the refusal names both

@@ -332,6 +332,20 @@ def test_sol_corner_refusal_stops_the_step_lister():
     assert peak < 4 << 20
 
 
+def test_sol_step_lister_rows_do_not_grow_with_the_box(monkeypatch):
+    # the lister reads the rows of the seed box, which depends on A and eps
+    # alone, and walks the orbits out to the doubled box from their points
+    ctx = lg.sol_invariant_form(((2, 1), (1, 1)))
+    row, calls = quads._sol_row, []
+    monkeypatch.setattr(quads, "_sol_row", lambda *args: calls.append(args) or row(*args))
+    counts = []
+    for box in (50, 10 ** 4):
+        calls.clear()
+        lg.calibrate_schwartz(ctx, 1, box)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2 * quads._sol_seed_box(ctx, 1) + 1
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_taback_counts_its_lists_in_closed_form(n):
     # the report's counts are read before the lists are built; they are the

@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lampgeo as lg
-from lampgeo.quads import SolFamily, VerifyReport, _sol_small_points
+from lampgeo import quads
+from lampgeo.quads import SolFamily, VerifyReport, _sol_seed_box, _sol_small_points
 
 # the benchmark's three matrices, then hyperbolic ones with |c| > 1 in the
 # form, a negative trace and a large trace
@@ -121,6 +122,57 @@ def test_row_lister_matches_grid(a, b, c, eps, box):
     assume(b * b - 4 * a * c > 0)
     got = _sol_small_points((a, b, c), eps, box)
     assert got == grid_small_points((a, b, c), eps, box)
+
+
+# MATRICES, then negative traces down to -26, traces up to 29 and forms with
+# alpha up to 13
+SEED_MATRICES = MATRICES + [((-2, -1), (-1, -1)), ((4, 3), (5, 4)), ((13, 4), (3, 1)),
+                            ((-7, -4), (-12, -7)), ((29, 1), (-1, 0)), ((21, 8), (13, 5)),
+                            ((-25, -12), (-2, -1)), ((-15, -4), (-11, -3))]
+
+
+def orbit_within(matrix, v, radius):
+    """v and the points A^i v reached from it, both ways, before the first
+    one with a coordinate past radius."""
+    (a, b), (c, d) = matrix
+    out = [v]
+    for m in (((a, b), (c, d)), ((d, -b), (-c, a))):
+        x, y = v
+        while True:
+            x, y = m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y
+            if max(abs(x), abs(y)) > radius:
+                break
+            out.append((x, y))
+    return out
+
+
+@pytest.mark.parametrize("matrix", SEED_MATRICES)
+def test_every_small_orbit_meets_the_seed_box(matrix):
+    # along an orbit each coordinate is p lambda^i + q lambda^-i in absolute
+    # value, so the walk from a grid point to the seed box stays in the grid
+    ctx = lg.sol_invariant_form(matrix)
+    for eps in range(1, 13):
+        seed = _sol_seed_box(ctx, eps)
+        radius = 4 * seed
+        for v in _sol_small_points(ctx.form, eps, radius):
+            assert any(max(abs(x), abs(y)) <= seed for x, y in orbit_within(matrix, v, radius)), \
+                (eps, v)
+
+
+@pytest.mark.parametrize("matrix", SEED_MATRICES)
+def test_orbit_lister_matches_row_lister(matrix, monkeypatch):
+    # the steps are the small points of the doubled box and D_eps those of
+    # the box, with the seed box inside the doubled box, at it and clipped
+    ctx = lg.sol_invariant_form(matrix)
+    lists = []
+    monkeypatch.setattr(quads, "_corner_index", lambda d_eps, steps, *_: lists.append((d_eps, steps)) or {})
+    for eps in range(1, 13):
+        seed = _sol_seed_box(ctx, eps)
+        for box in sorted({max(1, seed // 4), max(1, seed // 2), (seed + 1) // 2, seed, 2 * seed}):
+            lists.clear()
+            assert list(quads._sol_scan(ctx, eps, box)) == []
+            steps = _sol_small_points(ctx.form, eps, 2 * box)
+            assert lists == [([(x, y) for x, y in steps if max(abs(x), abs(y)) <= box], steps)]
 
 
 @pytest.mark.parametrize("matrix, m_star", [(((-3, -1), (-5, -2)), 6), (((0, -1), (1, 5)), 8)])
