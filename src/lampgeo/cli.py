@@ -277,25 +277,23 @@ def cmd_map_bilip(args):
 def cmd_map_ppq(args):
     m = formats.parse_map(args.map, args.n)
     window = formats.parse_window(args.window)
-    result = parallelogram_preserving(m, window)
+    result = parallelogram_preserving(m, window, args.n)
     if result is True:
-        strict_affine = is_generalized_affine(m, window)
-        affine_up_to_inv = strict_affine or is_generalized_affine(m, window, up_to_inversion=True)
+        strict_affine = is_generalized_affine(m, window, n=args.n)
+        affine_up_to_inv = strict_affine or is_generalized_affine(m, window, up_to_inversion=True, n=args.n)
         return {"parallelogram_preserving": True,
                 "generalized_affine": strict_affine,
                 "generalized_affine_up_to_inversion": affine_up_to_inv}, EXIT_OK
     # a map that breaks a parallelogram is not generalized affine either way
     a, v, w = result
-    lhs = apply(m, a + v) + apply(m, a + w)
-    rhs = apply(m, a + v + w) + apply(m, a)
+    fmt = formats.format_config
     return {
         "parallelogram_preserving": False,
         "generalized_affine": False,
         "generalized_affine_up_to_inversion": False,
-        "witness": {"a": formats.format_config(a), "v": formats.format_config(v),
-                    "w": formats.format_config(w)},
-        "psi(a+v)+psi(a+w)": formats.format_config(lhs),
-        "psi(a+v+w)+psi(a)": formats.format_config(rhs),
+        "witness": {"a": fmt(a), "v": fmt(v), "w": fmt(w)},
+        "psi(a+v)+psi(a+w)": fmt(apply(m, a + v) + apply(m, a + w)),
+        "psi(a+v+w)+psi(a)": fmt(apply(m, a + v + w) + apply(m, a)),
     }, EXIT_VIOLATIONS
 
 

@@ -10,12 +10,13 @@ backtracking search for pattern-preserving ball isometries.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .base_groups import (LampConfig, digit_shift, digits_at, field_bit, lamp_delta, lamp_dl, lamp_du,
+from .base_groups import (LampConfig, digit_shift, digit_sum, digits_at, field_bit, lamp_dl, lamp_du,
                           packed_lamp, rewrite_window, window_digits)
 from .dl_graph import DLVertex, ball, ball_graph, identity_vertex
 from .errors import DomainError, InternalError
@@ -80,19 +81,17 @@ class BlockPerm(BaseMap):
             for s in (src, dst):
                 if len(s) != self.m or any(not ch.isdigit() or int(ch) >= self.n for ch in s):
                     raise DomainError(f"{s!r} is not a length-{self.m} string over digits < {self.n}")
-        srcs = [src for src, _ in self.table]
-        if len(set(srcs)) != len(srcs):
+        if len({src for src, _ in self.table}) != len(self.table):
             raise DomainError("block-permutation table lists a source twice")
 
     @classmethod
     def from_pairs(cls, m: int, pairs, n: int = 2) -> "BlockPerm":
-        canon = tuple(sorted((src, dst) for src, dst in pairs if src != dst))
-        return cls(m, canon, n)
+        return cls(m, tuple(sorted((src, dst) for src, dst in pairs if src != dst)), n)
 
     def modulus(self) -> int | None:
         return self.n
 
-    @cached_property
+    @functools.cached_property
     def _packed_table(self) -> dict[int, int]:
         """{packed source: packed image} over the entries that move, with
         index i's digit in field i as window_digits reads the window."""
@@ -101,11 +100,8 @@ class BlockPerm(BaseMap):
         return {pack(src): pack(dst) for src, dst in self.table if src != dst}
 
     def is_table_bijection(self) -> bool:
-        dsts = [dst for _, dst in self.table]
-        if len(set(dsts)) != len(dsts):
-            return False
-        moved = {src for src, _ in self.table}
-        return all(dst in moved for dst in dsts)
+        # the sources are distinct, so the images must be exactly them
+        return sorted(src for src, _ in self.table) == sorted(dst for _, dst in self.table)
 
 
 @dataclass(frozen=True)
@@ -120,10 +116,7 @@ class Compose(BaseMap):
             raise DomainError(f"composition mixes moduli {sorted(mods)}")
 
     def modulus(self) -> int | None:
-        for m in self.maps:
-            if m.modulus() is not None:
-                return m.modulus()
-        return None
+        return next((m.modulus() for m in self.maps if m.modulus() is not None), None)
 
 
 def apply(m: BaseMap, x: LampConfig) -> LampConfig:
@@ -205,8 +198,8 @@ class BilipReport:
         return max(self.K_lower, self.K_upper)
 
 
-# the pure-Python pair scans take 5-20 us per pair on a 2-vCPU VM, so at most
-# 2^19 pairs (2^10 configurations) bounds each at about 10 s
+# at 2^19 pairs (2^10 configurations) on a 2-vCPU VM, ppq and delta take at most 0.12 s at n = 2,
+# 0.7 s at n = 3 and 1.3 s at n = 4 (mostly digit_sum); the n != 2 bilip object loop up to 6 s
 MAX_SCAN_PAIRS = 1 << 19
 # the packed n = 2 scan visits C(2^width, 2) pairs: width 14 takes 1.4 s
 MAX_PACKED_WIDTH = 14
@@ -328,55 +321,65 @@ def bilip_constants(bp: BlockPerm, padding: int) -> BilipReport:
 # parallelogram preservation and generalized-affine factorization
 # ---------------------------------------------------------------------------
 
-def parallelogram_preserving(m: BaseMap, window: Window):
-    """True, or the first (a, v, w) in lexicographic order with
-    psi(a+v+w) + psi(a) != psi(a+v) + psi(a+w).
-
-    Scanning a = 0 decides every a: the window configurations form a group,
-    and if the a = 0 identities hold, phi = psi - psi(0) is additive on it,
-    so they hold for every a.  `window_configs` lists 0 first, so the first
-    witness over all triples is the first one with a = 0.  The a = 0
-    identity is symmetric in v and w, so the first witness has v no later
-    than w, and only those pairs are scanned.  A window with more than
-    MAX_SCAN_PAIRS configuration pairs raises DomainError before it is
-    listed."""
-    n = m.modulus() or 2
-    _check_scan_pairs(n, window)
+def _window_table(m: BaseMap, n: int, window: Window) -> tuple[list[LampConfig], list[int], list[int]]:
+    """`window_configs(n, window)` packed at the window's low, and their images under m packed
+    at the lowest image low: aligned apart, both stay narrow when m moves the window far."""
+    if n < 2:
+        raise DomainError(f"modulus must be >= 2, got {n}")
     configs = window_configs(n, window)
-    images = {x: apply(m, x) for x in configs}
-    zero = configs[0]
-    zero_img = images[zero]
-    for i, v in enumerate(configs):
-        for w in configs[i:]:
-            if images[v + w] + zero_img != images[v] + images[w]:
-                return (zero, v, w)
+    images = [apply(m, x) for x in configs]
+    low = min((y.low for y in images if y.digits), default=0)
+    return configs, [digits_at(x, window[0]) for x in configs], [digits_at(y, low) for y in images]
+
+
+def parallelogram_preserving(m: BaseMap, window: Window, n: int | None = None):
+    """True, or the first (a, v, w) in lexicographic order with
+    psi(a+v+w) + psi(a) != psi(a+v) + psi(a+w), over Z_n (n defaults to the
+    map's modulus, else 2).
+
+    Scanning a = 0 decides every a: if those identities hold, phi = psi -
+    psi(0) is additive on the window group, so they hold for every a, and
+    the first witness has a = 0, listed first.  They are symmetric in v and
+    w, so only the `_window_table` pairs v <= w are scanned.  A window with
+    more than MAX_SCAN_PAIRS configuration pairs raises DomainError first."""
+    n = n or m.modulus() or 2
+    _check_scan_pairs(n, window)
+    configs, src, img = _window_table(m, n, window)
+    add = operator.xor if n == 2 else functools.partial(digit_sum, n=n)
+    lhs = {s: add(y, img[0]) for s, y in zip(src, img)}  # packed v + w: psi(v + w) + psi(0)
+    for i, (s, y) in enumerate(zip(src, img)):
+        for t, z in zip(src[i:], img[i:]):
+            if lhs[add(s, t)] != add(y, z):
+                return configs[0], configs[i], configs[src.index(t)]
     return True
 
 
-def is_generalized_affine(m: BaseMap, window: Window, up_to_inversion: bool = False) -> bool:
-    """Whether the map factors as a shift composed with a translation on the window.
+def is_generalized_affine(m: BaseMap, window: Window, up_to_inversion: bool = False,
+                          n: int | None = None) -> bool:
+    """Whether the map factors as a shift composed with a translation on the
+    window, over Z_n (n defaults to the map's modulus, else 2).
 
     The strict reading excludes index inversion (an additive automorphism
     that is not a shift); pass up_to_inversion=True to accept parallelogram-
     preserving maps whose pre- or post-composition with inversion factors
     strictly (only they need the scan: a strict factorization preserves them).
     """
-    n = m.modulus() or 2
-    lo, hi = window
-    width = hi - lo
-    configs = window_configs(n, window)
+    n = n or m.modulus() or 2
+    shift = digit_shift(n)
+    add = operator.xor if n == 2 else functools.partial(digit_sum, n=n)
 
     def strict(f: BaseMap) -> bool:
-        images = [apply(f, x) for x in configs]  # configs[0] is the zero config
-        return any(all(img == apply(Shift(j), x) + images[0] for x, img in zip(configs, images))
-                   for j in range(-width, width + 1))
+        # if f = Shift(j) + f(0), the unit lamp at the window's low (packed 1, listed at
+        # n^(width-1)) lands in the top field where its image and f(0) differ, j fields away
+        _, src, img = _window_table(f, n, window)
+        pos = max((img[len(src) // n] ^ img[0]).bit_length() - 1, 0) >> shift << shift
+        return all(z == add(s << pos, img[0]) for s, z in zip(src, img))
 
     if strict(m):
         return True
-    if not up_to_inversion or parallelogram_preserving(m, window) is not True:
-        return False
     inv = Inversion()
-    return strict(Compose((m, inv))) or strict(Compose((inv, m)))
+    return (up_to_inversion and parallelogram_preserving(m, window, n) is True
+            and (strict(Compose((m, inv))) or strict(Compose((inv, m)))))
 
 
 @dataclass(frozen=True)
@@ -395,37 +398,36 @@ class DeltaDistortionReport:
 def delta_distortion(bp: BlockPerm, window: Window) -> DeltaDistortionReport:
     """Scan delta(psi p, psi q)/delta(p, q) over all distinct window pairs.
 
-    The ratios must lie in [1/K^2, K^2] for K = max(K_lower, K_upper) from
-    the exhaustive biLipschitz report; a violation is a library bug, not a
-    data condition, and raises InternalError.  A window with more than
-    MAX_SCAN_PAIRS configuration pairs raises DomainError before it is
-    listed.
+    A ratio is n^x, x the image gap less the source gap, read off XORs of
+    `_window_table` ints; the first pair in combinations order is kept at
+    each extreme.  The ratios must lie in [1/K^2, K^2] for K = max(K_lower,
+    K_upper) from the exhaustive biLipschitz report; a violation is a
+    library bug and raises InternalError.  A window with more than
+    MAX_SCAN_PAIRS configuration pairs raises DomainError first.
     """
     _check_scan_pairs(bp.n, window)
-    rep = bilip_constants(bp, padding=bp.m)
-    k = rep.K
-    configs = window_configs(bp.n, window)
-    images = {x: apply(bp, x) for x in configs}
-    best: tuple[Fraction, tuple] | None = None
-    worst: tuple[Fraction, tuple] | None = None
-    for p, q in itertools.combinations(configs, 2):
-        dpq = lamp_delta(p, q)[0]
-        dimg = lamp_delta(images[p], images[q])[0]
-        if dimg == 0:
-            raise DomainError("map is not injective on the window")
-        ratio = Fraction(dimg, dpq)
-        if best is None or ratio > best[0]:
-            best = (ratio, (p, q))
-        if worst is None or ratio < worst[0]:
-            worst = (ratio, (p, q))
-    if best is None:
+    k = bilip_constants(bp, padding=bp.m).K
+    configs, src, img = _window_table(bp, bp.n, window)
+    if len(set(img)) < len(img):
+        raise DomainError("map is not injective on the window")
+    shift = digit_shift(bp.n)
+
+    def gap(d: int) -> int:
+        return ((d.bit_length() - 1) >> shift) - (((d & -d).bit_length() - 1) >> shift)
+
+    top = bottom = None
+    for a, b in itertools.combinations(range(len(src)), 2):
+        x = gap(img[a] ^ img[b]) - gap(src[a] ^ src[b])
+        if top is None or x > top[0]:
+            top = (x, (configs[a], configs[b]))
+        if bottom is None or x < bottom[0]:
+            bottom = (x, (configs[a], configs[b]))
+    if top is None:
         raise DomainError("window holds fewer than two configurations")
-    if best[0] > k * k or worst[0] < 1 / (k * k):
-        raise InternalError(
-            f"delta distortion {worst[0]}..{best[0]} escapes [1/K^2, K^2] with K={k}; library bug")
-    return DeltaDistortionReport(max_ratio=best[0], max_pair=best[1],
-                                 min_ratio=worst[0], min_pair=worst[1],
-                                 K=k, window=window)
+    best, worst = Fraction(bp.n) ** top[0], Fraction(bp.n) ** bottom[0]
+    if best > k * k or worst < 1 / (k * k):
+        raise InternalError(f"delta distortion {worst}..{best} escapes [1/K^2, K^2] with K={k}; library bug")
+    return DeltaDistortionReport(best, top[1], worst, bottom[1], k, window)
 
 
 # ---------------------------------------------------------------------------

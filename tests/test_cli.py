@@ -192,6 +192,14 @@ def test_map_ppq_counterexample():
     assert {data["witness"]["v"], data["witness"]["w"]} == {"0:1", "2:1"}
 
 
+@pytest.mark.parametrize("shift", [3, 4, 100])
+def test_map_ppq_finds_a_shift_past_the_window_width(shift):
+    code, out = invoke("map", "ppq", "--map", f"shift:{shift}", "--window", "3")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"parallelogram_preserving": True, "generalized_affine": True,
+                               "generalized_affine_up_to_inversion": True}
+
+
 @pytest.mark.parametrize("argv,scans", [
     (("--map", "blockperm:m=3:100>111,111>100", "--window", "3"), 1),  # README line
     (("--map", "shift:1", "--window", "3"), 1),
@@ -337,10 +345,11 @@ def test_dist_table_runs_one_bfs(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ("map", "ppq", "--map", "shift:1", "--window", "16"),
+    ("map", "ppq", "--map", "shift:1", "--n", "3", "--window", "7"),
     ("map", "delta-distortion", "--map", "blockperm:m=3:100>111,111>100", "--window", "16"),
     ("map", "bilip", "--n", "3", "--map", "blockperm:m=3:012>021,021>012"),
     ("map", "bilip", "--map", "blockperm:m=3:100>111,111>100", "--padding", "10"),
-], ids=["ppq", "delta-distortion", "bilip-n3", "bilip-width-23"])
+], ids=["ppq", "ppq-n3", "delta-distortion", "bilip-n3", "bilip-width-23"])
 def test_map_scans_past_pair_budget_exit_2_quickly(argv):
     # unbounded, these run for hours (the pair scans) or days (width 23)
     proc, seconds = _run_child(argv)
@@ -576,6 +585,7 @@ def test_usage_errors_exit_2():
         ("delta", "--family", "lamp", "--p", "0:9", "--q", ""),    # value out of range
         ("map", "apply", "--map", "warp:3", "--x", ""),            # unknown map
         ("map", "ppq", "--map", "shift:1", "--window", "0"),       # empty window
+        ("map", "ppq", "--map", "shift:1", "--n=-3", "--window", "3"),  # modulus below 2
         ("verify", "taback", "--eps", "3", "--M", "9",
          "--bound", "8", "--kmin", "0", "--kmax", "1"),            # M <= eps^2
         ("quad", "classify", "--points", "0;1;2", "--eps", "1", "--M", "2"),

@@ -261,9 +261,8 @@ def test_ppq_implies_corner_preservation():
         assert apply(m, a + v + w) + apply(m, a) == apply(m, a + v) + apply(m, a + w)
 
 
-def _parallelogram_triple_loop(m, window):
+def _parallelogram_triple_loop(m, window, n):
     # reference: every triple (a, v, w) in lexicographic order
-    n = m.modulus() or 2
     configs = window_configs(n, window)
     images = {x: apply(m, x) for x in configs}
     for a in configs:
@@ -277,18 +276,19 @@ def _parallelogram_triple_loop(m, window):
     return True
 
 
-def _generalized_affine_reference(m, window, up_to_inversion, preserving):
-    # reference: the parallelogram verdict first, then the shift search
+def _generalized_affine_reference(m, window, up_to_inversion, preserving, n):
+    # reference: the parallelogram verdict first, then the shift search over
+    # every j that moves the window onto the support of the images less psi(0)
     if preserving is not True:
         return False
-    n = m.modulus() or 2
     lo, hi = window
     configs = window_configs(n, window)
 
     def strict(f):
         zero_img = apply(f, configs[0])
-        return any(all(apply(f, x) == apply(Shift(j), x) + zero_img for x in configs)
-                   for j in range(lo - hi, hi - lo + 1))
+        support = {i for x in configs for i in (apply(f, x) - zero_img).support()}
+        js = range(lo - max(support), hi - min(support)) if support else range(0)
+        return any(all(apply(f, x) == apply(Shift(j), x) + zero_img for x in configs) for j in js)
 
     if strict(m):
         return True
@@ -297,21 +297,23 @@ def _generalized_affine_reference(m, window, up_to_inversion, preserving):
 
 
 def _ppq_cases():
+    # (map, window, n); the shifts and the inversion have no modulus, so
+    # they are scanned over Z_n for the n they are listed with
     rng = random.Random(71)
     cases = []
     for n, windows, perm_lengths in ((2, [(0, 3), (-1, 2), (1, 4), (-2, 2)], (1, 2, 3)),
                                      (3, [(0, 2), (-1, 1), (-1, 2)], (1, 2))):
         c = L(n, {0: 1, 1: n - 1})
-        maps = [Shift(-1), Shift(0), Shift(2), Inversion(), Translate(c),
+        maps = [Shift(-1), Shift(0), Shift(2), Shift(5), Shift(-6), Inversion(), Translate(c),
                 Compose((Shift(1), Translate(c))), Compose((Inversion(), Shift(1))),
-                Compose((Translate(c), Inversion()))]
+                Compose((Translate(c), Inversion())), Compose((Shift(7), Inversion()))]
         for m in perm_lengths:
             for _ in range(2):
                 bp = _random_block_perm(rng, m, n)
                 maps += [bp, Compose((Inversion(), bp)), Compose((bp, Shift(1)))]
         if n == 2:
             maps.append(PI0)
-        cases += [(m, w) for m in maps for w in windows]
+        cases += [(m, w, n) for m in maps for w in windows]
     return cases
 
 
@@ -319,13 +321,13 @@ def test_ppq_matches_triple_loop_and_affine_reference():
     # the a = 0 scan gives the triple loop's verdict and first witness, and
     # trying the strict factorization before the scan changes no verdict
     outcomes = set()
-    for m, window in _ppq_cases():
-        want = _parallelogram_triple_loop(m, window)
-        assert lg.parallelogram_preserving(m, window) == want, (m, window)
+    for m, window, n in _ppq_cases():
+        want = _parallelogram_triple_loop(m, window, n)
+        assert lg.parallelogram_preserving(m, window, n) == want, (m, window, n)
         outcomes.add(want is True)
         for inv in (False, True):
-            assert (lg.is_generalized_affine(m, window, up_to_inversion=inv)
-                    == _generalized_affine_reference(m, window, inv, want)), (m, window, inv)
+            assert (lg.is_generalized_affine(m, window, inv, n)
+                    == _generalized_affine_reference(m, window, inv, want, n)), (m, window, inv, n)
     assert outcomes == {True, False}
 
 
@@ -336,6 +338,65 @@ def test_is_generalized_affine():
     assert lg.is_generalized_affine(Inversion(), (0, 3), up_to_inversion=True)
     assert lg.is_generalized_affine(Shift(2), (0, 4))
     assert lg.is_generalized_affine(Translate(L(2, {1: 1})), (0, 3))
+
+
+@pytest.mark.parametrize("j", [4, -4, 10, 100000])
+def test_is_generalized_affine_shift_past_window_width(j):
+    # the shift is read off one image, so a shift of more than the window's
+    # width is found like any other
+    assert lg.is_generalized_affine(Shift(j), (0, 3))
+    assert lg.is_generalized_affine(Compose((Translate(L(3, {-j: 2})), Shift(j))), (-1, 2))
+    assert not lg.is_generalized_affine(Compose((PI0, Shift(j))), (j, j + 3))
+
+
+def test_scan_modulus_comes_from_the_caller(monkeypatch):
+    # a map without a modulus is scanned over Z_n for the n passed in
+    calls = []
+    real = maps.window_configs
+    monkeypatch.setattr(maps, "window_configs", lambda n, window: calls.append(n) or real(n, window))
+    assert lg.parallelogram_preserving(Shift(1), (0, 2), 3) is True
+    assert lg.is_generalized_affine(Inversion(), (0, 2), True, 3)
+    assert calls and set(calls) == {3}
+    with pytest.raises(DomainError, match="configuration pairs"):
+        lg.parallelogram_preserving(Shift(1), (0, 7), 3)
+    assert lg.parallelogram_preserving(Shift(1), (0, 7)) is True
+    for bad in (1, -3):
+        with pytest.raises(DomainError, match="modulus"):
+            lg.is_generalized_affine(Shift(1), (0, 3), n=bad)
+
+
+def _delta_pair_loop(bp, window):
+    # reference: the object loop, lamp_delta on every pair and Fraction
+    # ratios, keeping the first pair at each extreme in combinations order
+    configs = window_configs(bp.n, window)
+    images = {x: apply(bp, x) for x in configs}
+    best = worst = None
+    for p, q in itertools.combinations(configs, 2):
+        dimg = lg.lamp_delta(images[p], images[q])[0]
+        assert dimg != 0
+        ratio = Fraction(dimg, lg.lamp_delta(p, q)[0])
+        if best is None or ratio > best[0]:
+            best = (ratio, (p, q))
+        if worst is None or ratio < worst[0]:
+            worst = (ratio, (p, q))
+    return best, worst
+
+
+@pytest.mark.parametrize("m,n,windows,count,seed", [
+    (3, 2, [(0, 3), (-3, 6), (-2, 2), (1, 5), (4, 9), (-5, -1)], 6, 81),
+    (2, 2, [(0, 2), (-2, 4), (1, 6), (3, 7)], 4, 82),
+    (1, 3, [(0, 1), (-2, 3), (0, 4), (1, 5), (-4, 0)], 4, 83),
+])
+def test_delta_distortion_random_block_perms_match_pair_loop(m, n, windows, count, seed):
+    # windows that cover, straddle and miss the block [0, m)
+    rng = random.Random(seed)
+    for _ in range(count):
+        bp = _random_block_perm(rng, m, n)
+        for window in windows:
+            rep = lg.delta_distortion(bp, window)
+            best, worst = _delta_pair_loop(bp, window)
+            assert (rep.max_ratio, rep.max_pair, rep.min_ratio, rep.min_pair) == (*best, *worst), \
+                (bp, window)
 
 
 def test_delta_distortion_pi0():
