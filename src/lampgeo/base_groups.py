@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -211,6 +212,11 @@ def digit_sum(a: int, b: int, n: int) -> int:
         x = a >> pos & mask
         a += ((x + v) % n - x) << pos
     return a
+
+
+def packed_add(n: int):
+    """The sum of two packed digit strings at one alignment: XOR for n = 2, else digit_sum."""
+    return operator.xor if n == 2 else functools.partial(digit_sum, n=n)
 
 
 def _nonzero_fields(d: int, shift: int):

@@ -158,10 +158,11 @@ def cmd_dist(args):
         raise DomainError("dist --radius prints a table; use csv or json")
     if args.radius < 0:
         raise DomainError("radius must be >= 0")
-    # the metric is left-invariant, d(u, v) = d(e, u^-1 v), and u^-1 v lies
-    # within 2r of e, so one radius-2r table answers every pair of the r-ball
+    # d(u, v) = d(e, u^-1 v) and u^-1 v lies within 2r of e, so one radius-2r table answers every
+    # pair of the r-ball; only its budget refusal is reworded, not the source's modulus error
+    source = identity_vertex(n)
     try:
-        table = distances_from(identity_vertex(n), 2 * args.radius)
+        table = distances_from(source, 2 * args.radius)
     except DomainError as err:
         raise DomainError(f"dist --radius {args.radius} reads every pair from the radius-{2 * args.radius} "
                           f"BFS table, which could exceed {MAX_BALL_VERTICES} vertices") from err

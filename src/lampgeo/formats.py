@@ -33,9 +33,10 @@ def format_config(cfg: LampConfig) -> str:
 
 
 def parse_config(text: str, n: int, offset: int = 0) -> LampConfig:
+    zero = LampConfig.zero(n)  # refuses n < 2 before a digit is read against it
     text = text.strip()
     if not text:
-        return LampConfig.zero(n)
+        return zero
     items = []
     pos = offset
     for part in text.split(","):

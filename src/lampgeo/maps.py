@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base_groups import (LampConfig, digit_shift, digit_sum, digits_at, field_bit, lamp_dl, lamp_du,
-                          packed_lamp, rewrite_window, window_digits)
+from .base_groups import (LampConfig, digit_shift, digits_at, packed_add, packed_lamp, rewrite_window,
+                          window_digits)
 from .dl_graph import DLVertex, ball, ball_graph, identity_vertex
 from .errors import DomainError, InternalError
 
@@ -94,10 +93,10 @@ class BlockPerm(BaseMap):
     @functools.cached_property
     def _packed_table(self) -> dict[int, int]:
         """{packed source: packed image} over the entries that move, with
-        index i's digit in field i as window_digits reads the window."""
-        def pack(s: str) -> int:
-            return sum(int(ch) << field_bit(self.n, i, 0) for i, ch in enumerate(s))
-        return {pack(src): pack(dst) for src, dst in self.table if src != dst}
+        index i's digit in field i as window_digits reads the window: a field
+        of b = 2^digit_shift(n) bits is one base-2^b digit, read off the reversed string."""
+        base = 1 << (1 << digit_shift(self.n))
+        return {int(src[::-1], base): int(dst[::-1], base) for src, dst in self.table if src != dst}
 
     def is_table_bijection(self) -> bool:
         # the sources are distinct, so the images must be exactly them
@@ -155,20 +154,60 @@ def map_is_bijective(m: BaseMap) -> bool:
 # window enumeration helpers
 # ---------------------------------------------------------------------------
 
-_MAX_WINDOW_STATES = 1 << 16
+# at 2^19 pairs (2^10 configurations) on a 2-vCPU VM, ppq takes 0.04 s at n = 2, 0.7 s at n = 3 and
+# 1.3 s at n = 4 (mostly digit_sum); the n != 2 bilip scan up to 0.3 s, delta 0.12 s plus its bilip call
+MAX_SCAN_PAIRS = 1 << 19
+
+
+def _check_scan_pairs(n: int, window: Window) -> None:
+    """Raise DomainError before a scan over the distinct configuration pairs
+    of the window when there are more than MAX_SCAN_PAIRS of them."""
+    lo, hi = window
+    # past width 20 there are at least 2^20 configurations, so capping the
+    # width keeps n ** width small without admitting more pairs
+    count = n ** min(max(hi - lo, 0), 20)
+    if count * (count - 1) // 2 > MAX_SCAN_PAIRS:
+        raise DomainError(f"window [{lo}, {hi}) over Z_{n} has more than "
+                          f"{MAX_SCAN_PAIRS} configuration pairs to scan")
 
 
 def window_configs(n: int, window: Window) -> list[LampConfig]:
-    """All configs supported in [lo, hi), in lexicographic window-string order
-    (index lo is the leftmost character)."""
+    """All configs supported in [lo, hi), in lexicographic window-string order (index lo is the
+    leftmost character).  The gate of every window scan: DomainError refuses n < 2, an empty
+    window, and a window with more than MAX_SCAN_PAIRS configuration pairs, before listing."""
+    if n < 2:
+        raise DomainError(f"modulus must be >= 2, got {n}")
     lo, hi = window
-    width = hi - lo
-    if width < 0:
+    if hi < lo:
         raise DomainError("empty window")
-    if n ** width > _MAX_WINDOW_STATES:
-        raise DomainError(f"window of width {width} over Z_{n} is too large to enumerate")
+    _check_scan_pairs(n, window)
     return [LampConfig(n, tuple((lo + i, v) for i, v in enumerate(digits) if v))
-            for digits in itertools.product(range(n), repeat=width)]
+            for digits in itertools.product(range(n), repeat=hi - lo)]
+
+
+def _window_table(m: BaseMap, n: int, window: Window) -> tuple[list[LampConfig], list[int], list[int]]:
+    """`window_configs(n, window)` packed at the window's low, and their images under m packed
+    at the lowest image low: aligned apart, both stay narrow when m moves the window far."""
+    configs = window_configs(n, window)
+    images = [apply(m, x) for x in configs]
+    low = min((y.low for y in images if y.digits), default=0)
+    return configs, [digits_at(x, window[0]) for x in configs], [digits_at(y, low) for y in images]
+
+
+def _pair_fields(src: list[int], img: list[int], shift: int):
+    """The first and last nonzero field of src[a] ^ src[b], then of img[a] ^ img[b], for each pair
+    a < b of a window table in `itertools.combinations` order (read inline, as in `diff_span`)."""
+    for a, (s, y) in enumerate(zip(src, img), 1):
+        for t, z in zip(src[a:], img[a:]):
+            d, e = s ^ t, y ^ z
+            yield (((d & -d).bit_length() - 1) >> shift, (d.bit_length() - 1) >> shift,
+                   ((e & -e).bit_length() - 1) >> shift, (e.bit_length() - 1) >> shift)
+
+
+def _scan_modulus(m: BaseMap, n: int | None) -> int:
+    """The modulus a scan runs over: the caller's n when one is given, else the map's, else 2."""
+    mod = m.modulus() if n is None else n
+    return 2 if mod is None else mod
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +237,8 @@ class BilipReport:
         return max(self.K_lower, self.K_upper)
 
 
-# at 2^19 pairs (2^10 configurations) on a 2-vCPU VM, ppq and delta take at most 0.12 s at n = 2,
-# 0.7 s at n = 3 and 1.3 s at n = 4 (mostly digit_sum); the n != 2 bilip object loop up to 6 s
-MAX_SCAN_PAIRS = 1 << 19
 # the packed n = 2 scan visits C(2^width, 2) pairs: width 14 takes 1.4 s
 MAX_PACKED_WIDTH = 14
-
-
-def _check_scan_pairs(n: int, window: Window) -> None:
-    """Raise DomainError before a scan over the distinct configuration pairs
-    of the window when there are more than MAX_SCAN_PAIRS of them."""
-    lo, hi = window
-    # past width 20 there are at least 2^20 configurations, so capping the
-    # width keeps n ** width small without admitting more pairs
-    count = n ** min(max(hi - lo, 0), 20)
-    if count * (count - 1) // 2 > MAX_SCAN_PAIRS:
-        raise DomainError(f"window [{lo}, {hi}) over Z_{n} has more than "
-                          f"{MAX_SCAN_PAIRS} configuration pairs to scan")
 
 
 def _mod2_deviations(img: np.ndarray, width: int) -> tuple[int, int]:
@@ -258,32 +282,12 @@ def _blockperm_image_table(bp: BlockPerm, padding: int) -> np.ndarray:
     """
     import numpy as np
 
-    width = bp.m + 2 * padding
-    wmask = (1 << bp.m) - 1
     perm = np.arange(1 << bp.m, dtype=np.uint32)
-    for src, dst in bp.table:
-        # strings read index 0 first; bit i of the packed value is index i
+    for src, dst in bp.table:  # strings read index 0 first; bit i of a packed value is index i
         perm[int(src[::-1], 2)] = int(dst[::-1], 2)
-    x = np.arange(1 << width, dtype=np.uint32)
-    w = (x >> padding) & wmask
+    x = np.arange(1 << (bp.m + 2 * padding), dtype=np.uint32)
+    w = (x >> padding) & ((1 << bp.m) - 1)
     return x ^ ((w ^ perm[w]) << np.uint32(padding))
-
-
-def _bilip_pair_scan(bp: BlockPerm, padding: int) -> tuple[Fraction, Fraction]:
-    # reference path: plain pair loop over LampConfig objects, any modulus
-    window = (-padding, bp.m + padding)
-    configs = window_configs(bp.n, window)
-    images = {x: apply(bp, x) for x in configs}
-    k_lower = k_upper = Fraction(1)
-    for p, q in itertools.combinations(configs, 2):
-        ip, iq = images[p], images[q]
-        if ip == iq:
-            raise DomainError("map is not injective on the window; biLipschitz constants undefined")
-        rl = lamp_dl(ip, iq) / lamp_dl(p, q)
-        ru = lamp_du(ip, iq) / lamp_du(p, q)
-        k_lower = max(k_lower, rl, 1 / rl)
-        k_upper = max(k_upper, ru, 1 / ru)
-    return k_lower, k_upper
 
 
 def bilip_constants(bp: BlockPerm, padding: int) -> BilipReport:
@@ -292,9 +296,9 @@ def bilip_constants(bp: BlockPerm, padding: int) -> BilipReport:
     Scans every distinct pair of configs supported in
     [-padding, m + padding); with padding >= m the extrema equal the global
     biLipschitz constants (disagreements outside the block are fixed by the
-    map), which the report flags as exhaustive.  DomainError refuses an
-    n = 2 window wider than MAX_PACKED_WIDTH, and any other window with
-    more than MAX_SCAN_PAIRS configuration pairs, before the scan starts.
+    map), which the report flags as exhaustive.  A constant is n^dev, with dev the largest
+    first- (K_lower) or last-disagreement (K_upper) index deviation.  DomainError refuses an
+    n = 2 window wider than MAX_PACKED_WIDTH, and any window `window_configs` refuses, first.
     """
     if padding < 0:
         raise DomainError("padding must be >= 0")
@@ -306,14 +310,15 @@ def bilip_constants(bp: BlockPerm, padding: int) -> BilipReport:
         if width > MAX_PACKED_WIDTH:
             raise DomainError(f"window width {width} is above {MAX_PACKED_WIDTH}, "
                               "the bound of the exhaustive pair scan")
-        img = _blockperm_image_table(bp, padding)
-        dev_fd, dev_ld = _mod2_deviations(img, width)
-        k_lower = Fraction(2) ** dev_fd
-        k_upper = Fraction(2) ** dev_ld
+        dev_fd, dev_ld = _mod2_deviations(_blockperm_image_table(bp, padding), width)
     else:
-        _check_scan_pairs(bp.n, window)
-        k_lower, k_upper = _bilip_pair_scan(bp, padding)
-    return BilipReport(K_lower=k_lower, K_upper=k_upper,
+        # the window holds the block: the images are exactly the configs, both packed at its low
+        _, src, img = _window_table(bp, bp.n, window)
+        dev_fd = dev_ld = 0
+        for fs, ls, fi, li in _pair_fields(src, img, digit_shift(bp.n)):
+            dev_fd = max(dev_fd, abs(fi - fs))
+            dev_ld = max(dev_ld, abs(li - ls))
+    return BilipReport(K_lower=Fraction(bp.n) ** dev_fd, K_upper=Fraction(bp.n) ** dev_ld,
                        exhaustive=padding >= bp.m, window=window)
 
 
@@ -321,31 +326,18 @@ def bilip_constants(bp: BlockPerm, padding: int) -> BilipReport:
 # parallelogram preservation and generalized-affine factorization
 # ---------------------------------------------------------------------------
 
-def _window_table(m: BaseMap, n: int, window: Window) -> tuple[list[LampConfig], list[int], list[int]]:
-    """`window_configs(n, window)` packed at the window's low, and their images under m packed
-    at the lowest image low: aligned apart, both stay narrow when m moves the window far."""
-    if n < 2:
-        raise DomainError(f"modulus must be >= 2, got {n}")
-    configs = window_configs(n, window)
-    images = [apply(m, x) for x in configs]
-    low = min((y.low for y in images if y.digits), default=0)
-    return configs, [digits_at(x, window[0]) for x in configs], [digits_at(y, low) for y in images]
-
-
 def parallelogram_preserving(m: BaseMap, window: Window, n: int | None = None):
     """True, or the first (a, v, w) in lexicographic order with
-    psi(a+v+w) + psi(a) != psi(a+v) + psi(a+w), over Z_n (n defaults to the
-    map's modulus, else 2).
+    psi(a+v+w) + psi(a) != psi(a+v) + psi(a+w), over Z_n for the n of
+    `_scan_modulus`, on a window `window_configs` admits.
 
     Scanning a = 0 decides every a: if those identities hold, phi = psi -
     psi(0) is additive on the window group, so they hold for every a, and
     the first witness has a = 0, listed first.  They are symmetric in v and
-    w, so only the `_window_table` pairs v <= w are scanned.  A window with
-    more than MAX_SCAN_PAIRS configuration pairs raises DomainError first."""
-    n = n or m.modulus() or 2
-    _check_scan_pairs(n, window)
+    w, so only the `_window_table` pairs v <= w are scanned."""
+    n = _scan_modulus(m, n)
     configs, src, img = _window_table(m, n, window)
-    add = operator.xor if n == 2 else functools.partial(digit_sum, n=n)
+    add = packed_add(n)
     lhs = {s: add(y, img[0]) for s, y in zip(src, img)}  # packed v + w: psi(v + w) + psi(0)
     for i, (s, y) in enumerate(zip(src, img)):
         for t, z in zip(src[i:], img[i:]):
@@ -364,9 +356,9 @@ def is_generalized_affine(m: BaseMap, window: Window, up_to_inversion: bool = Fa
     preserving maps whose pre- or post-composition with inversion factors
     strictly (only they need the scan: a strict factorization preserves them).
     """
-    n = n or m.modulus() or 2
+    n = _scan_modulus(m, n)
     shift = digit_shift(n)
-    add = operator.xor if n == 2 else functools.partial(digit_sum, n=n)
+    add = packed_add(n)
 
     def strict(f: BaseMap) -> bool:
         # if f = Shift(j) + f(0), the unit lamp at the window's low (packed 1, listed at
@@ -377,9 +369,8 @@ def is_generalized_affine(m: BaseMap, window: Window, up_to_inversion: bool = Fa
 
     if strict(m):
         return True
-    inv = Inversion()
     return (up_to_inversion and parallelogram_preserving(m, window, n) is True
-            and (strict(Compose((m, inv))) or strict(Compose((inv, m)))))
+            and (strict(Compose((m, Inversion()))) or strict(Compose((Inversion(), m)))))
 
 
 @dataclass(frozen=True)
@@ -402,32 +393,21 @@ def delta_distortion(bp: BlockPerm, window: Window) -> DeltaDistortionReport:
     `_window_table` ints; the first pair in combinations order is kept at
     each extreme.  The ratios must lie in [1/K^2, K^2] for K = max(K_lower,
     K_upper) from the exhaustive biLipschitz report; a violation is a
-    library bug and raises InternalError.  A window with more than
-    MAX_SCAN_PAIRS configuration pairs raises DomainError first.
+    library bug and raises InternalError.  A window that `window_configs`
+    refuses raises DomainError first, and a table that is not a bijection next.
     """
-    _check_scan_pairs(bp.n, window)
-    k = bilip_constants(bp, padding=bp.m).K
     configs, src, img = _window_table(bp, bp.n, window)
-    if len(set(img)) < len(img):
-        raise DomainError("map is not injective on the window")
-    shift = digit_shift(bp.n)
-
-    def gap(d: int) -> int:
-        return ((d.bit_length() - 1) >> shift) - (((d & -d).bit_length() - 1) >> shift)
-
-    top = bottom = None
-    for a, b in itertools.combinations(range(len(src)), 2):
-        x = gap(img[a] ^ img[b]) - gap(src[a] ^ src[b])
-        if top is None or x > top[0]:
-            top = (x, (configs[a], configs[b]))
-        if bottom is None or x < bottom[0]:
-            bottom = (x, (configs[a], configs[b]))
-    if top is None:
+    k = bilip_constants(bp, padding=bp.m).K
+    xs = [(li - fi) - (ls - fs) for fs, ls, fi, li in _pair_fields(src, img, digit_shift(bp.n))]
+    if not xs:
         raise DomainError("window holds fewer than two configurations")
-    best, worst = Fraction(bp.n) ** top[0], Fraction(bp.n) ** bottom[0]
+    top, bottom = max(xs), min(xs)
+    best, worst = Fraction(bp.n) ** top, Fraction(bp.n) ** bottom
     if best > k * k or worst < 1 / (k * k):
         raise InternalError(f"delta distortion {worst}..{best} escapes [1/K^2, K^2] with K={k}; library bug")
-    return DeltaDistortionReport(best, top[1], worst, bottom[1], k, window)
+    max_pair, min_pair = (next(itertools.islice(itertools.combinations(configs, 2), xs.index(x), None))
+                          for x in (top, bottom))
+    return DeltaDistortionReport(best, max_pair, worst, min_pair, k, window)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +457,7 @@ def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    n = n or vm.base.modulus() or 2
+    n = _scan_modulus(vm.base, n)
     shift = digit_shift(n)
     fibres: dict[LampConfig, list[int]] = {}
     for v in ball(identity_vertex(n), radius):

@@ -29,9 +29,9 @@ from .base_groups import (
     bs_delta,
     bs_normalize,
     digit_shift,
-    digit_sum,
     lamp_delta,
     nadic_split,
+    packed_add,
     packed_lamp,
     sol_delta,
 )
@@ -91,6 +91,10 @@ class BSFamily:
     n: int
 
     name = "baumslag-solitar"
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise DomainError(f"base must be >= 2, got {self.n}")
 
     @property
     def zero(self) -> BSNumber:
@@ -373,7 +377,7 @@ def verify_lamp_claim(
         # d != 0; width of the disagreement interval of a packed difference
         return ((d.bit_length() - 1) >> shift) - (((d & -d).bit_length() - 1) >> shift)
 
-    add = operator.xor if n == 2 else functools.partial(digit_sum, n=n)
+    add = packed_add(n)
 
     @functools.cache  # relaxed witnesses repeat few distinct points
     def to_config(p: int) -> LampConfig:

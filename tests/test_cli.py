@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -676,3 +678,66 @@ def test_csv_only_where_reports_have_rows(monkeypatch, capsys):
     assert code == EXIT_OK and out.splitlines()[0] == "vertex" and len(out.splitlines()) == 6
     code, out = invoke("dist", "--u", "|0", "--v", "0:1|0", "--format", "csv")
     assert code == EXIT_USAGE and out == ""
+
+
+# one valid invocation of every leaf command that takes --n, less the --n;
+# the families that read --n as a base get a row of their own
+N_ROWS = {
+    ("delta",): [["--p", "0:1", "--q", ""], ["--family", "bs", "--p", "12", "--q", "0"]],
+    ("dist",): [["--u", "|0", "--v", "0:1|0"], ["--radius", "1"]],
+    ("ball",): [["--radius", "1"]],
+    ("export-dot",): [["--radius", "1"]],
+    ("quad", "classify"): [["--points", ";0:1;0:1,1:1;1:1", "--eps", "1", "--M", "2"],
+                           ["--family", "bs", "--points", "0;1;3;2", "--eps", "1", "--M", "2"]],
+    ("verify", "lamp-claim"): [["--S", "1", "--window", "3"]],
+    ("verify", "taback"): [["--eps", "1", "--M", "2", "--bound", "3", "--kmin", "0", "--kmax", "1"]],
+    ("telescope",): [["--quad", ";0:1;0:1,1:1;1:1", "--sigma", "0:1;1:1"],
+                     ["--family", "bs", "--quad", "0;1;4;3", "--sigma", "1;2"]],
+    ("sigma", "check"): [["--sigma", "0:1;1:1", "--eps", "1", "--M", "2"],
+                         ["--family", "bs", "--sigma", "1;2", "--eps", "1", "--M", "2"]],
+    ("sigma", "obstruct"): [["--sigma", "0:1;1:1", "--eps", "1", "--M", "32", "--window", "2"]],
+    ("map", "apply"): [["--map", "shift:1", "--x", "0:1"]],
+    ("map", "bilip"): [["--map", "blockperm:m=1:1>0,0>1"]],
+    ("map", "ppq"): [["--map", "shift:1", "--window", "3"]],
+    ("map", "delta-distortion"): [["--map", "blockperm:m=1:1>0,0>1", "--window", "2"]],
+    ("map", "qi-distortion"): [["--map", "shift:1", "--radius", "2"]],
+    ("isometry-search",): [["--radius", "2"]],
+}
+
+
+def _leaf_commands(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_commands(sub, path + (name,))
+
+
+def test_every_command_with_n_has_a_sweep_row():
+    taking_n = [path for path, p in _leaf_commands(cli.build_parser())
+                if any("--n" in a.option_strings for a in p._actions)]
+    assert sorted(taking_n) == sorted(N_ROWS)
+
+
+def test_n_sweep_rows_run_at_n_2(capsys):
+    for path, tails in N_ROWS.items():
+        for tail in tails:
+            assert invoke(*path, *tail)[0] in (EXIT_OK, EXIT_VIOLATIONS), (path, tail)
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "1", "-3"])
+def test_n_below_2_exits_2_naming_the_modulus_or_base(n, capsys):
+    # each command names the modulus or the base, before a scan, a budget or
+    # a literal can fail on it in some other way
+    named = re.compile(r"error: .*((modulus|base|n) must be >= 2|\(2 <= n <= 10\))")
+    start = time.perf_counter()
+    for path, tails in N_ROWS.items():
+        for tail in tails:
+            argv = [*path, *tail, f"--n={n}"]
+            code, out = invoke(*argv)
+            err = capsys.readouterr().err
+            assert code == EXIT_USAGE and out == "", argv
+            assert err.count("\n") == 1 and named.match(err) and "Traceback" not in err, (argv, err)
+    assert time.perf_counter() - start < 1.0

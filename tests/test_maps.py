@@ -15,7 +15,6 @@ from lampgeo.maps import (
     Inversion,
     Shift,
     Translate,
-    _bilip_pair_scan,
     _mod2_deviations,
     apply,
     is_identity_ball_map,
@@ -104,6 +103,23 @@ def test_bilip_padding_stability():
         assert (rep.K_lower, rep.K_upper) == (base.K_lower, base.K_upper)
 
 
+def _bilip_pair_scan(bp, padding):
+    # reference: plain pair loop over LampConfig objects, any modulus
+    window = (-padding, bp.m + padding)
+    configs = window_configs(bp.n, window)
+    images = {x: apply(bp, x) for x in configs}
+    k_lower = k_upper = Fraction(1)
+    for p, q in itertools.combinations(configs, 2):
+        ip, iq = images[p], images[q]
+        if ip == iq:
+            raise DomainError("map is not injective on the window; biLipschitz constants undefined")
+        rl = lg.lamp_dl(ip, iq) / lg.lamp_dl(p, q)
+        ru = lg.lamp_du(ip, iq) / lg.lamp_du(p, q)
+        k_lower = max(k_lower, rl, 1 / rl)
+        k_upper = max(k_upper, ru, 1 / ru)
+    return k_lower, k_upper
+
+
 @pytest.mark.parametrize("m,padding", [(1, 2), (2, 2)])
 def test_bilip_packed_equals_pair_scan(m, padding):
     strings = [format(i, f"0{m}b") for i in range(1 << m)]
@@ -117,6 +133,19 @@ def test_bilip_packed_equals_pair_scan(m, padding):
 def test_bilip_pi0_packed_equals_pair_scan():
     rep = lg.bilip_constants(PI0, 3)
     assert (rep.K_lower, rep.K_upper) == _bilip_pair_scan(PI0, 3)
+
+
+@pytest.mark.parametrize("n,m,paddings", [(3, 1, (0, 1, 2)), (3, 2, (0, 1)), (4, 1, (0, 1)),
+                                          (4, 2, (0, 1)), (5, 1, (0, 1)), (5, 3, (0,))])
+def test_bilip_pair_fields_match_pair_scan(n, m, paddings):
+    # the n != 2 constants on packed pairs against the object loop, on
+    # windows of at most 256 configurations
+    rng = random.Random(100 * n + m)
+    for padding in paddings:
+        bp = _random_block_perm(rng, m, n)
+        rep = lg.bilip_constants(bp, padding)
+        assert (rep.K_lower, rep.K_upper) == _bilip_pair_scan(bp, padding), (bp, padding)
+        assert rep.window == (-padding, m + padding) and rep.exhaustive == (padding >= m)
 
 
 def test_bilip_double_padding_stability():
@@ -363,6 +392,31 @@ def test_scan_modulus_comes_from_the_caller(monkeypatch):
     for bad in (1, -3):
         with pytest.raises(DomainError, match="modulus"):
             lg.is_generalized_affine(Shift(1), (0, 3), n=bad)
+
+
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_every_window_scan_refuses_a_modulus_below_2(n):
+    # window_configs is the gate of every scan: n < 2 is refused before a
+    # config is listed, and no scan reads n = 0 as 2
+    for window in ((0, 2), (0, 3)):
+        with pytest.raises(DomainError, match="modulus must be >= 2"):
+            window_configs(n, window)
+    with pytest.raises(DomainError, match="modulus must be >= 2"):
+        lg.parallelogram_preserving(Shift(1), (0, 3), n)
+    with pytest.raises(DomainError, match="modulus must be >= 2"):
+        lg.qi_distortion(lg.induced_vertex_map(Shift(1)), 2, n=n)
+
+
+def test_window_configs_refuses_past_the_pair_budget():
+    # 2^10 configurations (about 2^19 pairs) pass and 2^11 do not; a window
+    # of width 0 holds the zero config alone
+    assert len(window_configs(2, (0, 10))) == 1 << 10
+    for n, window in ((2, (0, 11)), (3, (-3, 4)), (2, (0, 10 ** 9))):
+        with pytest.raises(DomainError, match="configuration pairs"):
+            window_configs(n, window)
+    with pytest.raises(DomainError, match="empty window"):
+        window_configs(2, (3, 2))
+    assert window_configs(3, (5, 5)) == [L(3, {})]
 
 
 def _delta_pair_loop(bp, window):

@@ -53,6 +53,13 @@ def test_classify_bs_parallelogram():
     assert classify(q, QuadParams(1, 63)).kind is Classification.PARALLELOGRAM
 
 
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_bs_family_refuses_a_base_below_2(n):
+    # refused by the family itself, before any literal is read against the base
+    with pytest.raises(DomainError, match="base must be >= 2"):
+        BSFamily(n)
+
+
 def test_classify_sol():
     fam = SolFamily(lg.sol_invariant_form(((2, 1), (1, 1))))
     # corners 0, v, v+w, w for v=(1,0), w=(34,21): sides have |f| = 1
