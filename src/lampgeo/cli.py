@@ -139,7 +139,13 @@ def cmd_delta(args):
 
 def cmd_dist(args):
     n = args.n
-    if args.u is not None and args.v is not None:
+    pair_options = [opt for opt, given in (("--u", args.u is not None), ("--v", args.v is not None),
+                                           ("--check-bfs", args.check_bfs)) if given]
+    if args.radius is not None and pair_options:
+        raise DomainError(f"dist --radius prints a table and takes no {', '.join(pair_options)}")
+    if (args.u is None) != (args.v is None):
+        raise DomainError("dist needs both --u and --v")
+    if args.u is not None:
         if args.format == "csv":
             raise DomainError("this command has no tabular output; use json or text")
         u = formats.parse_vertex(args.u, n)
@@ -321,6 +327,8 @@ def cmd_map_qi_distortion(args):
 
 
 def cmd_isometry_search(args):
+    if args.max_results is not None and args.max_results < 1:
+        raise DomainError(f"--max-results must be >= 1, got {args.max_results}")
     maps_found = isometry_search(
         args.radius,
         height_preserving=not args.no_height_preserving,

@@ -392,12 +392,15 @@ def delta_distortion(bp: BlockPerm, window: Window) -> DeltaDistortionReport:
     A ratio is n^x, x the image gap less the source gap, read off XORs of
     `_window_table` ints; the first pair in combinations order is kept at
     each extreme.  The ratios must lie in [1/K^2, K^2] for K = max(K_lower,
-    K_upper) from the exhaustive biLipschitz report; a violation is a
+    K_upper) from the biLipschitz constants of the block pairs; a violation is a
     library bug and raises InternalError.  A window that `window_configs`
     refuses raises DomainError first, and a table that is not a bijection next.
     """
     configs, src, img = _window_table(bp, bp.n, window)
-    k = bilip_constants(bp, padding=bp.m).K
+    # padding 0 scans the block pairs alone and gives the constants of every padding: a pair's first
+    # (last) disagreement moves only when the pair agrees below (above) the block, and then the move
+    # depends only on its two block words
+    k = bilip_constants(bp, padding=0).K
     xs = [(li - fi) - (ls - fs) for fs, ls, fi, li in _pair_fields(src, img, digit_shift(bp.n))]
     if not xs:
         raise DomainError("window holds fewer than two configurations")
@@ -506,8 +509,9 @@ def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
 # finite-ball isometry search
 # ---------------------------------------------------------------------------
 
-# one node is one assignment; the search assigns about 300k nodes/s on a
-# 2-vCPU VM, so 2^20 is about 3.5 s
+# one node is one assignment: the strict search at r = 7 assigns 964, while
+# r = 4 with neither the identity coset fixed nor patterns preserved would
+# assign 3,757,316
 MAX_SEARCH_NODES = 1 << 20
 
 

@@ -332,8 +332,8 @@ def _side_count(n: int, width: int, S: int) -> int:
 MAX_LAMP_WINDOW_BITS = 1 << 13
 
 # relaxed mode records almost every tuple it checks as a witness: window 10
-# at S = 2 checks 109,440, and its CLI run takes about 3.3 s on a 2-vCPU VM,
-# writes 9 MB of JSON and peaks at 125 MB, so 2^17 is about 4 s, 11 MB and 150 MB
+# at S = 2 checks 109,440 and writes 9 MB of JSON, so 2^17 tuples keep a
+# report near 11 MB; window 12 would check 885,248
 MAX_RELAXED_TUPLES = 1 << 17
 
 
@@ -542,9 +542,10 @@ def verify_taback(
     """Check that every (eps, M)-quadrilateral in Z[1/n] within bounds is a parallelogram.
 
     The search space is {r * n^k : |r| <= numerator_bound, k in exp_range}
-    with p1 pinned to 0.  Requires M > eps^2 (the separation the valuation
-    argument needs).  The first five quadrilaterals are reported with their
-    side decompositions (r_i, k_i); the parallelogram side relations
+    with p1 pinned to 0.  Requires numerator_bound >= 0 (bound 0 admits no
+    side point) and M > eps^2 (the separation the valuation argument
+    needs).  The first five quadrilaterals are reported with their side
+    decompositions (r_i, k_i); the parallelogram side relations
     k1=k3, k2=k4, r1=-r3, r2=-r4 fail exactly where the corner relation does.
 
     The corners come from _corner_index over D_eps and the steps s * n^j;
@@ -555,6 +556,8 @@ def verify_taback(
     """
     if n < 2:
         raise DomainError("n must be >= 2")
+    if numerator_bound < 0:
+        raise DomainError(f"numerator bound must be >= 0, got {numerator_bound}")
     if eps < 1 or M <= eps * eps:
         raise DomainError(f"need M > eps^2 for the valuation argument, got eps={eps}, M={M}")
     kmin, kmax = exp_range
@@ -630,8 +633,8 @@ def verify_taback(
 # ---------------------------------------------------------------------------
 
 # the seed rows do not grow with the box, and each orbit is walked in
-# O(log box) steps: at eps <= 4, calibrate_schwartz at box 10^4 takes about
-# 0.1 s on the CLI (0.26 s when every row of the doubled box was listed)
+# O(log box) steps, so no row of the doubled box, (4 * 10^4 + 1)^2 points
+# at this half-width, is listed
 MAX_SOL_BOX = 10_000
 
 

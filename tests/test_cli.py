@@ -602,6 +602,35 @@ def test_usage_errors_exit_2():
         assert code == EXIT_USAGE, argv
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("isometry-search", "--radius", "2", "--max-results", "0"), "--max-results must be >= 1, got 0"),
+    (("isometry-search", "--radius", "2", "--max-results", "-1"), "--max-results must be >= 1, got -1"),
+    (("dist", "--radius", "2", "--u", "|0"), "dist --radius prints a table and takes no --u"),
+    (("dist", "--radius", "2", "--check-bfs"), "dist --radius prints a table and takes no --check-bfs"),
+    (("dist", "--radius", "2", "--u", "|0", "--v", "0:1|0"),
+     "dist --radius prints a table and takes no --u, --v"),
+    (("dist", "--u", "|0"), "dist needs both --u and --v"),
+    (("dist", "--v", "|0", "--check-bfs"), "dist needs both --u and --v"),
+    (("verify", "taback", "--eps", "3", "--M", "64", "--bound", "-5", "--kmin", "-2", "--kmax", "2"),
+     "numerator bound must be >= 0, got -5"),
+], ids=["max-results-0", "max-results-negative", "dist-radius-u", "dist-radius-check-bfs",
+        "dist-radius-pair", "dist-u-alone", "dist-v-alone", "taback-negative-bound"])
+def test_ignored_or_vacuous_inputs_exit_2(argv, error, capsys):
+    # each exited 0, dropping an option or printing a vacuous report
+    # (except the lone --u or --v, which was told to give --radius instead)
+    code, out = invoke(*argv)
+    assert code == EXIT_USAGE and out == ""
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_delta_distortion_at_n_4_takes_k_from_the_block():
+    # K came from the padding-m window [-2, 4), whose 4^6 configurations pass
+    # MAX_SCAN_PAIRS, so every window of this map exited 2
+    code, out = invoke("map", "delta-distortion", "--map", "blockperm:m=2:01>10,10>01", "--n", "4",
+                       "--window", "2")
+    assert code == EXIT_OK and json.loads(out)["K"] == "4"
+
+
 def test_malformed_position_in_message(capsys):
     code = run(["delta", "--family", "lamp", "--p", "0:1,3:9", "--q", ""],
                stdout=io.StringIO())

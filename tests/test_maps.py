@@ -465,6 +465,26 @@ def test_delta_distortion_identity():
     assert rep.min_ratio == 1 and rep.max_ratio == 1
 
 
+def test_delta_distortion_takes_k_from_the_block_pairs():
+    # a pair's first (last) disagreement moves only when the pair agrees below
+    # (above) the block, and then by its two block words alone, so padding 0
+    # gives the constants of every padding; delta_distortion reads K there,
+    # and so answers n = 4, m = 2 and n = 3, m = 3, whose padding-m windows
+    # pass MAX_SCAN_PAIRS
+    rng = random.Random("padding-0")
+    for n, m, paddings in [(2, 1, (1, 2)), (2, 2, (1, 2)), (2, 3, (1, 3)), (2, 4, (2, 4)), (3, 1, (1, 2)),
+                           (3, 2, (1, 2)), (4, 1, (1, 2)), (4, 2, (1,)), (5, 1, (1,))]:
+        for _ in range(4):
+            bp = _random_block_perm(rng, m, n)
+            at_0 = lg.bilip_constants(bp, 0)
+            for padding in paddings:
+                rep = lg.bilip_constants(bp, padding)
+                assert (rep.K_lower, rep.K_upper) == (at_0.K_lower, at_0.K_upper), (bp, padding)
+    for n, m in [(4, 2), (3, 3)]:
+        bp = _random_block_perm(rng, m, n)
+        assert lg.delta_distortion(bp, (0, 2)).K == lg.bilip_constants(bp, 0).K
+
+
 # ---------------------------------------------------------------------------
 # induced vertex maps
 # ---------------------------------------------------------------------------

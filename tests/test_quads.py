@@ -60,6 +60,13 @@ def test_bs_family_refuses_a_base_below_2(n):
         BSFamily(n)
 
 
+def test_taback_refuses_a_negative_bound():
+    # bound -5 admitted no side point and printed a vacuous report; bound 0 stays admitted
+    with pytest.raises(DomainError, match="numerator bound must be >= 0, got -5"):
+        lg.verify_taback(2, 3, 64, -5, (-2, 2))
+    assert lg.verify_taback(2, 3, 64, 0, (-2, 2)).vacuous
+
+
 def test_classify_sol():
     fam = SolFamily(lg.sol_invariant_form(((2, 1), (1, 1))))
     # corners 0, v, v+w, w for v=(1,0), w=(34,21): sides have |f| = 1

@@ -1,7 +1,9 @@
 """Golden test: every command line in the README's usage block, run through
 the CLI, prints exactly the stdout, stderr and exit code pinned in
 tests/data/readme_cli.json.  Outputs longer than PIN_CHARS are pinned by
-their SHA-256 digest (the relaxed lamp-claim report is about 9 MB).
+their SHA-256 digest (the relaxed lamp-claim report is about 9 MB).  The
+README's Budgets table is checked against the module constants, and each of
+its edge inputs must exit 2.
 
 Regenerate the data (only when a report is meant to change) with
 
@@ -12,10 +14,14 @@ import argparse
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,17 +112,58 @@ def test_readme_runs_every_subcommand():
     assert [" ".join(leaf) for leaf in leaves if leaf not in documented] == []
 
 
-def test_readme_documents_every_budget():
-    # every module-level MAX_* budget of src/lampgeo is named in the README
-    names = []
+def _defined_budgets() -> dict[str, str]:
+    """{name: module} of every module-level MAX_* budget of src/lampgeo."""
+    defined = {}
     for path in sorted((ROOT / "src" / "lampgeo").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Assign):
-                names += [t.id for t in node.targets
-                          if isinstance(t, ast.Name) and re.fullmatch(r"MAX_[A-Z_]+", t.id)]
-    assert len(names) >= 10
-    readme = (ROOT / "README.md").read_text()
-    assert [name for name in names if name not in readme] == []
+                defined.update((t.id, f"lampgeo.{path.stem}") for t in node.targets
+                               if isinstance(t, ast.Name) and re.fullmatch(r"MAX_[A-Z_]+", t.id))
+    return defined
+
+
+def budget_rows() -> list[tuple[str, str, int, list[str]]]:
+    """(name, module, value, edge argv) of each row of the README's Budgets
+    table; a value is written `2^k` or as a plain integer."""
+    section = (ROOT / "README.md").read_text().split("\n## Budgets\n", 1)[-1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 5 or not cells[0].startswith("MAX_"):
+            continue
+        name, module, value, _, edge = cells
+        number = re.fullmatch(r"(\d+)(?:\^(\d+))?", value)
+        argv = shlex.split(edge)
+        assert number and argv[0] == "lampgeo", line
+        rows.append((name, module, int(number[1]) ** int(number[2] or 1), argv[1:]))
+    return rows
+
+
+def test_readme_documents_every_budget():
+    # the Budgets table has one row per budget, in its module, at its value
+    defined = _defined_budgets()
+    assert len(defined) >= 10
+    rows = budget_rows()
+    table = {name: (module, value) for name, module, value, _ in rows}
+    assert len(table) == len(rows), "a budget has more than one row"
+    assert sorted(set(defined) - set(table)) == [], "budgets with no row"
+    assert sorted(set(table) - set(defined)) == [], "rows naming no budget"
+    for name, (module, value) in table.items():
+        assert module == defined[name], name
+        assert getattr(importlib.import_module(module), name) == value, name
+
+
+@pytest.mark.parametrize("value, argv", [row[2:] for row in budget_rows()], ids=[row[0] for row in budget_rows()])
+def test_budget_edge_input_exits_2(value, argv):
+    # in a child process, so that an input past a lost budget is killed at
+    # the timeout; the refusal names the budget's value
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "lampgeo.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=20)
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert str(value) in proc.stderr
 
 
 if __name__ == "__main__":
