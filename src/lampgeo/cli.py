@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -69,12 +70,18 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+_LITERAL_DIGITS = 4300  # Python's own int-parsing limit, on a scalar's numerator and denominator
+_DECIMAL = re.compile(r"\s*[-+]?(?=\.?\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
+
 
 def _family(args):
-    if args.family == "lamp":
-        return LampFamily(args.n)
-    if args.family == "bs":
-        return BSFamily(args.n)
+    # a family command's --n defaults to None, so that a given one is told apart
+    if args.family != "sol":
+        if args.matrix is not None:
+            raise DomainError(f"--family {args.family} takes no --matrix")
+        return (LampFamily if args.family == "lamp" else BSFamily)(2 if args.n is None else args.n)
+    if args.n is not None:
+        raise DomainError("--family sol takes no --n; --matrix gives its group")
     if not args.matrix:
         raise DomainError("--matrix a,b,c,d is required for the sol family")
     return SolFamily(sol_invariant_form(formats.parse_matrix(args.matrix)))
@@ -93,6 +100,14 @@ def _parse_center(args):
 
 
 def _parse_scalar(text: str):
+    # exponent e moves |e| digits to the numerator or denominator: bound both before Fraction builds 10^|e|
+    decimal = _DECIMAL.fullmatch(text)
+    if decimal:
+        digits, places = (sum(map(str.isdigit, part or "")) for part in decimal.group(1, 2))
+        exponent = decimal[3] or "0"  # past the limit, int() and so Fraction refuse it themselves
+        shift = int(exponent) - places if sum(map(str.isdigit, exponent)) <= _LITERAL_DIGITS else 0
+        if max(digits + shift, digits, 1 - shift) > _LITERAL_DIGITS:
+            raise ParseError(f"exact number past {_LITERAL_DIGITS} digits in its numerator or denominator")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -358,7 +373,7 @@ def cmd_isometry_search(args):
 
 def _add_common(p, family=False, format_choices=("json", "text"), modulus=True, timing=False):
     if modulus:
-        p.add_argument("--n", type=int, default=2, help="modulus / base (default 2)")
+        p.add_argument("--n", type=int, default=None if family else 2, help="modulus / base (default 2)")
     if format_choices:
         p.add_argument("--format", choices=format_choices, default="json")
     if timing:

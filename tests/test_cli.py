@@ -6,13 +6,14 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lampgeo import InternalError, cli, dl_graph
+from lampgeo import InternalError, ParseError, cli, dl_graph
 from lampgeo.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, run
 from lampgeo.dl_graph import (
     MAX_BALL_VERTICES,
@@ -514,6 +515,74 @@ def test_map_qi_distortion():
     code, out = invoke("map", "qi-distortion", "--map", "translate:0:1", "--radius", "3")
     data = json.loads(out)
     assert code == EXIT_OK and data["additive_distortion"] == 0
+    code, out = invoke("map", "qi-distortion", "--map", "blockperm:m=3:100>111,111>100", "--radius", "5",
+                       "--format", "text")
+    assert code == EXIT_OK and out == "radius: 5\nadditive_distortion: 4\n"
+
+
+def test_isometry_search_lists_the_identity_map():
+    code, out = invoke("isometry-search", "--radius", "2", "--list-maps")
+    ball = ["|-1", "-1:1|-1", "|0", "|1", "0:1|1"]  # the radius-1 ball, by cursor, then config
+    assert code == EXIT_OK and out == json.dumps({"radius": 2, "maps_found": 1, "all_identity": True,
+                                                  "maps": [{v: v for v in ball}]}, indent=2) + "\n"
+
+
+def test_sigma_obstruct_wide_window_reads_only_the_generators_columns():
+    # a dense row per generator across 10^8 indices raised MemoryError after
+    # 22 s; the elimination reads the first |sigma| + 1 columns
+    proc, seconds = _run_child(["sigma", "obstruct", "--sigma", "0:1;1:1", "--eps", "1", "--M", "3",
+                                "--window", "0:100000000"])
+    assert proc.returncode == EXIT_USAGE and seconds < 1.0
+    assert proc.stderr == "error: generator set does not generate the window: index 2 missing\n"
+
+
+def test_sigma_obstruct_composite_n_names_the_first_column_with_no_unit_pivot(capsys):
+    # 3 is no unit mod 6, so index 0 is the first column the elimination mod 6
+    # cannot clear; elimination mod each prime named index 1, the first
+    # column with no pivot mod 2
+    code, _ = invoke("sigma", "obstruct", "--n", "6", "--sigma", "0:3", "--eps", "1", "--M", "7",
+                     "--window", "2")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: generator set does not generate the window: index 0 missing\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("quad", "classify", "--family", "lamp", "--points", ";0:1;0:1,9:1;9:1",
+     "--eps", "1e100000000", "--M", "1e100000001"),
+    ("quad", "classify", "--family", "sol", "--matrix", "2,1,1,1", "--points", "0,0;1,0;1,1;0,1",
+     "--eps", "1e5000", "--M", "2"),
+], ids=["lamp-exponent-10^8", "sol-exponent-5000"])
+def test_exact_number_past_4300_digits_exits_2_quickly(argv):
+    # Fraction built 10^(10^8) (still running at 30 s), and a 5,001-digit
+    # eps passed Python's int-to-string limit when printed (exit 3)
+    proc, seconds = _run_child(argv)
+    assert proc.returncode == EXIT_USAGE and seconds < 1.0
+    assert proc.stderr == "error: col 0: exact number past 4300 digits in its numerator or denominator\n"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e4299", 10 ** 4299), ("-1e-4299", Fraction(-1, 10 ** 4299)), ("0.5e4300", 5 * 10 ** 4299),
+    ("1e" + "0" * 4299 + "1", 10), ("1e4300", "past 4300 digits"), ("1e-4300", "past 4300 digits"),
+    ("1_0e4299", "past 4300 digits"), ("1e" + "0" * 4300 + "1", "expected an exact number"),
+])
+def test_exact_number_digit_bound_is_exact(text, value):
+    # 10^4299 has 4,300 digits, and 10^4300 one more; an exponent of more
+    # digits is refused by int() inside Fraction
+    if isinstance(value, str):
+        with pytest.raises(ParseError, match=value):
+            cli._parse_scalar(text)
+    else:
+        assert cli._parse_scalar(text) == value
+
+
+@pytest.mark.parametrize("text", [" " * 10 ** 5 + "x", "1" * 10 ** 5 + "x",
+                                  "1" * 50_000 + "." + "1" * 50_000 + "x"])
+def test_long_non_literal_is_refused_in_linear_time(text):
+    # the digit bound's pattern admits one split of the text, as Fraction's does
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="expected an exact number"):
+        cli._parse_scalar(text)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_sigma_commands():
@@ -613,8 +682,19 @@ def test_usage_errors_exit_2():
     (("dist", "--v", "|0", "--check-bfs"), "dist needs both --u and --v"),
     (("verify", "taback", "--eps", "3", "--M", "64", "--bound", "-5", "--kmin", "-2", "--kmax", "2"),
      "numerator bound must be >= 0, got -5"),
+    (("delta", "--family", "sol", "--matrix", "2,1,1,1", "--p", "1,2", "--q", "0,0", "--n", "5"),
+     "--family sol takes no --n; --matrix gives its group"),
+    (("delta", "--family", "lamp", "--matrix", "2,1,1,1", "--p", "0:1", "--q", ""),
+     "--family lamp takes no --matrix"),
+    (("quad", "classify", "--family", "sol", "--matrix", "2,1,1,1", "--points", "0,0;1,0;1,1;0,1",
+      "--eps", "1", "--M", "2", "--n", "2"), "--family sol takes no --n; --matrix gives its group"),
+    (("telescope", "--family", "bs", "--matrix", "2,1,1,1", "--quad", "0;1;4;3", "--sigma", "1;2"),
+     "--family bs takes no --matrix"),
+    (("sigma", "check", "--family", "sol", "--matrix", "2,1,1,1", "--sigma", "1,0;0,1", "--eps", "1",
+      "--M", "2", "--n", "3"), "--family sol takes no --n; --matrix gives its group"),
 ], ids=["max-results-0", "max-results-negative", "dist-radius-u", "dist-radius-check-bfs",
-        "dist-radius-pair", "dist-u-alone", "dist-v-alone", "taback-negative-bound"])
+        "dist-radius-pair", "dist-u-alone", "dist-v-alone", "taback-negative-bound",
+        "delta-sol-n", "delta-lamp-matrix", "classify-sol-n", "telescope-bs-matrix", "sigma-check-sol-n"])
 def test_ignored_or_vacuous_inputs_exit_2(argv, error, capsys):
     # each exited 0, dropping an option or printing a vacuous report
     # (except the lone --u or --v, which was told to give --radius instead)

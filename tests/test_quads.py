@@ -681,15 +681,36 @@ def test_sigma_obstruction_composite_wide_window():
         lg.lamp_sigma_obstruction(short, QuadParams(2, 32), (0, 9))
 
 
-def test_lamp_generation_refuses_modulus_above_factoring_bound():
-    # trial division up to sqrt(n) stays within 2^20 steps; above the bound
-    # the check refuses at once instead of looping about 10^7 times
-    from lampgeo.quads import MAX_LAMP_MODULUS, _lamp_generates_window
-    top = GeneratorSet(LampFamily(MAX_LAMP_MODULUS), (L(MAX_LAMP_MODULUS, {0: 1}),))
-    assert _lamp_generates_window(top, (0, 1)) is None
+def test_lamp_generation_decides_any_modulus_without_factoring():
+    # n = 10000019 * 10000079 was refused on a 2^40 bound for trial division;
+    # an elimination over Z_n takes only gcds: each column needs a unit pivot
+    from lampgeo.quads import _lamp_generates_window
     n = 10000019 * 10000079
-    sigma = GeneratorSet(LampFamily(n), (L(n, {0: 1}), L(n, {1: 1})))
-    with pytest.raises(DomainError, match="factoring bound"):
-        _lamp_generates_window(sigma, (0, 2))
-    with pytest.raises(DomainError, match="factoring bound"):
-        lg.lamp_sigma_obstruction(sigma, QuadParams(2, 32), (0, 2))
+    fam = LampFamily(n)
+    units = GeneratorSet(fam, (L(n, {0: 1}), L(n, {1: 1})))
+    assert _lamp_generates_window(units, (0, 2)) is None
+    coprime = GeneratorSet(fam, (L(n, {0: 10000019, 1: 1}), L(n, {0: 10000079, 1: 1})))
+    assert _lamp_generates_window(coprime, (0, 2)) is None  # determinant -60, a unit mod n
+    half = GeneratorSet(fam, (L(n, {0: 10000019, 1: 1}), L(n, {0: 10000079})))
+    assert _lamp_generates_window(half, (0, 2)) == 1  # determinant -10000079
+    shared = GeneratorSet(fam, (L(n, {0: 10000019, 1: 1}), L(n, {0: 3 * 10000019})))
+    assert _lamp_generates_window(shared, (0, 2)) == 0
+    with pytest.raises(DomainError, match="need M > "):
+        lg.lamp_sigma_obstruction(units, QuadParams(2, 32), (0, 2))
+
+
+@pytest.mark.parametrize("gens, missing", [
+    ([{0: 1}, {1: 1}, {2: 1}], 3),
+    ([{0: 1, 1: 1}, {1: 1}], 2),
+    ([{2: 1}, {5: 1}], 0),
+])
+def test_lamp_generation_reads_at_most_one_column_past_the_generators(gens, missing, monkeypatch):
+    # k generators give at most k unit pivots, so a wide window is decided
+    # from its first k + 1 columns, with no dense row across it
+    from lampgeo.quads import _lamp_generates_window
+    sigma = GeneratorSet(LAMP2, tuple(L(2, g) for g in gens))
+    read = set()
+    value_at = LampConfig.value_at
+    monkeypatch.setattr(LampConfig, "value_at", lambda p, i: read.add(i) or value_at(p, i))
+    assert _lamp_generates_window(sigma, (0, 10 ** 4)) == missing
+    assert read <= set(range(len(gens) + 1))

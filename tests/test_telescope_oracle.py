@@ -40,8 +40,9 @@ def rescanning_greedy_sum(family, sigma, target):
         picked.append(choice)
         residual = family.sub(residual, choice)
         steps += 1
-        if steps > quads._GREEDY_MAX_STEPS:
-            raise DecompositionError("decomposition exceeded step limit", residual=residual)
+        if steps > quads.MAX_TELESCOPE_STEPS:
+            raise DecompositionError(
+                f"decomposition exceeded MAX_TELESCOPE_STEPS = {quads.MAX_TELESCOPE_STEPS}", residual=residual)
     return sorted(picked, key=family.sort_key)
 
 
@@ -120,12 +121,12 @@ def test_greedy_sum_matches_rescanning_greedy(seed):
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 5])
 def test_greedy_sum_step_limit_matches_rescanning_greedy(limit, monkeypatch):
-    monkeypatch.setattr(quads, "_GREEDY_MAX_STEPS", limit)
+    monkeypatch.setattr(quads, "MAX_TELESCOPE_STEPS", limit)
     hit = 0
     for fam, sigma, target in draws(99, 200):
         got = outcome(lg.greedy_sum, fam, sigma, target)
         assert got == outcome(rescanning_greedy_sum, fam, sigma, target)
-        hit += got[0] == "decomposition exceeded step limit"
+        hit += got[0] == f"decomposition exceeded MAX_TELESCOPE_STEPS = {limit}"
     assert hit
 
 
