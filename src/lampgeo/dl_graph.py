@@ -6,15 +6,17 @@ by the 2n generators "move up, optionally writing at the cursor" and
 independent flavors: a closed form via tree confluence heights, and a
 breadth-first search.  `distances_from`, `ball` and `ball_graph` share one
 BFS kernel over int keys (packed digits above a cursor offset), which
-builds each ball vertex once; `neighbors` multiplies by each generator
-through `dl_mul`, sharing no move code with the kernel, which the tests
-pin to a BFS over it.
+builds a vertex object only for a key that is returned; `neighbors`
+multiplies by each generator through `dl_mul`, sharing no move code with
+the kernel, which the tests pin to a BFS over it.
 """
 
 from __future__ import annotations
 
-from .base_groups import (MAX_LAMP_BITS, Frozen, LampConfig, check_write, diff_span, field_bit,
-                          field_rewrites, lamp_add, lamp_neg, packed_lamp)
+from typing import Callable, NamedTuple, Sequence
+
+from .base_groups import (MAX_LAMP_BITS, Frozen, LampConfig, _nonzero_fields, check_write, diff_span,
+                          digit_shift, field_bit, field_rewrites, lamp_add, lamp_neg, packed_lamp)
 from .errors import DomainError
 
 
@@ -92,7 +94,20 @@ def _ball_error(radius: int) -> DomainError:
     return DomainError(f"a radius-{radius} ball could exceed {MAX_BALL_VERTICES} vertices")
 
 
-def _ball_keys(source: DLVertex, radius: int):
+class _BallKeys(NamedTuple):
+    """The BFS kernel's ball.  A key is digits << cbits | offset: the
+    digits are the configuration packed with field 0 at index origin, and
+    the cursor is kbase + offset."""
+
+    table: dict[int, int]
+    moves: Callable[[int], Sequence[int]]
+    vertices: Callable[[list[int]], list[DLVertex]]
+    cbits: int
+    kbase: int
+    origin: int
+
+
+def _ball_keys(source: DLVertex, radius: int) -> _BallKeys:
     """The BFS kernel behind distances_from, ball and ball_graph.
 
     It runs over int keys: a vertex's digits, aligned at an origin below
@@ -104,10 +119,10 @@ def _ball_keys(source: DLVertex, radius: int):
     which no ball key has, and write into fields at or above the origin.
 
     Returns the table {key: distance} in BFS order, the moves of a key
-    (defined for radius >= 1), and the vertices of a list of keys.
-    DomainError before a level whose 2n steps per frontier vertex could
-    take the table past MAX_BALL_VERTICES, and, as in neighbors, when a
-    write would take a configuration past MAX_LAMP_BITS.
+    (defined for radius >= 1), the vertices of a list of keys, and the key
+    layout.  DomainError before a level whose 2n steps per frontier vertex
+    could take the table past MAX_BALL_VERTICES, and, as in neighbors, when
+    a write would take a configuration past MAX_LAMP_BITS.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0")
@@ -175,36 +190,69 @@ def _ball_keys(source: DLVertex, radius: int):
             out.append(DLVertex(c, kbase + (key & cmask)))
         return out
 
-    return table, moves, vertices
+    return _BallKeys(table, moves, vertices, cbits, kbase, origin)
 
 
 def distances_from(source: DLVertex, radius_cap: int) -> dict[DLVertex, int]:
     """BFS distance table for every vertex within radius_cap of source, in
     BFS order; DomainError before a level whose 2n steps per frontier
     vertex could take the table past MAX_BALL_VERTICES."""
-    table, _, vertices = _ball_keys(source, radius_cap)
-    return dict(zip(vertices(table), table.values()))
+    keys = _ball_keys(source, radius_cap)
+    return dict(zip(keys.vertices(keys.table), keys.table.values()))
 
 
 def ball(center: DLVertex, radius: int) -> set[DLVertex]:
     """All vertices at graph distance <= radius from center, by BFS."""
-    table, _, vertices = _ball_keys(center, radius)
-    return set(vertices(table))
+    keys = _ball_keys(center, radius)
+    return set(keys.vertices(keys.table))
+
+
+class _BallIndex(NamedTuple):
+    """The kernel's ball in (distance, cursor, entries) order: each key's
+    distance from the centre, cursor and digits (packed at the kernel's
+    origin), the induced adjacency (the sorted indices of each key's
+    neighbours in the ball), and the kernel's vertex builder."""
+
+    keys: list[int]
+    dists: list[int]
+    cursors: list[int]
+    digits: list[int]
+    adj: list[list[int]]
+    vertices: Callable[[list[int]], list[DLVertex]]
+
+
+def _ball_index(center: DLVertex, radius: int) -> _BallIndex:
+    """The index behind ball_graph and isometry_search, read off the kernel's
+    keys with no vertex built."""
+    ball_keys = _ball_keys(center, radius)
+    table, moves, cbits = ball_keys.table, ball_keys.moves, ball_keys.cbits
+    cmask = (1 << cbits) - 1
+    shift = digit_shift(center.n)
+    # the entries order, read once per distinct configuration: fields at
+    # one origin, as (bit position, value), rank as the (index, value) pairs
+    configs = sorted({key >> cbits for key in table}, key=lambda d: tuple(_nonzero_fields(d, shift)))
+    rank = {d: r for r, d in enumerate(configs)}
+    keys = sorted(table, key=lambda key: (table[key], key & cmask, rank[key >> cbits]))
+    index_of = {key: i for i, key in enumerate(keys)}.get
+    # the graph is undirected, so appending j to the list of each neighbour
+    # of key j, in ascending j, leaves every list sorted; a radius-0 ball
+    # has no edges, and no moves are laid out for it
+    adj: list[list[int]] = [[] for _ in keys]
+    for j, key in enumerate(keys if radius else ()):
+        for x in moves(key):
+            if (i := index_of(x)) is not None:
+                adj[i].append(j)
+    kbase = ball_keys.kbase
+    return _BallIndex(keys, [table[key] for key in keys], [kbase + (key & cmask) for key in keys],
+                      [key >> cbits for key in keys], adj, ball_keys.vertices)
 
 
 def ball_graph(center: DLVertex, radius: int) -> tuple[list[DLVertex], list[int], list[list[int]]]:
     """The ball's vertices ordered by (distance, cursor, entries), their
     distances from center, and the induced adjacency: the sorted indices
     of each vertex's neighbours in the ball."""
-    table, moves, vertices = _ball_keys(center, radius)
-    keys = list(table)
-    verts = vertices(keys)
-    order = sorted(range(len(keys)), key=lambda i: (table[keys[i]], verts[i].cursor, verts[i].config.entries))
-    keys = [keys[i] for i in order]
-    index = {key: i for i, key in enumerate(keys)}
-    # a radius-0 ball has no edges, and no moves are laid out for it
-    adj = [sorted(index[x] for x in moves(key) if x in index) for key in keys] if radius else [[]]
-    return [verts[i] for i in order], [table[key] for key in keys], adj
+    index = _ball_index(center, radius)
+    return index.vertices(index.keys), index.dists, index.adj
 
 
 def bfs_distance(u: DLVertex, v: DLVertex, radius_cap: int) -> int | None:
@@ -237,10 +285,11 @@ def dl_distance(u: DLVertex, v: DLVertex) -> int:
     is pinned to the BFS oracle by the acceptance suite rather than
     rederived here.
     """
-    if u.n != v.n:
-        raise DomainError(f"modulus mismatch: {u.n} != {v.n}")
+    p, q = u.config, v.config
+    if p.n != q.n:
+        raise DomainError(f"modulus mismatch: {p.n} != {q.n}")
     ku, kv = u.cursor, v.cursor
-    span = diff_span(u.config, v.config)
+    span = diff_span(p, q)
     if span is None:
         return abs(ku - kv)
     return 2 * (max(ku, kv, span[1] + 1) - min(ku, kv, span[0])) - abs(ku - kv)

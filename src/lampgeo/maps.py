@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .base_groups import (LampConfig, digit_shift, digits_at, packed_add, packed_lamp, rewrite_window,
                           window_digits)
-from .dl_graph import DLVertex, ball, ball_graph, identity_vertex
+from .dl_graph import DLVertex, _ball_index, _ball_keys, identity_vertex
 from .errors import DomainError, InternalError
 
 Window = tuple[int, int]
@@ -462,13 +462,21 @@ def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
         raise DomainError("radius must be >= 0")
     n = _scan_modulus(vm.base, n)
     shift = digit_shift(n)
-    fibres: dict[LampConfig, list[int]] = {}
-    for v in ball(identity_vertex(n), radius):
-        fibres.setdefault(v.config, []).append(v.cursor)
-    images = {cfg: vm(DLVertex(cfg, ks[0])).config for cfg, ks in fibres.items()}
-    low = min((cfg.low for cfg in (*fibres, *images.values()) if cfg.digits), default=0)
-    packed = [(digits_at(cfg, low), digits_at(img, low), tuple(sorted(fibres[cfg])))
-              for cfg, img in images.items()]
+    # the fibres straight from the BFS kernel: a key's digits are its
+    # configuration packed at the kernel's origin
+    ball = _ball_keys(identity_vertex(n), radius)
+    cbits, kbase = ball.cbits, ball.kbase
+    cmask = (1 << cbits) - 1
+    fibres: dict[int, list[int]] = {}
+    for key in ball.table:
+        fibres.setdefault(key >> cbits, []).append(kbase + (key & cmask))
+    configs = [packed_lamp(n, d, ball.origin) for d in fibres]
+    images = [apply(vm.base, x) for x in configs]
+    # both sides aligned at their lowest low: the kernel's origin lies
+    # below every source, and MAX_LAMP_BITS would refuse one index sooner
+    low = min((x.low for x in (*configs, *images) if x.digits), default=0)
+    packed = [(digits_at(x, low), digits_at(y, low), tuple(sorted(ks)))
+              for x, y, ks in zip(configs, images, fibres.values())]
     memo: dict[tuple, int] = {}
     worst = 0
     for a, (ma, na, ka) in enumerate(packed):
@@ -539,14 +547,15 @@ def isometry_search(
         raise DomainError("radius must be >= 2")
     if max_results is not None and max_results < 1:
         return []
-    verts, dcenter, adj_sets = ball_graph(identity_vertex(n), radius)
-    nverts = len(verts)
-    adj_mask = [sum(1 << w for w in ws) for ws in adj_sets]
-    height = [v.cursor for v in verts]
-    updeg = [sum(1 for w in ws if height[w] == height[i] + 1) for i, ws in enumerate(adj_sets)]
+    ball = _ball_index(identity_vertex(n), radius)
+    dcenter, height, digits, adj_sets = ball.dists, ball.cursors, ball.digits, ball.adj
+    nverts = len(adj_sets)
+    # a neighbour is one level up or down, so this counts the up-neighbours
+    updeg = [sum(height[w] > h for w in ws) for ws, h in zip(adj_sets, height)]
 
-    cfg_ids: dict[LampConfig, int] = {}
-    cls = [cfg_ids.setdefault(v.config, len(cfg_ids)) for v in verts]
+    # configuration classes, keyed by the packed digits
+    cfg_ids: dict[int, int] = {}
+    cls = [cfg_ids.setdefault(d, len(cfg_ids)) for d in digits]
     fiber_size = [0] * len(cfg_ids)
     for c in cls:
         fiber_size[c] += 1
@@ -562,7 +571,7 @@ def isometry_search(
     sigs = [signature(i) for i in range(nverts)]
 
     inner_set = [i for i in range(nverts) if dcenter[i] <= radius - 1]
-    geodesic = [i for i, v in enumerate(verts) if v.config.is_zero()] if fix_identity_coset else []
+    geodesic = [i for i, d in enumerate(digits) if not d] if fix_identity_coset else []
     # assignment order: pre-fixed geodesic first, then BFS from the centre over
     # the inner ball (reaching all of it) so every new vertex touches an already-
     # assigned one; boundary-sphere vertices come last and are only completed
@@ -588,31 +597,35 @@ def isometry_search(
 
     img: list[int | None] = [None] * nverts
     used = [False] * nverts
-    nbr_img_req = [0] * nverts
-    assigned_img_mask = 0
+    # used_nbrs[w]: how many neighbours of w are assigned images
+    used_nbrs = [0] * nverts
     cls_img: list[int | None] = [None] * len(cfg_ids)
     cls_img_refs = [0] * len(cfg_ids)
     cls_img_used = [False] * len(cfg_ids)
-    results: dict[tuple, dict[DLVertex, DLVertex]] = {}
+    results: set[tuple[int, ...]] = set()
 
     def candidates(i: int):
-        # identity-coset vertices may only map to themselves, but still have
-        # to pass every consistency check like any other assignment.  A vertex
-        # with an assigned neighbour maps next to its image (the mask test
-        # forces it), so its pool is that image's neighbours of its signature;
-        # only the first vertex of the order has none, and scans the ball
-        req = nbr_img_req[i]
+        # the assigned images next to an image w of i are exactly the images
+        # of i's assigned neighbours: w is next to each of them, and has as
+        # many assigned-image neighbours as i has assigned neighbours.  A
+        # vertex with an assigned neighbour draws its pool from the first
+        # such image's neighbours of its signature and checks the rest; only
+        # the first vertex of the order has none, and scans the ball.
+        # Identity-coset vertices may only map to themselves, and check every
+        # image like any other assignment
+        req = [img[u] for u in adj_sets[i] if img[u] is not None]
         sig = sigs[i]
-        if fix_identity_coset and verts[i].config.is_zero():
-            pool = (i,)
+        if fix_identity_coset and not digits[i]:
+            pool, rest = (i,), req
         else:
-            pool = [w for w in (adj_sets[(req & -req).bit_length() - 1] if req else range(nverts))
-                    if sigs[w] == sig]
+            pool = [w for w in (adj_sets[req[0]] if req else range(nverts)) if sigs[w] == sig]
+            rest = req[1:]
+        nreq = len(req)
         out = []
         for w in pool:
-            if used[w]:
+            if used[w] or used_nbrs[w] != nreq:
                 continue
-            if adj_mask[w] & assigned_img_mask != req:
+            if rest and not all(w in adj_sets[x] for x in rest):
                 continue
             if orientation_preserving and not height_preserving:
                 ok = True
@@ -633,12 +646,10 @@ def isometry_search(
         return out
 
     def assign(i: int, w: int):
-        nonlocal assigned_img_mask
         img[i] = w
         used[w] = True
-        assigned_img_mask |= 1 << w
-        for u in adj_sets[i]:
-            nbr_img_req[u] |= 1 << w
+        for x in adj_sets[w]:
+            used_nbrs[x] += 1
         if pattern_preserving:
             c = cls[i]
             if cls_img[c] is None:
@@ -647,12 +658,10 @@ def isometry_search(
             cls_img_refs[c] += 1
 
     def unassign(i: int, w: int):
-        nonlocal assigned_img_mask
         img[i] = None
         used[w] = False
-        assigned_img_mask &= ~(1 << w)
-        for u in adj_sets[i]:
-            nbr_img_req[u] &= ~(1 << w)
+        for x in adj_sets[w]:
+            used_nbrs[x] -= 1
         if pattern_preserving:
             c = cls[i]
             cls_img_refs[c] -= 1
@@ -684,7 +693,7 @@ def isometry_search(
             continue
         key = tuple(img[i] for i in inner_set)
         if key not in results:
-            results[key] = {verts[i]: verts[img[i]] for i in inner_set}
+            results.add(key)
             if max_results is not None and len(results) >= max_results:
                 break
         # one witness completion over the boundary sphere is enough: the
@@ -693,7 +702,11 @@ def isometry_search(
             i = order[len(stack) - 1]
             unassign(i, img[i])
             stack.pop()
-    return [results[k] for k in sorted(results)]
+    # vertex objects only for the inner vertices and their images
+    found = sorted(results)
+    need = list(set(inner_set).union(*found))
+    verts = dict(zip(need, ball.vertices([ball.keys[i] for i in need])))
+    return [{verts[i]: verts[w] for i, w in zip(inner_set, key)} for key in found]
 
 
 def is_identity_ball_map(m: dict[DLVertex, DLVertex]) -> bool:

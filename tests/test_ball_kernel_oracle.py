@@ -139,3 +139,27 @@ def test_neighbors_share_no_move_code_with_the_kernel(monkeypatch, n):
         source = parse_vertex(text, n)
         ring = {v for v, d in lg.distances_from(source, 1).items() if d == 1}
         assert lg.neighbors(source) == ring, text
+
+
+def test_search_and_qi_read_the_kernel_keys(monkeypatch):
+    # isometry_search and qi_distortion read the kernel's int keys, build
+    # no ball or ball graph, and build vertex objects only for what they
+    # return: the strict r = 7 search returns one map on the 452 vertices of
+    # the radius-6 ball, of the 964 in the radius-7 ball it searches
+    def refuse(*args):
+        raise AssertionError("a ball of vertex objects was built")
+
+    for module in (lg.dl_graph, lg.maps):
+        for name in ("ball", "ball_graph"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    built = []
+    init = DLVertex.__init__
+    monkeypatch.setattr(DLVertex, "__init__", lambda v, c, k: built.append(k) or init(v, c, k))
+    vm = lg.induced_vertex_map(lg.BlockPerm.from_pairs(3, [("100", "111"), ("111", "100")]))
+    assert lg.qi_distortion(vm, 5) == 4
+    # the centre alone: its configuration and cursor start the kernel
+    assert len(built) == 1
+    built.clear()
+    (found,) = lg.isometry_search(7)
+    assert len(found) == 452 and all(v == w for v, w in found.items())
+    assert len(built) == 1 + 452

@@ -266,6 +266,25 @@ def test_ball_past_vertex_budget_exits_2_quickly():
     assert seconds < 1.0
 
 
+def test_isometry_search_at_the_largest_radius_peaks_below_100_mb():
+    # radius 12 is the largest the vertex budget admits at n = 2 (35,392
+    # vertices); with one bit per vertex in a mask per vertex, the search
+    # held memory quadratic in the ball and peaked at about 200 MB.  A child
+    # that execs carries its parent's peak RSS over, so the peak is read by
+    # a small intermediate process as the ru_maxrss of its child
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    search = ("import io, sys\nfrom lampgeo.cli import run\n"
+              "sys.exit(run(['isometry-search', '--radius', '12'], stdout=io.StringIO()))\n")
+    script = ("import resource, subprocess, sys\n"
+              f"code = subprocess.run([sys.executable, '-c', {search!r}]).returncode\n"
+              "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    code, maxrss_kb = map(int, proc.stdout.split())
+    assert code == EXIT_OK
+    assert maxrss_kb < 100 * 1024
+
+
 def test_dist_table_past_ball_budget_exits_2():
     # a radius-12 table reads the radius-24 BFS table from e, which could pass
     # MAX_BALL_VERTICES; distances_from refuses before that level

@@ -2,9 +2,11 @@
 vertex's candidates from the whole pool of its signature.
 
 The library search takes a vertex's candidates from the neighbours of one
-assigned neighbour's image.  That is exact, because the adjacency test both
-searches run forces every candidate next to that image, and both lists are
-in ascending index order.  So the two return equal lists, in equal order,
+assigned neighbour's image.  That is exact, because the adjacency test of
+each search forces every candidate next to that image (the oracle compares
+V-bit masks, the library counts each candidate's assigned-image neighbours
+and checks the other required images), and both lists are in ascending
+index order.  So the two return equal lists, in equal order,
 also when max_results cuts the search short and the order of the results
 decides which maps are returned.
 """
@@ -191,10 +193,12 @@ FLAGS = list(itertools.product((True, False), repeat=4))
 # maps at n = 2, r = 4 (15 s), and more beyond; max_results cuts those
 # searches, where the order of the results decides which maps are returned
 @pytest.mark.parametrize("n,radius,cap", [(2, 2, None), (2, 3, None), (2, 4, 64), (2, 5, 64),
-                                          (2, 6, 64), (3, 2, None), (3, 3, 64)])
+                                          (2, 6, 64), (2, 7, None), (3, 2, None), (3, 3, 64)])
 def test_search_equals_whole_pool_search_under_every_constraint_combination(n, radius, cap):
-    # flags in the order height, orientation, identity coset, pattern
-    for flags in FLAGS:
+    # flags in the order height, orientation, identity coset, pattern; at
+    # r = 7 only the strict search, FLAGS[0], which finds one map, where the
+    # oracle, with no node budget, would run on with constraints left off
+    for flags in FLAGS if radius < 7 else FLAGS[:1]:
         got = lg.isometry_search(radius, *flags, n=n, max_results=cap)
         assert got == _whole_pool_search(radius, *flags, n=n, max_results=cap), flags
 

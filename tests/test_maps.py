@@ -537,6 +537,24 @@ def test_qi_distortion_pi0_matches_pair_loop():
         assert lg.qi_distortion(vm, r) == _qi_distortion_pair_loop(vm, r, 2)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_qi_distortion_of_images_below_the_kernel_origin_matches_pair_loop(n):
+    # the fibre scan reads its fibres off the BFS kernel's keys, packed at
+    # the kernel's origin, below every index of the ball, and aligns both
+    # sides at their lowest low: Shift(3) and Shift(3) after Inversion reach
+    # below the origin at every radius, Shift(2) after Inversion reaches it
+    maps = [Shift(3), Compose((Shift(2), Inversion())), Compose((Shift(3), Inversion()))]
+    below = 0
+    for m in maps:
+        vm = lg.induced_vertex_map(m)
+        for r in (2, 3):
+            origin = lg.dl_graph._ball_keys(lg.identity_vertex(n), r).origin
+            lows = [apply(m, v.config).low for v in lg.ball(lg.identity_vertex(n), r) if v.config.digits]
+            below += min(lows) < origin
+            assert lg.qi_distortion(vm, r, n=n) == _qi_distortion_pair_loop(vm, r, n), (m, r)
+    assert below == 4
+
+
 def _random_block_perm(rng, m, n):
     strings = ["".join(map(str, t)) for t in itertools.product(range(n), repeat=m)]
     images = rng.sample(strings, len(strings))
