@@ -331,6 +331,12 @@ def _side_count(n: int, width: int, S: int) -> int:
 # inside Python's 4,300-digit int-to-string limit
 MAX_LAMP_WINDOW_BITS = 1 << 13
 
+# full lamp-claim cuts each row into slices of at most this many sums, each a
+# key of the slice's corner index, so that a slice takes a few MB (a whole
+# row of 162,000 sums took 79 MB at n = 6, S = 3, window 12); no field has
+# more lower sides, as the corner budget admits at most 2^11 sides
+_ROW_KEYS = 1 << 14
+
 # relaxed mode records almost every tuple it checks as a witness: window 10
 # at S = 2 checks 109,440 and writes 9 MB of JSON, so 2^17 tuples keep a
 # report near 11 MB; window 12 would check 885,248
@@ -353,11 +359,33 @@ def verify_lamp_claim(
     four cyclic side conditions; ``"relaxed"`` imposes only the two on
     (b-a) and (c-a), the literal printed form, which admits witnesses.
 
-    Full mode runs on _corner_index with the sides as both lists, its work
-    refused on the corner budget before any is listed: near[d] holds every
-    side b with d - b a side, for each large d, and each pair {b, c} of
-    near[d] with a long diagonal (b, c) is checked once and counted in both
-    orders.  ``tuples_enumerated`` is the sum of |near[d]| * side_count.
+    Full mode runs on _corner_index, its work refused on the corner budget
+    before any side is listed: near[d] holds every side b with d - b a
+    side, for each large d, and each pair {b, c} of near[d] with a long
+    diagonal (b, c) is checked once and counted in both orders.
+    ``tuples_enumerated`` is the sum of |near[d]| * side_count.
+
+    The index is built, checked and dropped one row at a time: row L pairs
+    the sides whose lowest field is L with the sides whose highest field is
+    L + 2S + 1 or more, in both orders, and sums them with ``|``.  It holds
+    near[d] whole for every large d with lowest field L, and nothing else:
+
+    * a side's hull, lowest to highest nonzero field, spans at most S
+      fields.  If the hulls of two sides q, s meet, q + s lies in their
+      union, at most 2S - 1 fields, so its gap is at most 2S - 2 and it is
+      not large.
+    * So the sides of a large d = q + s have disjoint hulls: no field is
+      summed twice, d = q | s for every n, and d spans from the lower
+      side's lowest field to the upper side's highest.  Then d is large
+      exactly when the upper side ends 2S + 1 fields or more above L, the
+      lower side's lowest field, and such a side starts above the lower
+      side's hull.  Every q with d - q a side is thus paired in row L.
+    * The lower side lies in fields L .. L + S - 1 and the upper side in
+      the S fields below d's highest, which start above them, so the lower
+      side is d's digits in fields L .. L + S - 1: each large d has one
+      pair of sides.  A row is therefore cut into slices of _ROW_KEYS
+      sums at most, each pairing the lower sides with a run of the upper
+      ones, and each d lies in the one slice that pairs its two sides.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
@@ -426,26 +454,27 @@ def verify_lamp_claim(
         m = max(window_width - min_diag, 0)
         pairs = m * (m + 1) // 2 * ((n - 1) * n ** (S - 1)) ** 2 if m else 0
         _check_corner_work(side_count ** 2 + pairs, f"{side_count ** 2} index candidates and {pairs} corner pairs")
-        sides = list(side_points())
-        large = lambda d: d != 0 and gap(d) >= min_diag  # diagonal (a, d)
-        if window_width << shift <= 61:
-            near = _corner_index(sides, sides, add, large).items()
-        else:
-            # an int hashes modulo 2^61 - 1, so keyed by ints the points whose
-            # lamps agree mod 61 share a slot (S = 1 at window 1024: 8 s, not
-            # 1.3 s); bytes at every width make quad_verify's lamp jobs, at
-            # windows 16..20, 1.8 times as slow
-            size = ((window_width << shift) + 7) >> 3
-            near = ((int.from_bytes(k, "little"), corners) for k, corners in _corner_index(
-                sides, sides, lambda q, s: add(q, s).to_bytes(size, "little"),
-                lambda k: large(int.from_bytes(k, "little"))).items())
-        for d, corners in near:
-            enumerated += len(corners) * side_count
-            for b, c in itertools.combinations(corners, 2):
-                if gap(b ^ c) >= min_diag:  # diagonal (b, c)
-                    checked += 2
-                    if d != add(b, c):  # corner relation a + d = b + c
-                        violations += [(b, c, d), (c, b, d)]
+        # the rows and slices of the docstring, from the highest L down, so
+        # that the upper sides only grow
+        by_lo, by_hi = [[] for _ in range(window_width)], [[] for _ in range(window_width)]
+        for p in side_points():
+            by_lo[((p & -p).bit_length() - 1) >> shift].append(p)
+            by_hi[(p.bit_length() - 1) >> shift].append(p)
+        upper = []
+        for low in range(window_width - min_diag - 1, -1, -1):
+            upper += by_hi[low + min_diag]  # the sides ending min_diag fields or more above low
+            lower = by_lo[low]
+            run = max(1, _ROW_KEYS // len(lower))
+            for chunk in (upper[i:i + run] for i in range(0, len(upper), run)):
+                near = _corner_index([(q, chunk) for q in lower] + [(s, lower) for s in chunk],
+                                     side_count, operator.or_, None)
+                for d, corners in near.items():
+                    enumerated += len(corners) * side_count
+                    for b, c in itertools.combinations(corners, 2):
+                        if gap(b ^ c) >= min_diag:  # diagonal (b, c)
+                            checked += 2
+                            if d != add(b, c):  # corner relation a + d = b + c
+                                violations += [(b, c, d), (c, b, d)]
 
     zero = LampConfig.zero(n)
     viol_quads = sorted(
@@ -474,8 +503,8 @@ def verify_lamp_claim(
 # One corner index may examine at most this many (q, s) candidates and
 # pairs {p2, p4} in all; larger inputs exit 2 before the first pair.  Near
 # it, on a 2-vCPU VM, Schwartz eps 30 at box 100 takes 1.7 s and 26 MB of
-# RSS, and full lamp-claim S = 1 at window 1671 4.2 s and 583 MB, as its
-# index holds every large d; the README lists the Taback inputs
+# RSS, and full lamp-claim S = 1 at window 1671 3 to 4 s and 19 MB; the README
+# lists the Taback inputs
 MAX_CORNER_PAIRS = 1 << 22
 
 
@@ -485,34 +514,39 @@ def _check_corner_work(work: int, what: str) -> None:
         raise DomainError(f"{what} pass the corner budget MAX_CORNER_PAIRS = {MAX_CORNER_PAIRS}")
 
 
-def _corner_index(d_eps: list, steps: list, add: Callable, in_space: Callable) -> dict:
-    """near[p3] = the points q of d_eps one step from p3, for each p3 in the space.
+def _corner_index(d_eps: list, step_count: int, add: Callable, in_space: Callable | None) -> dict:
+    """near[p3] = the points q of D_eps one step from p3, for each p3 in the space.
 
-    The corners p2 and p4 of a quadrilateral (0, p2, p3, p4) with small
-    sides are two entries of near[p3], distinct as q = p3 - s with s != 0.
-    The index is built as add(q, s); the steps are closed under negation,
-    so p3 - q is a step exactly when q - p3 is.  in_space runs on every
-    candidate p3 that is not yet a key, so it must be cheap; nothing is
-    kept for the p3 it rejects.  Callers decide each unordered pair
-    {p2, p4} once and emit both orders: the mirror (0, p4, p3, p2) walks
-    the same sides backwards.
+    d_eps lists each side point q with the steps tried at q, a window of
+    the step list: it must hold every step s with add(q, s) in the space,
+    which each caller proves for its window (Schwartz's window is every
+    step).  The corners p2 and p4 of a quadrilateral (0, p2, p3, p4) with
+    small sides are two entries of near[p3], distinct as q = p3 - s with
+    s != 0.  The index is built as add(q, s); the steps are closed under
+    negation, so p3 - q is a step exactly when q - p3 is.  in_space runs on
+    every candidate p3 that is not yet a key, so it must be cheap; nothing
+    is kept for the p3 it rejects, and None admits every candidate.
+    Callers decide each unordered pair {p2, p4} once and emit both orders:
+    the mirror (0, p4, p3, p2) walks the same sides backwards.
 
-    The work is the |d_eps| * |steps| candidates plus the pairs, the sum of
-    C(|near[p3]|, 2) counted while the index is built.  Past
-    MAX_CORNER_PAIRS it raises DomainError before any pair is decided;
-    callers that count the work in closed form refuse it before listing.
+    The work is the |D_eps| * step_count candidates of the whole product,
+    however few the windows try, plus the pairs, the sum of
+    C(|near[p3]|, 2) counted while the index is built; so a window moves
+    no refusal.  Past MAX_CORNER_PAIRS it raises DomainError before any
+    pair is decided; callers that count the work in closed form refuse it
+    before listing.
     """
-    candidates = len(d_eps) * len(steps)
-    _check_corner_work(candidates, f"{len(d_eps)} side points times {len(steps)} steps")
+    candidates = len(d_eps) * step_count
+    _check_corner_work(candidates, f"{len(d_eps)} side points times {step_count} steps")
     near: dict = {}
     pairs = 0
-    for q in d_eps:
+    for q, steps in d_eps:
         for p3 in map(add, itertools.repeat(q), steps):
             corners = near.get(p3)
             if corners is not None:
                 pairs += len(corners)
                 corners.append(q)
-            elif in_space(p3):
+            elif in_space is None or in_space(p3):
                 near[p3] = [q]
         if candidates + pairs > MAX_CORNER_PAIRS:
             _check_corner_work(candidates + pairs, f"{candidates} index candidates and their corner pairs")
@@ -548,11 +582,24 @@ def verify_taback(
     decompositions (r_i, k_i); the parallelogram side relations
     k1=k3, k2=k4, r1=-r3, r2=-r4 fail exactly where the corner relation does.
 
-    The corners come from _corner_index over D_eps and the steps s * n^j;
+    The corners come from _corner_index over D_eps and the steps t * n^j;
     the steps hold every side at p3, because |p3 - q| <= (bound + eps) *
     n^kmax keeps the side's exponent within its range.  Both lists are
     counted in closed form, and refused on the corner budget, before either
     is built.
+
+    A side point q = r * n^a (n does not divide r, |r| <= eps) tries only
+    the steps t * n^b (n does not divide t, |t| <= eps) whose exponent gap
+    c = |a - b| can give p3 = q + t * n^b = r3 * n^k3 with M <= |r3| <= bound:
+
+    * c = 0: p3 = (r + t) * n^a, so |r3| <= |r + t| <= 2 eps, and the gap
+      needs 2 eps >= M.  M > eps^2 does not exclude it: eps = 1, M = 2.
+    * c >= 1: p3 = (u + w * n^c) * n^min(a, b) with {u, w} = {r, t}, and n
+      does not divide u, so r3 = u + w * n^c and n^c - eps <= |r3| <=
+      eps * (n^c + 1).  The gap needs eps * (n^c + 1) >= M and
+      n^c - eps <= bound.
+
+    in_space still decides every candidate tried.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -576,10 +623,21 @@ def verify_taback(
     _check_corner_work(side_count * step_count, f"{side_count} side points times {step_count} steps")
     small_rs = [r for r in range(-min(eps, numerator_bound), min(eps, numerator_bound) + 1)
                 if r and r % n]
-    d_eps = sorted(r * n ** k for r in small_rs for k in range(span + 1))
-    # with no side point there is no corner, so the steps are not listed
-    steps = sorted(s * n ** j for s in [r for r in range(-eps, eps + 1) if r and r % n]
-                   for j in range(jmax - kmin + 1)) if d_eps else []
+    d_eps = []
+    if small_rs:  # with no side point there is no corner, so no step is listed
+        jspan = jmax - kmin
+        # the exponent gaps c = |a - b| at which a side point r * n^a and a
+        # step t * n^b can land (see the docstring); n^c - eps only grows
+        gaps = [0] if 2 * eps >= M else []
+        c, power = 1, n
+        while c <= jspan and power - eps <= numerator_bound:
+            if eps * (power + 1) >= M:
+                gaps.append(c)
+            c, power = c + 1, power * n
+        by_exp = [[t * n ** b for t in range(-eps, eps + 1) if t and t % n] for b in range(jspan + 1)]
+        windows = [[s for c in gaps for b in {a - c, a + c} if 0 <= b <= jspan for s in by_exp[b]]
+                   for a in range(span + 1)]
+        d_eps = [(r * n ** a, windows[a]) for a in range(span + 1) for r in small_rs]
 
     # |r3| <= bound needs v3 >= k, the least k with bound * n^k >= |p3|, so
     # one bisection and one division leave a quotient of at most bound to
@@ -596,7 +654,7 @@ def verify_taback(
         return M <= abs(r3) <= numerator_bound and k + v <= span
 
     quads = []
-    for p3, corners in _corner_index(d_eps, steps, operator.add, in_space).items():
+    for p3, corners in _corner_index(d_eps, step_count, operator.add, in_space).items():
         for p2, p4 in itertools.combinations(corners, 2):
             if abs(nadic_split(p2 - p4, n)[0]) >= M:  # diagonal (p2, p4)
                 quads += [(0, p2, p3, p4), (0, p4, p3, p2)]
@@ -737,7 +795,9 @@ def _sol_scan(ctx: SolContext, eps: int, box: int):
                 d_eps += filter(in_box, run)
         if len(d_eps) * len(steps) > MAX_CORNER_PAIRS:
             break  # _corner_index refuses the lists as they stand
-    near = _corner_index(sorted(d_eps), sorted(steps), lambda q, s: (q[0] + s[0], q[1] + s[1]), in_box)
+    steps = sorted(steps)
+    near = _corner_index([(q, steps) for q in sorted(d_eps)], len(steps),
+                         lambda q, s: (q[0] + s[0], q[1] + s[1]), in_box)
     for (x3, y3), corners in near.items():
         diag1 = abs(a * x3 * x3 + b * x3 * y3 + c * y3 * y3)
         for (x2, y2), (x4, y4) in itertools.combinations(corners, 2):

@@ -266,23 +266,47 @@ def test_ball_past_vertex_budget_exits_2_quickly():
     assert seconds < 1.0
 
 
-def test_isometry_search_at_the_largest_radius_peaks_below_100_mb():
-    # radius 12 is the largest the vertex budget admits at n = 2 (35,392
-    # vertices); with one bit per vertex in a mask per vertex, the search
-    # held memory quadratic in the ball and peaked at about 200 MB.  A child
-    # that execs carries its parent's peak RSS over, so the peak is read by
-    # a small intermediate process as the ru_maxrss of its child
+def _child_peak(argv, address_limit=None):
+    # run the CLI in a grandchild, its address space capped at address_limit
+    # bytes if given, and return its exit code and peak RSS in KB.  A child
+    # that execs carries its parent's peak RSS over, so the peak is read by a
+    # small intermediate process as the ru_maxrss of its child
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    search = ("import io, sys\nfrom lampgeo.cli import run\n"
-              "sys.exit(run(['isometry-search', '--radius', '12'], stdout=io.StringIO()))\n")
+    limit = ("import resource\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({address_limit}, {address_limit}))\n"
+             if address_limit else "")
+    command = (limit + "import io, sys\nfrom lampgeo.cli import run\n"
+               f"sys.exit(run({list(argv)!r}, stdout=io.StringIO()))\n")
     script = ("import resource, subprocess, sys\n"
-              f"code = subprocess.run([sys.executable, '-c', {search!r}]).returncode\n"
+              f"code = subprocess.run([sys.executable, '-c', {command!r}]).returncode\n"
               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     code, maxrss_kb = map(int, proc.stdout.split())
+    return code, maxrss_kb
+
+
+def test_isometry_search_at_the_largest_radius_peaks_below_100_mb():
+    # radius 12 is the largest the vertex budget admits at n = 2 (35,392
+    # vertices); with one bit per vertex in a mask per vertex, the search
+    # held memory quadratic in the ball and peaked at about 200 MB
+    code, maxrss_kb = _child_peak(["isometry-search", "--radius", "12"])
     assert code == EXIT_OK
     assert maxrss_kb < 100 * 1024
+
+
+@pytest.mark.parametrize("argv", [("--S", "1", "--window", "1671"), ("--n", "3", "--S", "1", "--window", "834"),
+                                  ("--S", "7", "--window", "33"), ("--n", "6", "--S", "3", "--window", "12")],
+                         ids=["S1-W1671", "n3-S1-W834", "S7-W33", "n6-S3-W12"])
+def test_full_lamp_claim_near_the_corner_budget_peaks_below_64_mb(argv):
+    # inputs near the corner budget; an index that held every large d at
+    # once peaked at 583, 578, 171 and 124 MB, and whole rows at 19, 19, 47
+    # and 79 MB (the last pairs 180 x 900 sides at its lowest field).  Each
+    # slice of a row is dropped once checked, so 512 MB of address space
+    # is ample
+    code, maxrss_kb = _child_peak(["verify", "lamp-claim", *argv], address_limit=512 << 20)
+    assert code == EXIT_OK
+    assert maxrss_kb < 64 * 1024
 
 
 def test_dist_table_past_ball_budget_exits_2():

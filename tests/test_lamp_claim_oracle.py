@@ -7,12 +7,13 @@ every n.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
 import lampgeo as lg
-from lampgeo import LampConfig, LampFamily
-from lampgeo.base_groups import digit_shift
+from lampgeo import LampConfig, LampFamily, quads
+from lampgeo.base_groups import digit_shift, packed_add
 from lampgeo.quads import VerifyReport, _packed_with_gap, _side_count
 
 
@@ -202,3 +203,37 @@ def test_side_count_matches_the_lister(n):
         for S in range(1, 9):
             listed += sum(1 for _ in _packed_with_gap(n, width, shift, S - 1, S - 1))
             assert _side_count(n, width, S) == listed, (width, S)
+
+
+# S = 1..4 for every n, then windows above 61 packed bits
+ROW_CASES = [(2, 1, 8), (2, 2, 12), (2, 3, 14), (2, 4, 16), (3, 1, 8), (3, 2, 9), (3, 3, 10), (3, 4, 11),
+             (4, 1, 7), (4, 2, 8), (4, 3, 9), (5, 1, 7), (5, 2, 8), (5, 3, 9),
+             (2, 1, 70), (2, 2, 64), (3, 1, 33), (3, 2, 32), (5, 1, 16), (5, 2, 16)]
+
+
+@pytest.mark.parametrize("row_keys", [quads._ROW_KEYS, 5], ids=["slices", "small-slices"])
+@pytest.mark.parametrize("n, S, W", ROW_CASES)
+def test_full_lamp_claim_rows_match_the_whole_index(monkeypatch, n, S, W, row_keys):
+    # the slices of the rows that verify_lamp_claim builds, from the sides
+    # whose lowest field is L and runs of those ending 2S + 1 fields above
+    # it, are the whole index over every pair of sides split by the lowest
+    # field of d and cut by its sides: every key in one slice, with the
+    # same corners
+    rows, corner_index = [], quads._corner_index
+    monkeypatch.setattr(quads, "_corner_index", lambda *args: rows.append(corner_index(*args)) or rows[-1])
+    monkeypatch.setattr(quads, "_ROW_KEYS", row_keys)
+    lg.verify_lamp_claim(S, W, n=n)
+    shift = digit_shift(n)
+    lowest = lambda d: ((d & -d).bit_length() - 1) >> shift
+    gap = lambda d: ((d.bit_length() - 1) >> shift) - lowest(d)
+    sides = list(_packed_with_gap(n, W, shift, 0, S - 1))
+    whole = corner_index([(q, sides) for q in sides], len(sides), packed_add(n),
+                         lambda d: d != 0 and gap(d) >= 2 * S + 1)
+    assert whole and len(rows) >= W - 2 * S - 1
+    merged = {}
+    for row in rows:
+        assert len({lowest(d) for d in row}) == 1
+        assert not row.keys() & merged.keys()
+        merged.update(row)
+    assert merged.keys() == whole.keys()
+    assert all(Counter(merged[d]) == Counter(corners) for d, corners in whole.items())

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import lampgeo as lg
-from lampgeo import quads
+from lampgeo import base_groups, quads
 from lampgeo import (
     BSFamily,
     BSNumber,
@@ -282,6 +282,17 @@ def test_relaxed_lamp_claim_budget_is_exact(monkeypatch):
         lg.verify_lamp_claim(2, 10, hypotheses="relaxed")
 
 
+def test_full_lamp_claim_adds_once_per_checked_pair(monkeypatch):
+    # the rows are summed with |, as the sides of a large d share no field,
+    # so digit_sum runs in the corner relation alone, once per pair {b, c};
+    # the whole index added each of its 56^2 candidates with it
+    calls, digit_sum = [], base_groups.digit_sum
+    monkeypatch.setattr(base_groups, "digit_sum", lambda *args, **kw: calls.append(args) or digit_sum(*args, **kw))
+    rep = lg.verify_lamp_claim(2, 10, n=3)
+    assert rep.count_checked > 0
+    assert len(calls) == rep.count_checked // 2
+
+
 def test_full_lamp_claim_budget_is_exact(monkeypatch):
     # full mode's budget is the corner budget (its exact boundary is a case
     # of test_corner_budget_is_exact); relaxed mode is bounded by its tuple
@@ -295,7 +306,7 @@ def test_full_lamp_claim_budget_is_exact(monkeypatch):
 
 @pytest.mark.parametrize("n, W", [(2, 70), (3, 40)])
 def test_full_lamp_claim_wide_window_in_closed_form(n, W):
-    # past 61 packed bits the index keys points by their bytes; at S = 1 the
+    # past 61 packed bits, where an int key hashes modulo 2^61 - 1; at S = 1 the
     # sides are the single lamps, and each large d holds two of them, at
     # fields at least 3 apart: one pair {b, c}, checked in both orders
     far = (n - 1) ** 2 * (W - 3) * (W - 2) // 2  # the large d

@@ -165,14 +165,16 @@ def test_orbit_lister_matches_row_lister(matrix, monkeypatch):
     # the box, with the seed box inside the doubled box, at it and clipped
     ctx = lg.sol_invariant_form(matrix)
     lists = []
-    monkeypatch.setattr(quads, "_corner_index", lambda d_eps, steps, *_: lists.append((d_eps, steps)) or {})
+    monkeypatch.setattr(quads, "_corner_index", lambda d_eps, step_count, *_: lists.append(
+        ([q for q, _ in d_eps], [s for _, s in d_eps], step_count)) or {})
     for eps in range(1, 13):
         seed = _sol_seed_box(ctx, eps)
         for box in sorted({max(1, seed // 4), max(1, seed // 2), (seed + 1) // 2, seed, 2 * seed}):
             lists.clear()
             assert list(quads._sol_scan(ctx, eps, box)) == []
             steps = _sol_small_points(ctx.form, eps, 2 * box)
-            assert lists == [([(x, y) for x, y in steps if max(abs(x), abs(y)) <= box], steps)]
+            box_points = [(x, y) for x, y in steps if max(abs(x), abs(y)) <= box]
+            assert lists == [(box_points, [steps] * len(box_points), len(steps))]
 
 
 @pytest.mark.parametrize("matrix, m_star", [(((-3, -1), (-5, -2)), 6), (((0, -1), (1, 5)), 8)])

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import lampgeo as lg
-from lampgeo import BSFamily, BSNumber, DomainError
+from lampgeo import BSFamily, BSNumber, DomainError, quads
 from lampgeo.base_groups import bs_normalize, nadic_split
 from lampgeo.quads import VerifyReport
 
@@ -232,3 +232,38 @@ def test_side_relations_hold_exactly_at_the_corner_relation(n):
         assert (k1 == k3 and k2 == k4 and r1 == -r3 and r2 == -r4) == (p3 == p2 + p4), (p2, p3, p4)
         holds += p3 == p2 + p4
     assert 0 < holds < 2000  # non-parallelograms included
+
+
+# (eps, M, bound) on three exponent ranges for n = 2, 3, 4; then bounds at
+# which n^c - eps = bound for the largest gap c that lands, and M at which
+# eps * (n^c + 1) = M for the least gap c >= 1 that lands
+BOUND_EDGES = [(2, 3, 10, 2 ** 5 - 3, (-2, 2)), (3, 2, 5, 3 ** 3 - 2, (-2, 2)), (4, 1, 2, 4 ** 3 - 1, (0, 3))]
+M_EDGES = [(2, 1, 2 ** 3 + 1, 16, (-2, 2)), (3, 2, 2 * (3 + 1), 40, (-2, 2))]
+WINDOW_CASES = ([(n, eps, M, bound, kr) for n in (2, 3, 4) for kr in ((-3, 3), (1, 3), (-4, -1))
+                 for eps, M, bound in ((1, 2, 16), (2, 5, 40), (3, 10, 64), (3, 64, 1024))]
+                + BOUND_EDGES + M_EDGES)
+
+
+@pytest.mark.parametrize("n, eps, M, bound, exp_range", WINDOW_CASES)
+def test_taback_step_windows_match_the_whole_step_list(monkeypatch, n, eps, M, bound, exp_range):
+    # each side point tries only the steps at the exponent gaps that can
+    # land; the index over every step of the list is the same, key by key
+    # and corner by corner
+    calls, corner_index = [], quads._corner_index
+    monkeypatch.setattr(quads, "_corner_index", lambda *args: calls.append(args) or corner_index(*args))
+    lg.verify_taback(n, eps, M, bound, exp_range)
+    (d_eps, step_count, add, in_space), = calls
+    kmin, kmax = exp_range
+    jmax = kmax + max(1, quads._ceil_log(bound + eps, n))
+    steps = [t * n ** j for t in range(-eps, eps + 1) if t and t % n for j in range(jmax - kmin + 1)]
+    assert len(steps) == step_count
+    whole = corner_index([(q, steps) for q, _ in d_eps], step_count, add, in_space)
+    assert corner_index(d_eps, step_count, add, in_space) == whole
+    # the exponent gaps of the landing sides, to show the edges are reached
+    gaps = {abs(nadic_split(q, n)[1] - nadic_split(p3 - q, n)[1]) for p3, corners in whole.items() for q in corners}
+    if 2 * eps >= M and n > 2:  # eps = 1, M = 2; at n = 2, r + t = +-2 splits to r3 = +-1 < M
+        assert 0 in gaps
+    if (n, eps, M, bound, exp_range) in BOUND_EDGES:
+        assert n ** max(gaps) - eps == bound
+    if (n, eps, M, bound, exp_range) in M_EDGES:
+        assert eps * (n ** min(gaps - {0}) + 1) == M
