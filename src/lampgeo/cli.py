@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
-from fractions import Fraction
 
 from . import formats
 from .base_groups import (
@@ -70,9 +68,6 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_LITERAL_DIGITS = 4300  # Python's own int-parsing limit, on a scalar's numerator and denominator
-_DECIMAL = re.compile(r"\s*[-+]?(?=\.?\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
-
 
 def _family(args):
     # a family command's --n defaults to None, so that a given one is told apart
@@ -97,22 +92,6 @@ def _parse_points(fam, text: str, option: str | None = None) -> list:
 
 def _parse_center(args):
     return formats.parse_vertex(args.center, args.n) if args.center else identity_vertex(args.n)
-
-
-def _parse_scalar(text: str):
-    # exponent e moves |e| digits to the numerator or denominator: bound both before Fraction builds 10^|e|
-    decimal = _DECIMAL.fullmatch(text)
-    if decimal:
-        digits, places = (sum(map(str.isdigit, part or "")) for part in decimal.group(1, 2))
-        exponent = decimal[3] or "0"  # past the limit, int() and so Fraction refuse it themselves
-        shift = int(exponent) - places if sum(map(str.isdigit, exponent)) <= _LITERAL_DIGITS else 0
-        if max(digits + shift, digits, 1 - shift) > _LITERAL_DIGITS:
-            raise ParseError(f"exact number past {_LITERAL_DIGITS} digits in its numerator or denominator")
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected an exact number, got {text!r}") from None
-    return int(value) if value.denominator == 1 else value
 
 
 def emit_report(payload, fmt: str | None) -> str:
@@ -216,7 +195,7 @@ def cmd_quad_classify(args):
     fam = _family(args)
     p1, p2, p3, p4 = _parse_points(fam, args.points, "--points")
     quad = Quad(fam, p1, p2, p3, p4)
-    params = QuadParams(_parse_scalar(args.eps), _parse_scalar(args.M))
+    params = QuadParams(formats.parse_number(args.eps), formats.parse_number(args.M))
     res = classify(quad, params)
     payload = {"classification": res.kind.value}
     if res.reason:
@@ -261,7 +240,7 @@ def cmd_telescope(args):
 def cmd_sigma_check(args):
     fam = _family(args)
     sigma = GeneratorSet(fam, tuple(_parse_points(fam, args.sigma)))
-    params = QuadParams(_parse_scalar(args.eps), _parse_scalar(args.M))
+    params = QuadParams(formats.parse_number(args.eps), formats.parse_number(args.M))
     result = sigma_admissible(sigma, params)
     if result is True:
         return {"admissible": True}, EXIT_OK
@@ -272,7 +251,7 @@ def cmd_sigma_check(args):
 def cmd_sigma_obstruct(args):
     fam = LampFamily(args.n)
     sigma = GeneratorSet(fam, tuple(_parse_points(fam, args.sigma)))
-    params = QuadParams(_parse_scalar(args.eps), _parse_scalar(args.M))
+    params = QuadParams(formats.parse_number(args.eps), formats.parse_number(args.M))
     v, w = lamp_sigma_obstruction(sigma, params, formats.parse_window(args.window))
     return {"witness": [fam.fmt(v), fam.fmt(w)]}, EXIT_VIOLATIONS
 
@@ -526,6 +505,11 @@ def run(argv=None, stdout=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # argparse has read its ints under Python's int-to-string limit; formats bounds every literal and a
+    # budget every computed int, so the command runs without the limit and prints exact ints of any size
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 is no limit, as before Python 3.11
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
     try:
         payload, code = args.func(args)
         text = emit_report(payload, getattr(args, "format", None))
@@ -541,6 +525,8 @@ def run(argv=None, stdout=None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        set_limit(limit)
     try:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -9,6 +9,7 @@ Parse errors carry the offending column.  DOT export names nodes by vertex.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .base_groups import BSNumber, LampConfig
@@ -16,12 +17,36 @@ from .dl_graph import DLVertex
 from .errors import DomainError, ParseError
 from .maps import BaseMap, BlockPerm, Compose, Inversion, Shift, Translate
 
+MAX_LITERAL_DIGITS = 4300  # Python's own int-parsing limit, on a literal's numerator and denominator
+_PAST_LITERAL_DIGITS = f"exact number past {MAX_LITERAL_DIGITS} digits in its numerator or denominator"
+# Fraction's grammar, an integer, 'a/b' or a decimal with an optional exponent, less zero denominators
+_NUMBER = re.compile(r"\s*([-+]?)(?=\.?\d)((?:\d+(?:_\d+)*)?)"
+                     r"(?:/(?=[\d_]*[1-9])(\d+(?:_\d+)*)|(?:\.((?:\d+(?:_\d+)*)?))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
+
+
+def parse_number(text: str, position: int = 0, what: str = "an exact number", integer: bool = False):
+    """The one reader of numeric literals: the int or Fraction of an integer
+    (only that, with ``integer``), 'a/b' or decimal.  Its numerator and denominator
+    as written have at most MAX_LITERAL_DIGITS digits, decided before an int is built;
+    an exponent of more digits is no literal, as int() and so Fraction refuse it."""
+    match = _NUMBER.fullmatch(text)
+    if not match or integer and match.lastindex > 2:  # an integer fills the sign and digit groups only
+        raise ParseError(f"expected {what}, got {text!r}", position)
+    sign, whole, over, places, exponent = (part.replace("_", "") for part in match.groups(""))
+    if len(exponent.lstrip("+-")) > MAX_LITERAL_DIGITS:
+        raise ParseError(f"expected {what}, got {text!r}", position)
+    shift = int(exponent or "0") - len(places)  # moves |shift| digits to the numerator or denominator
+    numerator, denominator = (whole + places).lstrip("0") or "0", over.lstrip("0") or "1"
+    if max(len(numerator) + max(shift, 0), len(denominator) - min(shift, 0)) > MAX_LITERAL_DIGITS:
+        raise ParseError(_PAST_LITERAL_DIGITS, position)
+    if integer:
+        return int(sign + numerator)
+    value = Fraction(int(sign + numerator) * 10 ** max(shift, 0), int(denominator) * 10 ** -min(shift, 0))
+    return int(value) if value.denominator == 1 else value
+
 
 def _int_at(text: str, position: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"expected {what}, got {text!r}", position) from None
+    return parse_number(text, position, what, integer=True)
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +87,7 @@ def parse_vertex(text: str, n: int):
     if "|" not in text:
         raise ParseError("vertex literal needs '<config>|<k>'", 0)
     cfg_s, _, k_s = text.rpartition("|")
-    cfg = parse_config(cfg_s, n)
-    k = _int_at(k_s.strip(), len(cfg_s) + 1, "an integer cursor")
-    return DLVertex(cfg, k)
+    return DLVertex(parse_config(cfg_s, n), _int_at(k_s, len(cfg_s) + 1, "an integer cursor"))
 
 
 # ---------------------------------------------------------------------------
@@ -78,27 +101,29 @@ def format_bs(x: BSNumber) -> str:
 
 
 def parse_bs(text: str, n: int) -> BSNumber:
-    text = text.strip()
-    if not text:
-        raise ParseError("empty number literal", 0)
     if "*" in text:
         r_s, _, rest = text.partition("*")
-        r = _int_at(r_s.strip(), 0, "an integer numerator")
+        r = _int_at(r_s, 0, "an integer numerator")
         if "^" not in rest:
             raise ParseError("expected base^exponent after '*'", len(r_s) + 1)
         base_s, _, exp_s = rest.partition("^")
-        base = _int_at(base_s.strip(), len(r_s) + 1, "an integer base")
+        base = _int_at(base_s, len(r_s) + 1, "an integer base")
         if base != n:
             raise ParseError(f"base {base} does not match n={n}", len(r_s) + 1)
-        k = _int_at(exp_s.strip(), len(r_s) + len(rest) - len(exp_s) + 1, "an integer exponent")
-        return BSNumber.normalize(r, k, n)
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not a number literal: {text!r}", 0) from None
+        k = _int_at(exp_s, len(r_s) + len(rest) - len(exp_s) + 1, "an integer exponent")
+        value = BSNumber.normalize(r, k, n)  # refuses n < 2, and builds no power of n
+        # as written, max(|r|, 1) * n^k (k >= 0) or n^-k (k < 0) stays below 10^MAX_LITERAL_DIGITS: that
+        # bound is divided by n^|k|, a machine word at a time, so nothing past it is built
+        room, step = (10 ** MAX_LITERAL_DIGITS - 1) // max(abs(r) if k >= 0 else 1, 1), max(1, 63 // n.bit_length())
+        for left in range(abs(k), 0, -step):
+            room //= n ** min(left, step)
+            if not room:
+                raise ParseError(_PAST_LITERAL_DIGITS, 0)
+        return value
+    value = parse_number(text, 0, "a number literal")
     try:
         return BSNumber.from_fraction(value, n)
-    except Exception:
+    except DomainError:
         raise ParseError(f"{text} is not an element of Z[1/{n}]", 0) from None
 
 
@@ -114,18 +139,15 @@ def parse_vector(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ParseError("vector literal needs 'x,y'", 0)
-    x = _int_at(parts[0].strip(), 0, "an integer")
-    y = _int_at(parts[1].strip(), len(parts[0]) + 1, "an integer")
-    return (x, y)
+    return (_int_at(parts[0], 0, "an integer"), _int_at(parts[1], len(parts[0]) + 1, "an integer"))
 
 
 def parse_window(text: str) -> tuple[int, int]:
     """Either a width W meaning [0, W), or an explicit 'lo:hi' range."""
-    text = text.strip()
     if ":" in text:
         lo_s, _, hi_s = text.partition(":")
-        lo = _int_at(lo_s.strip(), 0, "an integer")
-        hi = _int_at(hi_s.strip(), len(lo_s) + 1, "an integer")
+        lo = _int_at(lo_s, 0, "an integer")
+        hi = _int_at(hi_s, len(lo_s) + 1, "an integer")
     else:
         lo, hi = 0, _int_at(text, 0, "an integer width")
     if hi <= lo:
@@ -134,7 +156,7 @@ def parse_window(text: str) -> tuple[int, int]:
 
 
 def parse_matrix(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 4:
         raise ParseError("matrix literal needs 'a,b,c,d'", 0)
     a, b, c, d = (_int_at(p, 0, "an integer") for p in parts)
@@ -167,7 +189,7 @@ def _parse_single_map(text: str, n: int, offset: int) -> BaseMap:
     if head == "shift":
         if not sep:
             raise ParseError("shift needs an offset, e.g. shift:2", offset)
-        return Shift(_int_at(rest.strip(), offset + len(head) + 1, "an integer offset"))
+        return Shift(_int_at(rest, offset + len(head) + 1, "an integer offset"))
     if head == "translate":
         if not sep:
             raise ParseError("translate needs a configuration literal", offset)

@@ -283,8 +283,8 @@ def _blockperm_image_table(bp: BlockPerm, padding: int) -> np.ndarray:
     import numpy as np
 
     perm = np.arange(1 << bp.m, dtype=np.uint32)
-    for src, dst in bp.table:  # strings read index 0 first; bit i of a packed value is index i
-        perm[int(src[::-1], 2)] = int(dst[::-1], 2)
+    for src, dst in bp._packed_table.items():
+        perm[src] = dst
     x = np.arange(1 << (bp.m + 2 * padding), dtype=np.uint32)
     w = (x >> padding) & ((1 << bp.m) - 1)
     return x ^ ((w ^ perm[w]) << np.uint32(padding))

@@ -24,7 +24,8 @@ from lampgeo.dl_graph import (
     identity_vertex,
     neighbors,
 )
-from lampgeo.formats import export_dot, format_vertex, parse_vertex
+from lampgeo.base_groups import BSNumber
+from lampgeo.formats import export_dot, format_vertex, parse_bs, parse_number, parse_vertex
 
 
 def invoke(*argv):
@@ -240,11 +241,20 @@ def _run_child(argv, traced=False):
               "print(time.perf_counter() - start, out.getvalue().count('\\n'), imported,\n"
               "      'numpy' in sys.modules, tracemalloc.get_traced_memory()[1])\n"
               "sys.exit(code)\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=20)
+                          env=_child_env(), timeout=20)
     return proc, float(proc.stdout.split()[0])
+
+
+def _child_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _cli_child(argv):
+    # the CLI's own entry point in a child process, its stdout as written
+    return subprocess.run([sys.executable, "-m", "lampgeo.cli", *argv], capture_output=True, text=True,
+                          env=_child_env(), timeout=20)
 
 
 @pytest.mark.parametrize("argv, numpy_after", [
@@ -271,8 +281,6 @@ def _child_peak(argv, address_limit=None):
     # bytes if given, and return its exit code and peak RSS in KB.  A child
     # that execs carries its parent's peak RSS over, so the peak is read by a
     # small intermediate process as the ru_maxrss of its child
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     limit = ("import resource\n"
              f"resource.setrlimit(resource.RLIMIT_AS, ({address_limit}, {address_limit}))\n"
              if address_limit else "")
@@ -281,7 +289,8 @@ def _child_peak(argv, address_limit=None):
     script = ("import resource, subprocess, sys\n"
               f"code = subprocess.run([sys.executable, '-c', {command!r}]).returncode\n"
               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
     code, maxrss_kb = map(int, proc.stdout.split())
     return code, maxrss_kb
 
@@ -610,12 +619,12 @@ def test_exact_number_past_4300_digits_exits_2_quickly(argv):
 ])
 def test_exact_number_digit_bound_is_exact(text, value):
     # 10^4299 has 4,300 digits, and 10^4300 one more; an exponent of more
-    # digits is refused by int() inside Fraction
+    # digits is no literal, as int() and so Fraction refuse it
     if isinstance(value, str):
         with pytest.raises(ParseError, match=value):
-            cli._parse_scalar(text)
+            parse_number(text)
     else:
-        assert cli._parse_scalar(text) == value
+        assert parse_number(text) == value
 
 
 @pytest.mark.parametrize("text", [" " * 10 ** 5 + "x", "1" * 10 ** 5 + "x",
@@ -624,8 +633,85 @@ def test_long_non_literal_is_refused_in_linear_time(text):
     # the digit bound's pattern admits one split of the text, as Fraction's does
     start = time.perf_counter()
     with pytest.raises(ParseError, match="expected an exact number"):
-        cli._parse_scalar(text)
+        parse_number(text)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("decimal, power", [("1e4299", "1*10^4299"), ("1e-4299", "1*10^-4299"),
+                                            ("1e4300", "1*10^4300"), ("1e-4300", "1*10^-4300")])
+def test_power_literal_digit_bound_agrees_with_the_decimal_form(decimal, power):
+    # at n = 10 both forms write the same numerator and denominator, so the
+    # rule admits and refuses them alike, without building 10^|k|
+    if decimal.endswith("4300"):
+        for text in (decimal, power):
+            with pytest.raises(ParseError, match="past 4300 digits"):
+                parse_bs(text, 10)
+    else:
+        assert parse_bs(decimal, 10) == parse_bs(power, 10) == BSNumber(1, int(decimal[2:]), 10)
+
+
+@pytest.mark.parametrize("argv", [
+    ("delta", "--family", "bs", "--p", "1e100000000", "--q", "0"),
+    *(("quad", "classify", "--family", "bs", "--points", points, "--eps", "1", "--M", "3")
+      for points in ("0;1*2^-1000000000;1;2", "0;1*2^-20000;1;2", "0;1*2^100000;1;2", "0;1e5000;1;2")),
+    ("sigma", "check", "--family", "bs", "--sigma", "1e200000;1", "--eps", "1", "--M", "3"),
+], ids=["delta-1e100000000", "classify-2^-10^9", "classify-2^-20000", "classify-2^100000",
+        "classify-1e5000", "sigma-1e200000"])
+def test_z1n_literal_past_4300_digits_exits_2_quickly(argv):
+    # Z[1/n] literals went to an unbounded Fraction or power of n: the first
+    # gave no answer in 25 s, the second exited 3 after 10 s
+    proc, seconds = _run_child(argv)
+    assert proc.returncode == EXIT_USAGE and seconds < 1.0
+    assert proc.stderr == "error: col 0: exact number past 4300 digits in its numerator or denominator\n"
+
+
+def _decimal(value: int) -> str:
+    # str() of an int past the interpreter's int-to-string limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_delta_past_the_int_string_limit_prints_exactly(fmt):
+    # 2^15000 has 4,516 digits, past Python's int-to-string limit: exit 3
+    proc = _cli_child(["delta", "--p", "0:1,15000:1", "--q", "", "--format", fmt])
+    delta = _decimal(2 ** 15000)
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    assert proc.stdout == (f'{{\n  "delta": {delta},\n  "gap": 15000\n}}\n' if fmt == "json" else f"{delta}\n")
+
+
+def test_bs_side_deltas_past_the_int_string_limit_print_exactly():
+    # the literals pass the digit rule, but the sides 2^14000 - 1 and the
+    # diagonal 2^28000 - 1 have about 4,200 and 8,400 digits: exit 3
+    proc = _cli_child(["quad", "classify", "--family", "bs", "--points", "0;1*2^14000;1;1*2^-14000",
+                       "--eps", "1", "--M", "3"])
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    side = _decimal(2 ** 14000 - 1)
+    assert report["side_deltas"] == ["1", side, side, "1"]
+    assert report["diagonal_deltas"] == ["1", _decimal(2 ** 28000 - 1)]
+
+
+def test_run_restores_the_int_string_limit(monkeypatch, capsys):
+    # tests call run in process, so the limit it lifts must come back on
+    # every way out: an answer, an argparse refusal and a literal refusal
+    limit = sys.get_int_max_str_digits()
+    for argv in [("ball", "--radius", "1"), ("ball", "--radius", "x"),
+                 ("delta", "--family", "bs", "--p", "1e5000", "--q", "0")]:
+        invoke(*argv)
+        assert sys.get_int_max_str_digits() == limit, argv
+
+    def fail(args):
+        raise RuntimeError(str(sys.get_int_max_str_digits()))
+
+    monkeypatch.setattr(cli, "cmd_ball", fail)
+    assert invoke("ball", "--radius", "1")[0] == EXIT_INTERNAL
+    assert capsys.readouterr().err.endswith("RuntimeError: 0\n")  # lifted while the command ran
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_sigma_commands():
@@ -892,4 +978,58 @@ def test_n_below_2_exits_2_naming_the_modulus_or_base(n, capsys):
             err = capsys.readouterr().err
             assert code == EXIT_USAGE and out == "", argv
             assert err.count("\n") == 1 and named.match(err) and "Traceback" not in err, (argv, err)
+    assert time.perf_counter() - start < 1.0
+
+
+# one valid invocation of every leaf command that reads a literal, with "{}"
+# in the place of one literal; between them the rows cover every literal option
+LITERAL_ROWS = {
+    ("delta",): ["--family", "bs", "--p", "{}", "--q", "0"],
+    ("dist",): ["--u", "|{}", "--v", "|0"],
+    ("ball",): ["--radius", "1", "--center", "{}:1|0"],
+    ("export-dot",): ["--radius", "1", "--center", "|{}"],
+    ("quad", "classify"): ["--family", "bs", "--points", "0;1;{};2", "--eps", "1", "--M", "2"],
+    ("verify", "schwartz"): ["--matrix", "{},1,2,1", "--eps", "1", "--box", "1", "--calibrate"],
+    ("telescope",): ["--family", "bs", "--quad", "0;1;4;{}", "--sigma", "1;2"],
+    ("sigma", "check"): ["--family", "sol", "--matrix", "2,1,1,1", "--sigma", "{},0;0,1", "--eps", "1", "--M", "2"],
+    ("sigma", "obstruct"): ["--sigma", "0:1;1:1", "--eps", "{}", "--M", "32", "--window", "2"],
+    ("map", "apply"): ["--map", "shift:1", "--x", "0:1,{}:1"],
+    ("map", "bilip"): ["--map", "blockperm:m={}"],
+    ("map", "ppq"): ["--map", "shift:1", "--window", "{}"],
+    ("map", "delta-distortion"): ["--map", "blockperm:m=1:1>0,0>1", "--window", "0:{}"],
+    ("map", "qi-distortion"): ["--map", "shift:{}", "--radius", "2"],
+}
+
+
+def _literal_options(parser):
+    # the options that take a string and read it as a literal: all but --out
+    return [a.dest for a in parser._actions if type(a) is argparse._StoreAction
+            and a.type is None and a.choices is None and a.dest != "out"]
+
+
+def test_every_command_reading_a_literal_has_a_sweep_row():
+    reading = [path for path, p in _leaf_commands(cli.build_parser()) if _literal_options(p)]
+    assert sorted(reading) == sorted(LITERAL_ROWS)
+    options = {dest for path, p in _leaf_commands(cli.build_parser()) for dest in _literal_options(p)}
+    placed = {tail[i - 1].lstrip("-") for tail in LITERAL_ROWS.values()
+              for i, arg in enumerate(tail) if "{}" in arg}
+    assert placed | {"q", "v", "M"} == options  # each of --q, --v and --M is read as its partner is
+
+
+def test_literal_sweep_rows_run_at_3(capsys):
+    for path, tail in LITERAL_ROWS.items():
+        assert invoke(*path, *(arg.format(3) for arg in tail))[0] in (EXIT_OK, EXIT_VIOLATIONS), path
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["1" * 5001, "1e100000000"], ids=["5001-digit-integer", "1e100000000"])
+def test_literal_past_4300_digits_exits_2_in_every_command(literal, capsys):
+    # every literal goes through one reader, which refuses it before an int
+    # past the digit rule is built, though run lifts the int-to-string limit
+    start = time.perf_counter()
+    for path, tail in LITERAL_ROWS.items():
+        code, out = invoke(*path, *(arg.format(literal) for arg in tail))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and out == "", path
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, (path, err)
     assert time.perf_counter() - start < 1.0
