@@ -371,7 +371,8 @@ class BSNumber(Frozen):
     """Element r * n^k of Z[1/n] with n ∤ r (r = 0 forces k = 0).
 
     Arithmetic stays on the integer pair (r, k): a sum aligns both terms at
-    the smaller exponent and strips factors of n with ``nadic_split``.
+    the smaller exponent, and only a sum at equal exponents can carry
+    factors of n, which ``nadic_split`` strips.
     ``Fraction`` appears only at the boundaries, in ``value`` and
     ``from_fraction``.  The constructor checks the normal form; the
     normalized results of arithmetic are built through ``_bs`` without
@@ -397,17 +398,22 @@ class BSNumber(Frozen):
 
     @classmethod
     def from_fraction(cls, value: Fraction | int, n: int) -> "BSNumber":
+        """value as r * n^k.  Its denominator den divides n^j for some j iff
+        value is in Z[1/n], and then for j = den.bit_length() already (a prime
+        power p^e dividing den has e < that); j doubles from 1 until n^j is a
+        multiple of den, so the steps number about log2 of the exponent."""
+        if n < 2:
+            raise DomainError(f"base must be >= 2, got {n}")
         value = Fraction(value)
         num, den = value.numerator, value.denominator
-        k = 0
-        while den != 1:
-            g = math.gcd(den, n)
-            if g == 1:
+        if den == 1:
+            return _bs_split(num, 0, n)
+        j, power = 1, n  # power = n ** j
+        while power % den:
+            if j >= den.bit_length():
                 raise DomainError(f"{value} is not an element of Z[1/{n}]")
-            num *= n // g
-            den //= g
-            k -= 1
-        return bs_normalize(num, k, n)
+            j, power = 2 * j, power * power
+        return _bs_split(num * (power // den), -j, n)
 
     def value(self) -> Fraction:
         if self.k >= 0:
@@ -442,12 +448,22 @@ _set_bs_r, _set_bs_k, _set_bs_n, _set_bs_hash = (
 
 
 def _bs_sum(p: BSNumber, r: int, k: int, n: int) -> BSNumber:
-    # p + r * n^k, with both terms written as integers at the smaller exponent
+    # p + r * n^k, both terms written as integers at the smaller exponent.  At
+    # unequal exponents the sum of two nonzero normal terms is r' + n * (...)
+    # with n ∤ r', so it is normal already; only equal exponents can carry n.
     if n != p.n:
         raise DomainError(f"base mismatch: {p.n} != {n}")
-    if p.k <= k:
-        return _bs_split(p.r + r * n ** (k - p.k), p.k, n)
-    return _bs_split(p.r * n ** (p.k - k) + r, k, n)
+    pr, pk = p.r, p.k
+    if not r:
+        return p
+    if not pr:
+        return _bs(r, k, n)
+    if pk < k:
+        return _bs(pr + r * n ** (k - pk), pk, n)
+    if pk > k:
+        return _bs(pr * n ** (pk - k) + r, k, n)
+    x = pr + r
+    return _bs(x, k, n) if x % n else _bs_split(x, k, n)
 
 
 def _bs(r: int, k: int, n: int) -> BSNumber:

@@ -22,6 +22,7 @@ _PAST_LITERAL_DIGITS = f"exact number past {MAX_LITERAL_DIGITS} digits in its nu
 # Fraction's grammar, an integer, 'a/b' or a decimal with an optional exponent, less zero denominators
 _NUMBER = re.compile(r"\s*([-+]?)(?=\.?\d)((?:\d+(?:_\d+)*)?)"
                      r"(?:/(?=[\d_]*[1-9])(\d+(?:_\d+)*)|(?:\.((?:\d+(?:_\d+)*)?))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*")
+_DIGITS = re.compile(r"\d*")
 
 
 def parse_number(text: str, position: int = 0, what: str = "an exact number", integer: bool = False):
@@ -47,6 +48,13 @@ def parse_number(text: str, position: int = 0, what: str = "an exact number", in
 
 def _int_at(text: str, position: int, what: str) -> int:
     return parse_number(text, position, what, integer=True)
+
+
+def _digits_at(text: str, position: int) -> str:
+    # a string of digits, each one a digit that parse_number reads (\d, as for int()), written in ASCII
+    if not _DIGITS.fullmatch(text):
+        raise ParseError(f"expected a string of digits, got {text!r}", position)
+    return "".join(str(int(ch)) for ch in text)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +215,11 @@ def _parse_single_map(text: str, n: int, offset: int) -> BaseMap:
                 if ">" not in chunk:
                     raise ParseError(f"expected src>dst, got {chunk!r}", pos)
                 src, _, dst = chunk.partition(">")
-                pairs.append((src.strip(), dst.strip()))
+                pairs.append((_digits_at(src.strip(), pos), _digits_at(dst.strip(), pos + len(src) + 1)))
                 pos += len(chunk) + 1
         try:
             return BlockPerm.from_pairs(m, pairs, n)
-        except Exception as exc:
+        except DomainError as exc:
             raise ParseError(str(exc), offset) from None
     raise ParseError(f"unknown map variant {head!r}", offset)
 

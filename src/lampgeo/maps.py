@@ -76,9 +76,10 @@ class BlockPerm(BaseMap):
             raise DomainError("block length m must be >= 1")
         if not 2 <= self.n <= 10:
             raise DomainError("block-permutation strings need a single-digit alphabet (2 <= n <= 10)")
+        digits = set("0123456789"[:self.n])
         for src, dst in self.table:
             for s in (src, dst):
-                if len(s) != self.m or any(not ch.isdigit() or int(ch) >= self.n for ch in s):
+                if len(s) != self.m or not digits.issuperset(s):
                     raise DomainError(f"{s!r} is not a length-{self.m} string over digits < {self.n}")
         if len({src for src, _ in self.table}) != len(self.table):
             raise DomainError("block-permutation table lists a source twice")

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 from .base_groups import (
     BSNumber,
+    Frozen,
     LampConfig,
     Matrix2,
     SolContext,
@@ -29,6 +30,7 @@ from .base_groups import (
     bs_delta,
     bs_normalize,
     digit_shift,
+    lamp_align,
     lamp_delta,
     nadic_split,
     packed_add,
@@ -79,6 +81,15 @@ class LampFamily:
         # digitwise v <= residual, so subtraction never wraps mod n
         return not v.is_zero() and all(val <= residual.value_at(i) for i, val in v.entries)
 
+    def take(self, v: LampConfig, residual: LampConfig, limit: int) -> tuple[int, LampConfig]:
+        # the digitwise min of residual // v, at most limit: below it no digit
+        # wraps mod n, so the packed fields subtract as one int
+        count = min(min((residual.value_at(i) // val for i, val in v.entries), default=0), limit)
+        if not count:
+            return 0, residual
+        a, b, low = lamp_align(residual, v)
+        return count, packed_lamp(self.n, a - count * b, low)
+
     def magnitude_key(self, v: LampConfig):
         sg = lamp_delta(self.zero, v)[1]
         return (sg if sg is not None else -1, len(v.entries))
@@ -127,6 +138,15 @@ class BSFamily:
             return abs(v.r) <= abs(residual.r) * self.n ** dk
         return abs(v.r) * self.n ** -dk <= abs(residual.r)
 
+    def take(self, v: BSNumber, residual: BSNumber, limit: int) -> tuple[int, BSNumber]:
+        # residual // v at the smaller exponent, which is negative when the signs differ
+        if not v.r:
+            return 0, residual
+        n, e = self.n, min(v.k, residual.k)
+        x, y = residual.r * n ** (residual.k - e), v.r * n ** (v.k - e)
+        count = min(max(x // y, 0), limit)
+        return count, (bs_normalize(x - count * y, e, n) if count else residual)
+
     def magnitude_key(self, v: BSNumber):
         # (delta from zero, |v|): among equal |r| > 0, |v| = |r| * n^k grows with k
         return (abs(v.r), v.k)
@@ -167,6 +187,14 @@ class SolFamily:
             return False
         return all(vi * ri >= 0 and abs(vi) <= abs(ri) for vi, ri in zip(v, residual))
 
+    def take(self, v: SolVector, residual: SolVector, limit: int) -> tuple[int, SolVector]:
+        # the componentwise min of residual // v over v's nonzero components,
+        # each negative when its signs differ
+        count = min(max(min((ri // vi for vi, ri in zip(v, residual) if vi), default=0), 0), limit)
+        if not count:
+            return 0, residual
+        return count, (residual[0] - count * v[0], residual[1] - count * v[1])
+
     def magnitude_key(self, v: SolVector):
         return (self.delta(self.zero, v), abs(v[0]) + abs(v[1]))
 
@@ -190,15 +218,30 @@ class ClassifyResult:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class Quad:
-    """Four base-group points, arranged as the matrix [[p1, p2], [p4, p3]]."""
+class Quad(Frozen):
+    """Four base-group points, arranged as the matrix [[p1, p2], [p4, p3]].
 
-    family: Family
-    p1: object
-    p2: object
-    p3: object
-    p4: object
+    A slotted value: equality, hash and repr are those of a frozen
+    dataclass of the fields (family, p1, p2, p3, p4)."""
+
+    __slots__ = _fields = ("family", "p1", "p2", "p3", "p4")
+
+    def __new__(cls, family: Family, p1, p2, p3, p4):
+        q = object.__new__(cls)
+        _set_family(q, family)
+        _set_p1(q, p1)
+        _set_p2(q, p2)
+        _set_p3(q, p3)
+        _set_p4(q, p4)
+        return q
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _quad_fields(self) == _quad_fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_quad_fields(self))
 
     @property
     def points(self) -> tuple:
@@ -207,6 +250,10 @@ class Quad:
     def corner_holds(self) -> bool:
         f = self.family
         return f.add(self.p1, self.p3) == f.add(self.p2, self.p4)
+
+
+_set_family, _set_p1, _set_p2, _set_p3, _set_p4 = (getattr(Quad, name).__set__ for name in Quad.__slots__)
+_quad_fields = operator.attrgetter(*Quad._fields)
 
 
 @dataclass(frozen=True)
@@ -253,13 +300,25 @@ class GeneratorSet:
 
     family: Family
     elements: tuple
+    # the elements in the family's canonical order, and (canonical rank,
+    # element) pairs in greedy_sum's preference order: the largest
+    # magnitude_key first, ties in the order given
+    canonical: tuple = field(init=False, repr=False, compare=False)
+    preference: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(map(self.family.sort_key, self.elements))) != len(self.elements):
+        fam, elements = self.family, self.elements
+        keys = list(map(fam.sort_key, elements))
+        if len(set(keys)) != len(keys):
             raise DomainError("generator set contains duplicates")
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rank = {i: r for r, i in enumerate(order)}
+        object.__setattr__(self, "canonical", tuple(elements[i] for i in order))
+        object.__setattr__(self, "preference", tuple(sorted(
+            ((rank[i], v) for i, v in enumerate(elements)), key=lambda rv: fam.magnitude_key(rv[1]), reverse=True)))
 
     def sorted_elements(self) -> list:
-        return sorted(self.elements, key=self.family.sort_key)
+        return list(self.canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +939,7 @@ def calibrate_schwartz(ctx: SolContext, eps: int, box_halfwidth: int) -> VerifyR
 # ---------------------------------------------------------------------------
 
 # picks of one decomposition, one Quad of the chain each: at the edge, a BS
-# chain takes about 0.65 s and 74 MB of RSS on a 2-vCPU VM
+# chain takes about 1.4 s and 74 MB of RSS in a CLI child on a 2-vCPU VM
 MAX_TELESCOPE_STEPS = 1 << 16
 
 
@@ -890,30 +949,30 @@ def greedy_sum(family: Family, sigma: GeneratorSet, target) -> list:
     Selection is greedy: among elements that still fit the residual, take
     the one with the largest (delta-from-zero, magnitude); the selected
     multiset is emitted sorted ascending by the family's canonical order.
-    One pass over that preference order takes each element while it fits:
-    ``fits`` means the same sign (orthant, digitwise order) and no larger
-    magnitude, so an element that fails fails for every later residual.
-    Raises DecompositionError with the residual when no element fits.
+    One pass over that preference order takes each element's whole run at
+    once: ``take`` counts the copies that fit, by one division, and
+    subtracts them.  An element fits when it has the same sign (orthant,
+    digitwise order) and no larger magnitude, so an element that fits no
+    more fits no later residual either.  Raises DecompositionError with the
+    residual when no element fits, or after the pick that passes
+    MAX_TELESCOPE_STEPS.
     """
     residual = target
-    runs, steps = [], 0  # runs: the picks of one element each
-    for v in sorted(sigma.elements, key=family.magnitude_key, reverse=True):
-        run = []
-        while family.fits(v, residual):
-            residual = family.sub(residual, v)
-            run.append(v)
-            steps += 1
+    runs, steps = [], 0  # runs: (canonical rank, element, picks)
+    for rank, v in sigma.preference:
+        count, residual = family.take(v, residual, MAX_TELESCOPE_STEPS + 1 - steps)
+        if count:
+            runs.append((rank, v, count))
+            steps += count
             if steps > MAX_TELESCOPE_STEPS:
                 raise DecompositionError(
                     f"decomposition exceeded MAX_TELESCOPE_STEPS = {MAX_TELESCOPE_STEPS}", residual=residual)
-        if run:
-            runs.append(run)
     if residual != family.zero:
         raise DecompositionError(
             f"residual {family.fmt(residual)} not expressible over the generator set",
             residual=residual)
-    runs.sort(key=lambda run: family.sort_key(run[0]))  # GeneratorSet keys are distinct
-    return [v for run in runs for v in run]
+    runs.sort(key=operator.itemgetter(0))
+    return [v for _, v, count in runs for _ in range(count)]
 
 
 def telescope_decompose(q: Quad, sigma: GeneratorSet) -> list[Quad]:

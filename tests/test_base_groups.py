@@ -2,6 +2,9 @@ import copy
 import itertools
 import math
 import pickle
+import random
+import time
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -205,6 +208,55 @@ def test_bs_from_fraction():
     assert BSNumber.from_fraction(12, 2) == BSNumber(3, 2, 2)
     with pytest.raises(DomainError):
         BSNumber.from_fraction(Fraction(1, 3), 2)
+
+
+def per_factor_from_fraction(value, n):
+    # the loop from_fraction ran before: one factor of n per turn
+    value = Fraction(value)
+    num, den = value.numerator, value.denominator
+    k = 0
+    while den != 1:
+        g = math.gcd(den, n)
+        if g == 1:
+            raise DomainError(f"{value} is not an element of Z[1/{n}]")
+        num *= n // g
+        den //= g
+        k -= 1
+    return bs_normalize(num, k, n)
+
+
+def _from_fraction_outcome(fn, value, n):
+    try:
+        return fn(value, n)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 10, 12])
+def test_from_fraction_matches_the_per_factor_loop(n):
+    # denominators over the primes of n and some others, with exponents up
+    # to 80, so that both the admitted values and those outside Z[1/n] occur
+    rng = random.Random(f"from_fraction:{n}")
+    seen = Counter()
+    for _ in range(500):
+        den = math.prod(rng.choice((2, 3, 5, 7)) ** rng.randint(0, 80) for _ in range(rng.randint(0, 3)))
+        num = rng.choice((0, 1, -1, rng.randint(-10 ** 9, 10 ** 9))) * n ** rng.randint(0, 40)
+        value = Fraction(num, den)
+        got = _from_fraction_outcome(BSNumber.from_fraction, value, n)
+        assert got == _from_fraction_outcome(per_factor_from_fraction, value, n)
+        seen[isinstance(got, str), value.denominator > 1] += 1
+    assert seen[True, True] and seen[False, True] and seen[False, False], seen
+
+
+def test_from_fraction_takes_logarithmic_steps_in_the_exponent():
+    # the per-factor loop would strip a million factors of 2 one at a time
+    start = time.perf_counter()
+    assert BSNumber.from_fraction(Fraction(3, 2 ** 1_000_000), 2) == BSNumber(3, -1_000_000, 2)
+    with pytest.raises(DomainError, match="not an element"):
+        BSNumber.from_fraction(Fraction(1, 3 * 2 ** 14_000), 2)
+    with pytest.raises(DomainError, match="not an element"):
+        BSNumber.from_fraction(Fraction(1, 10 ** 4299), 2)
+    assert time.perf_counter() - start < 2
 
 
 def test_bs_delta_examples():

@@ -563,6 +563,13 @@ def test_map_apply_and_bilip():
     assert data == {"K_lower": "2", "K_upper": "4", "exhaustive": True, "window": [-3, 6]}
 
 
+def test_block_string_digit_int_cannot_read_is_a_usage_error(capsys):
+    # '²' is a digit to str.isdigit but not to int()
+    code, out = invoke("map", "apply", "--map", "blockperm:m=1:²>0", "--x", "")
+    assert code == EXIT_USAGE and out == ""
+    assert capsys.readouterr().err == "error: col 14: expected a string of digits, got '²'\n"
+
+
 def test_map_qi_distortion():
     code, out = invoke("map", "qi-distortion", "--map", "translate:0:1", "--radius", "3")
     data = json.loads(out)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import lampgeo.formats as F
-from lampgeo import BSNumber, LampConfig, ParseError
+from lampgeo import BSNumber, DomainError, LampConfig, ParseError
 from lampgeo.maps import BlockPerm, Compose, Inversion, Shift, Translate, apply
 
 L = LampConfig.of
@@ -115,3 +115,16 @@ def test_parse_errors_carry_positions():
     err = pytest.raises(ParseError, F.parse_map, "shift:1;warp:3", 2).value
     assert err.position == 8
     assert "col 8" in str(err)
+
+
+def test_block_strings_are_read_by_the_digit_rule():
+    # a digit that int() cannot read is refused by the reader, with its column;
+    # other decimal digits are read as parse_number reads them, and kept in ASCII
+    for text, column in (("blockperm:m=1:²>0", 14), ("blockperm:m=2:10>0²", 17), ("blockperm:m=2:1x>00", 14)):
+        err = pytest.raises(ParseError, F.parse_map, text, 2).value
+        assert "expected a string of digits" in str(err) and err.position == column
+    m = F.parse_map("blockperm:m=2:١٠>01,01>10", 2)
+    assert m == BlockPerm.from_pairs(2, [("10", "01"), ("01", "10")])
+    assert F.format_map(m) == "blockperm:m=2:01>10,10>01"
+    with pytest.raises(DomainError, match="is not a length-1 string"):
+        BlockPerm(1, (("١", "0"),))

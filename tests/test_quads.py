@@ -1,7 +1,10 @@
+import copy
 import json
+import pickle
 import random
 import sys
 import tracemalloc
+from dataclasses import FrozenInstanceError, make_dataclass
 from fractions import Fraction
 
 import pytest
@@ -95,6 +98,30 @@ def test_classify_translation_invariant():
     c = L(2, {-4: 1, 2: 1})
     shifted = Quad(LAMP2, *(p + c for p in q.points))
     assert classify(shifted, params).kind is Classification.PARALLELOGRAM
+
+
+# Quad as it was, a frozen dataclass of the same fields
+OldQuad = make_dataclass("Quad", ["family", "p1", "p2", "p3", "p4"], frozen=True)
+
+
+@pytest.mark.parametrize("fam, points", [
+    (BS2, [B(0), B(1), B(Fraction(5, 2)), B(Fraction(3, 2))]),
+    (LAMP2, [L(2, d) for d in ({}, {0: 1}, {0: 1, 9: 1}, {9: 1})]),
+    (SolFamily(lg.sol_invariant_form(((2, 1), (1, 1)))), [(0, 0), (1, 0), (35, 21), (34, 21)]),
+])
+def test_quad_is_the_value_of_its_field_tuple(fam, points):
+    q, old = Quad(fam, *points), OldQuad(fam, *points)
+    assert hash(q) == hash(old) == hash((fam, *points))
+    assert repr(q) == repr(old)
+    assert q == Quad(family=fam, p1=points[0], p2=points[1], p3=points[2], p4=points[3])
+    assert q != Quad(fam, *points[::-1]) and q != (fam, *points) and q != old
+    assert len({q, Quad(fam, *points), Quad(fam, *points[::-1])}) == 2
+    for w in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert type(w) is Quad and w == q and hash(w) == hash(q) and repr(w) == repr(q)
+    for name in ("p1", "family", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(q, name, points[0])
+    assert q.points == tuple(points)
 
 
 def test_quad_params_validation():

@@ -2,13 +2,17 @@
 
 The one-pass greedy is compared with the rescanning greedy, which looks
 for the first fitting element from the start after every pick, and the
-signed tally with the positive/negative ``Counter`` cancellation.  The
+signed tally with the positive/negative ``Counter`` cancellation.  Each
+family's ``take``, which counts a whole run at once, is compared with
+exact rationals and with one ``fits`` and one ``sub`` per pick.  The
 inputs are seeded and drawn from small pools, so that failures, step
 limits, cancellations and shared points all occur.
 """
 
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -196,3 +200,89 @@ def test_identity_on_sol_and_lamp_chains():
         assert lg.telescoping_identity_holds(q, chain) and counter_identity_holds(q, chain)
         rotated = [Quad(c.family, c.p2, c.p3, c.p4, c.p1) for c in chain]
         assert lg.telescoping_identity_holds(q, rotated) == counter_identity_holds(q, rotated)
+
+
+def coordinates(fam, p, v):
+    # the numbers take divides: the value (BS), the components (SOL), or
+    # the digits at v's support (lamplighter)
+    if isinstance(fam, BSFamily):
+        return [p.value()]
+    if isinstance(fam, SolFamily):
+        return list(p)
+    return [p.value_at(i) for i, _ in v.entries]
+
+
+def fraction_take(fam, v, residual, limit):
+    # min over v's nonzero coordinates of floor(residual / v) in exact
+    # rationals, clipped to [0, limit], and residual - count * v
+    counts = [math.floor(Fraction(r) / c) for r, c in zip(coordinates(fam, residual, v), coordinates(fam, v, v)) if c]
+    count = max(0, min(min(counts, default=0), limit))
+    if isinstance(fam, BSFamily):
+        return count, BSNumber.from_fraction(residual.value() - count * v.value(), fam.n)
+    if isinstance(fam, SolFamily):
+        return count, (residual[0] - count * v[0], residual[1] - count * v[1])
+    return count, LampConfig.of(fam.n, list(residual.entries) + [(i, -count * val) for i, val in v.entries])
+
+
+def repeated_take(fam, v, residual, limit):
+    # one fits and one sub per pick, as the greedy took a run before
+    count = 0
+    while count < limit and fam.fits(v, residual):
+        residual = fam.sub(residual, v)
+        count += 1
+    return count, residual
+
+
+def take_cases(seed):
+    """(family, v, residual) triples: every element of every drawn generator
+    set against its target, and long runs that limits cut short."""
+    for fam, sigma, target in draws(seed):
+        for v in sigma.elements:
+            yield fam, v, target
+    for fam, v, residual in ((BSFamily(2), BSNumber(1, -3, 2), BSNumber(1001, 0, 2)),
+                             (BSFamily(3), BSNumber(-2, 1, 3), BSNumber(-7, 4, 3)),
+                             (SOL, (2, -3), (41, -70)),
+                             (LampFamily(7), LampConfig.of(7, {0: 1, 3: 2}), LampConfig.of(7, {0: 6, 3: 5, 9: 1}))):
+        yield fam, v, residual
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_take_matches_fraction_oracle_and_repeated_fits(seed):
+    seen = Counter()
+    for fam, v, residual in take_cases(seed):
+        for limit in (1, 2, 3, 5, 1000):
+            got = fam.take(v, residual, limit)
+            assert got == fraction_take(fam, v, residual, limit) == repeated_take(fam, v, residual, limit)
+            full = fam.take(v, residual, 10 ** 6)[0]
+            seen[fam.name, "cut" if full > limit else "run" if got[0] else "none"] += 1
+    # every family takes nothing, takes a whole run, and has a run cut short by the limit
+    assert len(seen) == 9, seen
+
+
+@pytest.mark.parametrize("fam, sigma, target", [
+    (BSFamily(2), [BSNumber(1, k, 2) for k in range(-2, 9)], BSNumber.normalize(10 ** 6 + 3, -2, 2)),
+    (LampFamily(5), [LampConfig.of(5, {i: 1}) for i in range(6)], LampConfig.of(5, {i: 4 for i in range(6)})),
+    (SOL, [(1, 0), (0, 1), (3, 5)], (10 ** 6, 10 ** 6)),
+])
+def test_greedy_subtracts_at_most_once_per_generator(fam, sigma, target, monkeypatch):
+    subtractions = Counter()
+    take = type(fam).take
+
+    def counting_take(self, v, residual, limit):
+        count, after = take(self, v, residual, limit)
+        subtractions[v] += after != residual
+        return count, after
+
+    def no_pick_by_pick(*args):
+        raise AssertionError("the greedy subtracts one pick at a time")
+
+    monkeypatch.setattr(quads, "MAX_TELESCOPE_STEPS", 10 ** 7)
+    monkeypatch.setattr(type(fam), "take", counting_take)
+    monkeypatch.setattr(type(fam), "sub", no_pick_by_pick)
+    for cls in (BSNumber, LampConfig):
+        monkeypatch.setattr(cls, "__sub__", no_pick_by_pick)
+    terms = lg.greedy_sum(fam, GeneratorSet(fam, tuple(sigma)), target)
+    assert len(terms) > 3 * len(sigma) and max(subtractions.values()) == 1
+    monkeypatch.undo()
+    monkeypatch.setattr(quads, "MAX_TELESCOPE_STEPS", 10 ** 7)
+    assert terms == rescanning_greedy_sum(fam, GeneratorSet(fam, tuple(sigma)), target)
