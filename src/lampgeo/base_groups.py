@@ -411,7 +411,11 @@ class BSNumber(Frozen):
         j, power = 1, n  # power = n ** j
         while power % den:
             if j >= den.bit_length():
-                raise DomainError(f"{value} is not an element of Z[1/{n}]")
+                try:
+                    text = str(value)
+                except ValueError:  # past Python's int-to-string limit
+                    text = f"a value with a {den.bit_length()}-bit denominator"
+                raise DomainError(f"{text} is not an element of Z[1/{n}]")
             j, power = 2 * j, power * power
         return _bs_split(num * (power // den), -j, n)
 

@@ -486,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--no-height-preserving", action="store_true")
-    p.add_argument("--no-orientation-preserving", action="store_true")
+    p.add_argument("--no-orientation-preserving", action="store_true",
+                   help="let edge directions flip; heights fix them, so this changes "
+                        "nothing without --no-height-preserving")
     p.add_argument("--no-fix-identity-coset", action="store_true")
     p.add_argument("--no-pattern-preserving", action="store_true")
     p.add_argument("--max-results", type=int, default=None)
@@ -507,9 +509,8 @@ def run(argv=None, stdout=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     # argparse has read its ints under Python's int-to-string limit; formats bounds every literal and a
     # budget every computed int, so the command runs without the limit and prints exact ints of any size
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 is no limit, as before Python 3.11
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    set_limit(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         payload, code = args.func(args)
         text = emit_report(payload, getattr(args, "format", None))
@@ -526,7 +527,7 @@ def run(argv=None, stdout=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
-        set_limit(limit)
+        sys.set_int_max_str_digits(limit)
     try:
         with open(args.out, "w") as fh:
             fh.write(text)

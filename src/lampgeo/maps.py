@@ -538,11 +538,13 @@ def isometry_search(
     Backtracking over the ball's induced subgraph; the constraints mirror
     the reduction used for the rigidity statement: heights fixed, edge
     directions preserved, identity-coset vertices fixed pointwise, and
-    coset fibers mapped to coset fibers.  Each surviving bijection is
-    returned restricted to the radius-1 smaller ball (deduplicated), so
-    boundary artifacts do not inflate the count.  With every constraint on,
-    the expected result is exactly the identity map.  A search that would
-    assign more than MAX_SEARCH_NODES nodes raises DomainError.
+    coset fibers mapped to coset fibers.  Fixed heights fix edge directions,
+    so orientation_preserving=False changes nothing unless height_preserving
+    is False too.  Each surviving bijection is returned restricted to the
+    radius-1 smaller ball (deduplicated), so boundary artifacts do not
+    inflate the count.  With every constraint on, the expected result is
+    exactly the identity map.  A search that would assign more than
+    MAX_SEARCH_NODES nodes raises DomainError.
     """
     if radius < 2:
         raise DomainError("radius must be >= 2")
@@ -571,30 +573,22 @@ def isometry_search(
 
     sigs = [signature(i) for i in range(nverts)]
 
-    inner_set = [i for i in range(nverts) if dcenter[i] <= radius - 1]
-    geodesic = [i for i, d in enumerate(digits) if not d] if fix_identity_coset else []
-    # assignment order: pre-fixed geodesic first, then BFS from the centre over
-    # the inner ball (reaching all of it) so every new vertex touches an already-
-    # assigned one; boundary-sphere vertices come last and are only completed
-    # once per inner assignment
-    order: list[int] = [i for i in geodesic if dcenter[i] <= radius - 1]
+    # the index lists the ball by distance, so the inner ball is a prefix.
+    # Assignment order: the pre-fixed geodesic, or else the centre, then BFS
+    # over the inner ball, so every new vertex touches an assigned one; the
+    # boundary sphere comes last and is completed once per inner assignment
+    n_inner = dcenter.index(radius)
+    order = [i for i in range(n_inner) if not digits[i]] if fix_identity_coset else [0]
     placed = set(order)
-    if not order:
-        order.append(0)
-        placed.add(0)
-    queue = list(order)
-    qi = 0
-    while qi < len(queue):
-        src = queue[qi]
-        qi += 1
+    for src in order:  # order grows as it is read
         for w in adj_sets[src]:
-            if w not in placed and dcenter[w] <= radius - 1:
+            if w < n_inner and w not in placed:
                 placed.add(w)
                 order.append(w)
-                queue.append(w)
-    n_inner = len(order)
-    boundary_order = [i for i in range(nverts) if i not in placed]
-    order.extend(boundary_order)
+    order.extend(range(n_inner, nverts))
+    # with heights free and directions kept, every assigned vertex moves by the
+    # centre's height shift: each later one has an assigned neighbour at its turn
+    one_shift = orientation_preserving and not height_preserving
 
     img: list[int | None] = [None] * nverts
     used = [False] * nverts
@@ -628,14 +622,8 @@ def isometry_search(
                 continue
             if rest and not all(w in adj_sets[x] for x in rest):
                 continue
-            if orientation_preserving and not height_preserving:
-                ok = True
-                for u in adj_sets[i]:
-                    if img[u] is not None and height[img[u]] - height[w] != height[u] - height[i]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            if one_shift and req and height[w] - height[i] != height[img[0]] - height[0]:
+                continue
             if pattern_preserving:
                 c, ci = cls[i], cls[w]
                 if cls_img[c] is not None:
@@ -692,7 +680,7 @@ def isometry_search(
         if pos + 1 < nverts:
             stack.append(iter(candidates(order[pos + 1])))
             continue
-        key = tuple(img[i] for i in inner_set)
+        key = tuple(img[:n_inner])
         if key not in results:
             results.add(key)
             if max_results is not None and len(results) >= max_results:
@@ -705,9 +693,9 @@ def isometry_search(
             stack.pop()
     # vertex objects only for the inner vertices and their images
     found = sorted(results)
-    need = list(set(inner_set).union(*found))
+    need = list(set(range(n_inner)).union(*found))
     verts = dict(zip(need, ball.vertices([ball.keys[i] for i in need])))
-    return [{verts[i]: verts[w] for i, w in zip(inner_set, key)} for key in found]
+    return [{verts[i]: verts[w] for i, w in enumerate(key)} for key in found]
 
 
 def is_identity_ball_map(m: dict[DLVertex, DLVertex]) -> bool:

@@ -256,6 +256,9 @@ def test_from_fraction_takes_logarithmic_steps_in_the_exponent():
         BSNumber.from_fraction(Fraction(1, 3 * 2 ** 14_000), 2)
     with pytest.raises(DomainError, match="not an element"):
         BSNumber.from_fraction(Fraction(1, 10 ** 4299), 2)
+    # past the int-to-string limit the refusal names the denominator's size
+    with pytest.raises(DomainError, match="a 1000002-bit denominator is not an element"):
+        BSNumber.from_fraction(Fraction(1, 3 * 2 ** 1_000_000), 2)
     assert time.perf_counter() - start < 2
 
 

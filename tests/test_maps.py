@@ -666,6 +666,29 @@ def test_isometry_search_node_budget_is_exact(monkeypatch, radius, nodes):
         lg.isometry_search(radius)
 
 
+# flags in the order height, orientation, identity coset, pattern, each True
+# before False.  n = 3, r = 2 with every constraint off is left out: it needs
+# between 2^19 and 2^20 nodes, where every other search here needs at most 2^13
+SEARCH_NODES = {
+    (2, 3): [39, 119, 39, 1819, 39, 119, 39, 1819, 39, 119, 48, 1907, 42, 122, 105, 4127],
+    (3, 2): [103, 103, 104, 898, 103, 103, 104, 898, 103, 103, 107, 907, 1255, 6095, 2535],
+}
+
+
+@pytest.mark.parametrize("n, radius, flags, nodes", [
+    (n, radius, flags, nodes) for (n, radius), row in SEARCH_NODES.items()
+    for flags, nodes in zip(itertools.product((True, False), repeat=4), row)],
+    ids=lambda v: "".join("TF"[not f] for f in v) if isinstance(v, tuple) else str(v))
+def test_isometry_search_node_budget_is_exact_under_every_constraint_combination(
+        monkeypatch, n, radius, flags, nodes):
+    # each search answers within this many nodes and refuses within one fewer
+    monkeypatch.setattr(maps, "MAX_SEARCH_NODES", nodes)
+    lg.isometry_search(radius, *flags, n=n)
+    monkeypatch.setattr(maps, "MAX_SEARCH_NODES", nodes - 1)
+    with pytest.raises(DomainError, match="MAX_SEARCH_NODES"):
+        lg.isometry_search(radius, *flags, n=n)
+
+
 def test_isometry_search_radius_validation():
     with pytest.raises(DomainError):
         lg.isometry_search(1)
