@@ -6,14 +6,15 @@ by the 2n generators "move up, optionally writing at the cursor" and
 independent flavors: a closed form via tree confluence heights, and a
 breadth-first search.  `distances_from`, `ball` and `ball_graph` share one
 BFS kernel over int keys (packed digits above a cursor offset), which
-builds a vertex object only for a key that is returned; `neighbors`
-multiplies by each generator through `dl_mul`, sharing no move code with
-the kernel, which the tests pin to a BFS over it.
+hands out its ball as decoded entry columns and builds a vertex object
+only for an entry that is returned; `neighbors` multiplies by each
+generator through `dl_mul`, sharing no move code with the kernel, which
+the tests pin to a BFS over it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .base_groups import (MAX_LAMP_BITS, Frozen, LampConfig, _nonzero_fields, check_write, diff_span,
                           digit_shift, field_bit, field_rewrites, lamp_add, lamp_neg, packed_lamp)
@@ -94,20 +95,37 @@ def _ball_error(radius: int) -> DomainError:
     return DomainError(f"a radius-{radius} ball could exceed {MAX_BALL_VERTICES} vertices")
 
 
-class _BallKeys(NamedTuple):
-    """The BFS kernel's ball.  A key is digits << cbits | offset: the
-    digits are the configuration packed with field 0 at index origin, and
-    the cursor is kbase + offset."""
+class _Ball(NamedTuple):
+    """The BFS kernel's ball as decoded entry columns: each entry's key,
+    distance from the centre, cursor and digits (the configuration packed
+    with field 0 at index origin), the moves of a key (defined for
+    radius >= 1), and, from _ball_index alone, the induced adjacency (the
+    sorted indices of each entry's neighbours in the ball)."""
 
-    table: dict[int, int]
-    moves: Callable[[int], Sequence[int]]
-    vertices: Callable[[list[int]], list[DLVertex]]
-    cbits: int
-    kbase: int
+    n: int
     origin: int
+    keys: list[int]
+    dists: list[int]
+    cursors: list[int]
+    digits: list[int]
+    moves: Callable[[int], Sequence[int]]
+    adj: list[list[int]] | None = None
+
+    def vertices(self, indices: Iterable[int]) -> list[DLVertex]:
+        """The vertices of the entries at indices, each configuration built once."""
+        n, origin, digits, cursors = self.n, self.origin, self.digits, self.cursors
+        configs: dict[int, LampConfig] = {}
+        out = []
+        for i in indices:
+            d = digits[i]
+            c = configs.get(d)
+            if c is None:
+                c = configs[d] = packed_lamp(n, d, origin)
+            out.append(DLVertex(c, cursors[i]))
+        return out
 
 
-def _ball_keys(source: DLVertex, radius: int) -> _BallKeys:
+def _ball_keys(source: DLVertex, radius: int) -> _Ball:
     """The BFS kernel behind distances_from, ball and ball_graph.
 
     It runs over int keys: a vertex's digits, aligned at an origin below
@@ -118,9 +136,8 @@ def _ball_keys(source: DLVertex, radius: int) -> _BallKeys:
     of its lowest and highest cursor land on offsets 0 and 2 * radius + 2,
     which no ball key has, and write into fields at or above the origin.
 
-    Returns the table {key: distance} in BFS order, the moves of a key
-    (defined for radius >= 1), the vertices of a list of keys, and the key
-    layout.  DomainError before a level whose 2n steps per frontier vertex
+    Returns the ball in BFS order, each key decoded into its cursor and
+    digits.  DomainError before a level whose 2n steps per frontier vertex
     could take the table past MAX_BALL_VERTICES, and, as in neighbors, when
     a write would take a configuration past MAX_LAMP_BITS.
     """
@@ -178,81 +195,56 @@ def _ball_keys(source: DLVertex, radius: int) -> _BallKeys:
                     table[x] = dist
                     nxt.append(x)
         frontier = nxt
-
-    def vertices(keys) -> list[DLVertex]:
-        configs: dict[int, LampConfig] = {}
-        out = []
-        for key in keys:
-            d = key >> cbits
-            c = configs.get(d)
-            if c is None:
-                c = configs[d] = packed_lamp(n, d, origin)
-            out.append(DLVertex(c, kbase + (key & cmask)))
-        return out
-
-    return _BallKeys(table, moves, vertices, cbits, kbase, origin)
+    keys = list(table)
+    return _Ball(n, origin, keys, list(table.values()), [kbase + (key & cmask) for key in keys],
+                 [key >> cbits for key in keys], moves)
 
 
 def distances_from(source: DLVertex, radius_cap: int) -> dict[DLVertex, int]:
     """BFS distance table for every vertex within radius_cap of source, in
     BFS order; DomainError before a level whose 2n steps per frontier
     vertex could take the table past MAX_BALL_VERTICES."""
-    keys = _ball_keys(source, radius_cap)
-    return dict(zip(keys.vertices(keys.table), keys.table.values()))
+    b = _ball_keys(source, radius_cap)
+    return dict(zip(b.vertices(range(len(b.keys))), b.dists))
 
 
 def ball(center: DLVertex, radius: int) -> set[DLVertex]:
     """All vertices at graph distance <= radius from center, by BFS."""
-    keys = _ball_keys(center, radius)
-    return set(keys.vertices(keys.table))
+    b = _ball_keys(center, radius)
+    return set(b.vertices(range(len(b.keys))))
 
 
-class _BallIndex(NamedTuple):
-    """The kernel's ball in (distance, cursor, entries) order: each key's
-    distance from the centre, cursor and digits (packed at the kernel's
-    origin), the induced adjacency (the sorted indices of each key's
-    neighbours in the ball), and the kernel's vertex builder."""
-
-    keys: list[int]
-    dists: list[int]
-    cursors: list[int]
-    digits: list[int]
-    adj: list[list[int]]
-    vertices: Callable[[list[int]], list[DLVertex]]
-
-
-def _ball_index(center: DLVertex, radius: int) -> _BallIndex:
-    """The index behind ball_graph and isometry_search, read off the kernel's
-    keys with no vertex built."""
-    ball_keys = _ball_keys(center, radius)
-    table, moves, cbits = ball_keys.table, ball_keys.moves, ball_keys.cbits
-    cmask = (1 << cbits) - 1
-    shift = digit_shift(center.n)
+def _ball_index(center: DLVertex, radius: int) -> _Ball:
+    """The kernel's ball behind ball_graph and isometry_search, in
+    (distance, cursor, entries) order and with its adjacency, read off the
+    kernel's entries with no vertex built."""
+    b = _ball_keys(center, radius)
+    dists, cursors, digits = b.dists, b.cursors, b.digits
+    shift = digit_shift(b.n)
     # the entries order, read once per distinct configuration: fields at
     # one origin, as (bit position, value), rank as the (index, value) pairs
-    configs = sorted({key >> cbits for key in table}, key=lambda d: tuple(_nonzero_fields(d, shift)))
+    configs = sorted(set(digits), key=lambda d: tuple(_nonzero_fields(d, shift)))
     rank = {d: r for r, d in enumerate(configs)}
-    keys = sorted(table, key=lambda key: (table[key], key & cmask, rank[key >> cbits]))
+    order = sorted(range(len(dists)), key=lambda i: (dists[i], cursors[i], rank[digits[i]]))
+    keys, dists, cursors, digits = ([col[i] for i in order] for col in (b.keys, dists, cursors, digits))
     index_of = {key: i for i, key in enumerate(keys)}.get
     # the graph is undirected, so appending j to the list of each neighbour
     # of key j, in ascending j, leaves every list sorted; a radius-0 ball
     # has no edges, and no moves are laid out for it
     adj: list[list[int]] = [[] for _ in keys]
     for j, key in enumerate(keys if radius else ()):
-        for x in moves(key):
+        for x in b.moves(key):
             if (i := index_of(x)) is not None:
                 adj[i].append(j)
-    kbase = ball_keys.kbase
-    return _BallIndex(keys, [table[key] for key in keys], [kbase + (key & cmask) for key in keys],
-                      [key >> cbits for key in keys], adj, ball_keys.vertices)
+    return b._replace(keys=keys, dists=dists, cursors=cursors, digits=digits, adj=adj)
 
 
 def ball_graph(center: DLVertex, radius: int) -> tuple[list[DLVertex], list[int], list[list[int]]]:
     """The ball's vertices ordered by (distance, cursor, entries), their
     distances from center, and the induced adjacency: the sorted indices
     of each vertex's neighbours in the ball."""
-    index = _ball_index(center, radius)
-    return index.vertices(index.keys), index.dists, index.adj
+    b = _ball_index(center, radius)
+    return b.vertices(range(len(b.keys))), b.dists, b.adj
 
 
 def bfs_distance(u: DLVertex, v: DLVertex, radius_cap: int) -> int | None:

@@ -445,9 +445,10 @@ def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
     the ball meets its coset), because a vertex map keeps the cursor and
     maps fibres to fibres.  Two vertices of one fibre have distance
     |k_u - k_v| before and after, so they contribute 0.  For two fibres,
-    the packed configurations, aligned at one common ``low``, are XORed: d
-    for the sources and e for the images.  With L the first nonzero field
-    of an XOR, H its last nonzero field + 1, and m <= M the cursors of a
+    the packed configurations are XORed: d for the sources, packed at the
+    kernel's origin, and e for the images, packed apart at their lowest
+    low.  With L the first nonzero field of an XOR, as an index, H its
+    last nonzero field's index + 1, and m <= M the cursors of a
     vertex pair, dl_distance is 2 * (max(M, H) - min(m, L)) - (M - m).
     The M - m terms of the two distances cancel, so the pair deviates by
 
@@ -463,21 +464,18 @@ def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
         raise DomainError("radius must be >= 0")
     n = _scan_modulus(vm.base, n)
     shift = digit_shift(n)
-    # the fibres straight from the BFS kernel: a key's digits are its
-    # configuration packed at the kernel's origin
+    # the fibres straight from the BFS kernel, whose digits are packed at
+    # its origin, below every source; the images are packed apart, at their
+    # own lowest low, so both sides stay narrow when the map moves the ball far
     ball = _ball_keys(identity_vertex(n), radius)
-    cbits, kbase = ball.cbits, ball.kbase
-    cmask = (1 << cbits) - 1
+    origin = ball.origin
     fibres: dict[int, list[int]] = {}
-    for key in ball.table:
-        fibres.setdefault(key >> cbits, []).append(kbase + (key & cmask))
-    configs = [packed_lamp(n, d, ball.origin) for d in fibres]
-    images = [apply(vm.base, x) for x in configs]
-    # both sides aligned at their lowest low: the kernel's origin lies
-    # below every source, and MAX_LAMP_BITS would refuse one index sooner
-    low = min((x.low for x in (*configs, *images) if x.digits), default=0)
-    packed = [(digits_at(x, low), digits_at(y, low), tuple(sorted(ks)))
-              for x, y, ks in zip(configs, images, fibres.values())]
+    for d, k in zip(ball.digits, ball.cursors):
+        fibres.setdefault(d, []).append(k)
+    images = [apply(vm.base, packed_lamp(n, d, origin)) for d in fibres]
+    low = min((y.low for y in images if y.digits), default=0)
+    off = low - origin
+    packed = [(d, digits_at(y, low), tuple(sorted(ks))) for d, y, ks in zip(fibres, images, fibres.values())]
     memo: dict[tuple, int] = {}
     worst = 0
     for a, (ma, na, ka) in enumerate(packed):
@@ -488,12 +486,14 @@ def qi_distortion(vm: VertexMap, radius: int, n: int | None = None) -> int:
             # diff_span, inline: a call per XOR would cost a third of the scan
             ld, hd = ((d & -d).bit_length() - 1) >> shift, (d.bit_length() - 1) >> shift
             le, he = ((e & -e).bit_length() - 1) >> shift, (e.bit_length() - 1) >> shift
-            if ld == le and hd == he:
+            # source fields count from origin and image fields from low; a
+            # zero e (equal images) reads as the field below low, never skipped
+            if ld == le + off and hd == he + off and e:
                 continue
             key = (ld, hd, le, he, ka, kb)
             dev = memo.get(key)
             if dev is None:
-                ld, hd, le, he = ld + low, hd + low + 1, le + low, he + low + 1
+                ld, hd, le, he = ld + origin, hd + origin + 1, le + low, he + low + 1
                 if not e:
                     # equal images (a map that is not injective): a span
                     # outside every cursor, so the image distance is M - m
@@ -694,7 +694,7 @@ def isometry_search(
     # vertex objects only for the inner vertices and their images
     found = sorted(results)
     need = list(set(range(n_inner)).union(*found))
-    verts = dict(zip(need, ball.vertices([ball.keys[i] for i in need])))
+    verts = dict(zip(need, ball.vertices(need)))
     return [{verts[i]: verts[w] for i, w in enumerate(key)} for key in found]
 
 

@@ -142,7 +142,7 @@ def test_neighbors_share_no_move_code_with_the_kernel(monkeypatch, n):
 
 
 def test_search_and_qi_read_the_kernel_keys(monkeypatch):
-    # isometry_search and qi_distortion read the kernel's int keys, build
+    # isometry_search and qi_distortion read the kernel's entries, build
     # no ball or ball graph, and build vertex objects only for what they
     # return: the strict r = 7 search returns one map on the 452 vertices of
     # the radius-6 ball, of the 964 in the radius-7 ball it searches

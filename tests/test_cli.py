@@ -420,9 +420,9 @@ FAR = str(10 ** 15)
     ("dist", "--u", f"0:1,{FAR}:1|0", "--v", "|0"),
     ("dist", "--u", f"{FAR}:1|0", "--v", "0:1|0"),
     ("ball", "--center", f"0:1|{FAR}", "--radius", "1"),
-    ("map", "qi-distortion", "--map", f"shift:{FAR}", "--radius", "2"),
+    ("map", "qi-distortion", "--map", f"translate:{FAR}:1", "--radius", "2"),
     ("map", "apply", "--map", "translate:0:1", "--x", f"{FAR}:1"),
-], ids=["one-config", "aligned-pair", "far-write", "qi-shift", "translate"])
+], ids=["one-config", "aligned-pair", "far-write", "qi-translate", "translate"])
 def test_lamp_configs_past_span_budget_exit_2_quickly(argv):
     # a config is one int with a digit field for every index of its span:
     # these would ask for about 10^15 bits
@@ -437,7 +437,8 @@ def test_lamp_configs_past_span_budget_exit_2_quickly(argv):
     ("dist", "--u", f"{FAR}:1|0", "--v", "|0", "--format", "text"),
     ("ball", "--center", f"|{FAR}", "--radius", "1"),
     ("map", "apply", "--map", f"shift:{FAR}", "--x", "0:1", "--format", "text"),
-], ids=["zero-pair", "zero-ball", "shift"])
+    ("map", "qi-distortion", "--map", f"shift:{FAR}", "--radius", "2"),
+], ids=["zero-pair", "zero-ball", "shift", "qi-shift"])
 def test_far_indices_within_span_budget_answer_quickly(argv):
     proc, seconds = _run_child(argv)
     assert proc.returncode == EXIT_OK and seconds < 1.0

@@ -539,10 +539,11 @@ def test_qi_distortion_pi0_matches_pair_loop():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_qi_distortion_of_images_below_the_kernel_origin_matches_pair_loop(n):
-    # the fibre scan reads its fibres off the BFS kernel's keys, packed at
-    # the kernel's origin, below every index of the ball, and aligns both
-    # sides at their lowest low: Shift(3) and Shift(3) after Inversion reach
-    # below the origin at every radius, Shift(2) after Inversion reaches it
+    # the fibre scan reads its fibres off the BFS kernel's entries, packed
+    # at the kernel's origin, below every index of the ball, and packs the
+    # images apart at their lowest low: Shift(3) and Shift(3) after
+    # Inversion reach below the origin at every radius, Shift(2) after
+    # Inversion reaches it
     maps = [Shift(3), Compose((Shift(2), Inversion())), Compose((Shift(3), Inversion()))]
     below = 0
     for m in maps:
@@ -553,6 +554,17 @@ def test_qi_distortion_of_images_below_the_kernel_origin_matches_pair_loop(n):
             below += min(lows) < origin
             assert lg.qi_distortion(vm, r, n=n) == _qi_distortion_pair_loop(vm, r, n), (m, r)
     assert below == 4
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_qi_distortion_of_maps_that_move_the_ball_far_matches_pair_loop(n):
+    # sources and images are each narrow, but 10^5 indices apart: the scan
+    # packs the images apart from the sources, so neither side spans the gap
+    maps = [Shift(10 ** 5), Shift(-10 ** 5), Compose((Shift(70000), Inversion()))]
+    for m in maps:
+        vm = lg.induced_vertex_map(m)
+        for r in (1, 2, 3):
+            assert lg.qi_distortion(vm, r, n=n) == _qi_distortion_pair_loop(vm, r, n), (m, r)
 
 
 def _random_block_perm(rng, m, n):
